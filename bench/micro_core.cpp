@@ -112,21 +112,42 @@ void BM_SchedulerChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerChurn)->Arg(64)->Arg(1024);
 
-void BM_ConnectionTableClosestTo(benchmark::State& state) {
-  Rng rng(5);
+/// A table of `size` random far connections around a random self.
+p2p::ConnectionTable random_table(Rng& rng, std::int64_t size) {
   p2p::ConnectionTable table(rng.ring_id());
-  for (int i = 0; i < state.range(0); ++i) {
+  for (std::int64_t i = 0; i < size; ++i) {
     p2p::Connection c;
     c.addr = rng.ring_id();
     c.type = p2p::ConnectionType::kStructuredFar;
     table.add(std::move(c));
   }
+  return table;
+}
+
+void BM_ConnectionTableClosestTo(benchmark::State& state) {
+  // One greedy routing decision.  8 entries is a steady-state node; a
+  // well-known bootstrap endpoint holds hundreds to thousands.
+  Rng rng(5);
+  p2p::ConnectionTable table = random_table(rng, state.range(0));
   RingId target = rng.ring_id();
   for (auto _ : state) {
     benchmark::DoNotOptimize(table.closest_to(target));
   }
 }
-BENCHMARK(BM_ConnectionTableClosestTo)->Arg(8)->Arg(64);
+BENCHMARK(BM_ConnectionTableClosestTo)->Arg(8)->Arg(64)->Arg(256)->Arg(2000);
+
+void BM_ConnectionTableSuccessorPredecessor(benchmark::State& state) {
+  // Both neighbors of one ring position: how a nearest-delivery packet
+  // finds the two sides of a ring gap.
+  Rng rng(6);
+  p2p::ConnectionTable table = random_table(rng, state.range(0));
+  RingId pos = rng.ring_id();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table.successor_of(pos));
+    benchmark::DoNotOptimize(table.predecessor_of(pos));
+  }
+}
+BENCHMARK(BM_ConnectionTableSuccessorPredecessor)->Arg(8)->Arg(2000);
 
 void BM_NatTranslateOutbound(benchmark::State& state) {
   net::NatBox nat("bench", net::Ipv4Addr(1, 2, 3, 4), {});

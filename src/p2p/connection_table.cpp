@@ -21,13 +21,9 @@ bool ConnectionTable::add(Connection connection) {
     }
     return false;
   }
-  RingId key = self_.clockwise_distance(connection.addr);
-  auto it = std::lower_bound(
-      conns_.begin(), conns_.end(), key,
-      [this](const Connection& c, const RingId& k) {
-        return self_.clockwise_distance(c.addr) < k;
-      });
-  conns_.insert(it, std::move(connection));
+  const std::size_t at = lower_index(self_.clockwise_distance(connection.addr));
+  conns_.insert(conns_.begin() + static_cast<std::ptrdiff_t>(at),
+                std::move(connection));
   return true;
 }
 
@@ -77,51 +73,79 @@ ConnectionTable::TypeCounts ConnectionTable::count_by_type() const {
   return counts;
 }
 
-const Connection* ConnectionTable::closest_to(const Address& dst,
-                                              const Address* exclude) const {
-  RingId best = self_.ring_distance(dst);
-  const Connection* winner = nullptr;
-  for (const Connection& c : conns_) {
-    if (exclude != nullptr && c.addr == *exclude) continue;
-    RingId d = c.addr.ring_distance(dst);
-    if (d < best) {
-      best = d;
-      winner = &c;
+// The three ring queries below share one idea.  The vector is sorted by
+// clockwise distance from self_, so walking it from the binary-search
+// position of a target (wrapping at the end) visits peers in order of
+// clockwise distance from that target, and walking backwards visits them
+// in counter-clockwise order.  Every address is distinct, so each walk's
+// first peer not skipped is the unique nearest one on its side, and at
+// most one skipped peer (`exclude`) stands in front of it: two steps per
+// side always reach it.  The peer at `pos` itself is the last one either
+// walk of successor_of/predecessor_of would reach.
+
+std::size_t ConnectionTable::lower_index(const RingId& key) const {
+  auto it = std::partition_point(
+      conns_.begin(), conns_.end(), [this, &key](const Connection& c) {
+        return self_.clockwise_distance(c.addr) < key;
+      });
+  return static_cast<std::size_t>(it - conns_.begin());
+}
+
+std::size_t ConnectionTable::upper_index(const RingId& key) const {
+  auto it = std::partition_point(
+      conns_.begin(), conns_.end(), [this, &key](const Connection& c) {
+        return !(key < self_.clockwise_distance(c.addr));
+      });
+  return static_cast<std::size_t>(it - conns_.begin());
+}
+
+const Connection* ConnectionTable::first_allowed(std::size_t at,
+                                                 bool clockwise,
+                                                 const Address* skip,
+                                                 const Address* exclude) const {
+  const std::size_t n = conns_.size();
+  if (n == 0) return nullptr;
+  std::size_t i = clockwise ? (at == n ? 0 : at) : (at == 0 ? n - 1 : at - 1);
+  for (std::size_t step = 0; step < 2 && step < n; ++step) {
+    const Connection& c = conns_[i];
+    if ((skip == nullptr || c.addr != *skip) &&
+        (exclude == nullptr || c.addr != *exclude)) {
+      return &c;
+    }
+    if (clockwise) {
+      i = i + 1 == n ? 0 : i + 1;
+    } else {
+      i = i == 0 ? n - 1 : i - 1;
     }
   }
-  return winner;
+  return nullptr;
+}
+
+const Connection* ConnectionTable::closest_to(const Address& dst,
+                                              const Address* exclude) const {
+  const std::size_t at = lower_index(self_.clockwise_distance(dst));
+  const Connection* cw = first_allowed(at, true, nullptr, exclude);
+  if (cw == nullptr) return nullptr;  // empty, or every peer is excluded
+  const Connection* ccw = first_allowed(at, false, nullptr, exclude);
+  // Of two peers equally far from dst, the one earlier in the table wins.
+  RingId cw_d = cw->addr.ring_distance(dst);
+  RingId ccw_d = ccw->addr.ring_distance(dst);
+  const bool take_ccw = ccw_d < cw_d || (ccw_d == cw_d && ccw < cw);
+  const RingId& best = take_ccw ? ccw_d : cw_d;
+  if (!(best < self_.ring_distance(dst))) return nullptr;
+  return take_ccw ? ccw : cw;
 }
 
 const Connection* ConnectionTable::successor_of(const Address& pos,
                                                 const Address* exclude) const {
-  const Connection* best = nullptr;
-  RingId best_d = RingId::max();
-  for (const Connection& c : conns_) {
-    if (c.addr == pos) continue;
-    if (exclude != nullptr && c.addr == *exclude) continue;
-    RingId d = pos.clockwise_distance(c.addr);
-    if (best == nullptr || d < best_d) {
-      best = &c;
-      best_d = d;
-    }
-  }
-  return best;
+  return first_allowed(upper_index(self_.clockwise_distance(pos)), true, &pos,
+                       exclude);
 }
 
 const Connection* ConnectionTable::predecessor_of(
     const Address& pos, const Address* exclude) const {
-  const Connection* best = nullptr;
-  RingId best_d = RingId::max();
-  for (const Connection& c : conns_) {
-    if (c.addr == pos) continue;
-    if (exclude != nullptr && c.addr == *exclude) continue;
-    RingId d = c.addr.clockwise_distance(pos);
-    if (best == nullptr || d < best_d) {
-      best = &c;
-      best_d = d;
-    }
-  }
-  return best;
+  return first_allowed(lower_index(self_.clockwise_distance(pos)), false,
+                       &pos, exclude);
 }
 
 const Connection* ConnectionTable::right_neighbor() const {

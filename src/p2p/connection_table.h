@@ -76,9 +76,13 @@ struct Connection {
 /// self_.  The steady state is ~2·near + k·far + shortcuts ≈ a dozen
 /// entries, where a node-per-entry tree costs an allocation plus ~40
 /// bytes of color/pointer overhead per connection and a pointer chase
-/// per step; the vector is one block scanned linearly.  Pointers
-/// returned by find()/closest_to()/… are invalidated by add()/remove()
-/// — every protocol service already re-finds after mutating (the
+/// per step; the vector is one block.  Well-known bootstrap endpoints
+/// hold hundreds to thousands of entries, so the ring queries
+/// (closest_to, successor_of, predecessor_of) binary-search the ring
+/// order and then look at no more than two entries on each side:
+/// O(log n) per routing decision.  Pointers returned by
+/// find()/closest_to()/… are invalidated by add()/remove() — every
+/// protocol service already re-finds after mutating (the
 /// collect-then-mutate idiom in the sweeps).
 class ConnectionTable {
  public:
@@ -184,6 +188,18 @@ class ConnectionTable {
     }
     return 0;
   }
+
+  /// Index of the first entry whose clockwise distance from self_ is
+  /// not below (lower_index) / above (upper_index) `key`; size() if none.
+  [[nodiscard]] std::size_t lower_index(const RingId& key) const;
+  [[nodiscard]] std::size_t upper_index(const RingId& key) const;
+  /// The first entry of at most two that is neither `skip` nor
+  /// `exclude`, walking the ring from the search boundary `at`: clockwise
+  /// from entry `at`, or counter-clockwise from the entry before it
+  /// (both wrapping).  nullptr if the table is empty or both are skipped.
+  [[nodiscard]] const Connection* first_allowed(std::size_t at, bool clockwise,
+                                                const Address* skip,
+                                                const Address* exclude) const;
 
   Address self_;
   /// Sorted by clockwise distance from self_ (recomputed on compare:

@@ -1,5 +1,10 @@
 #include "p2p/packet.h"
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cstring>
+
 namespace wow::p2p {
 
 const char* to_string(ConnectionType type) {
@@ -45,46 +50,138 @@ void store_u32(std::uint8_t* out, std::uint32_t v) {
   out[3] = static_cast<std::uint8_t>(v);
 }
 
-constexpr std::uint32_t kFnvOffset = 2166136261u;
-constexpr std::uint32_t kFnvPrime = 16777619u;
+constexpr std::uint64_t kPrime1 = 0x9e3779b185ebca87ull;
+constexpr std::uint64_t kPrime2 = 0xc2b2ae3d27d4eb4full;
+constexpr std::uint64_t kPrime3 = 0x165667b19e3779f9ull;
+constexpr std::uint64_t kPrime4 = 0x85ebca77c2b2ae63ull;
+constexpr std::uint64_t kPrime5 = 0x27d4eb2f165667c5ull;
 
-[[nodiscard]] std::uint32_t fnv1a(std::uint32_t h,
-                                  std::span<const std::uint8_t> bytes) {
-  for (std::uint8_t b : bytes) h = (h ^ b) * kFnvPrime;
-  return h;
+[[nodiscard]] std::uint64_t load_le64(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::big) {
+    std::uint64_t le = 0;
+    for (int i = 0; i < 8; ++i) le = (le << 8) | ((v >> (8 * i)) & 0xff);
+    v = le;
+  }
+  return v;
 }
 
-/// Routed-frame checksum: the kind byte, the immutable header fields
-/// (bytes 5..54: mode, type, src, dst, trace id) and the payload.
-/// Deliberately skips the checksum field itself and the mutable tail
-/// (ttl, hops, bounced, via) so a forwarding hop's in-place rewrite
-/// does not invalidate it — computed once at the origin, verified at
-/// every hop.  Callers guarantee `f` is at least kHeaderBytes long.
-[[nodiscard]] std::uint32_t routed_checksum(
-    std::span<const std::uint8_t> f) {
-  std::uint32_t h = fnv1a(kFnvOffset, f.subspan(0, 1));
-  h = fnv1a(h, f.subspan(5, 50));
-  return fnv1a(h, f.subspan(RoutedPacket::kHeaderBytes));
+[[nodiscard]] std::uint64_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint64_t>(p[0]) |
+         static_cast<std::uint64_t>(p[1]) << 8 |
+         static_cast<std::uint64_t>(p[2]) << 16 |
+         static_cast<std::uint64_t>(p[3]) << 24;
 }
 
-/// Link-frame checksum: the kind byte plus everything after the
-/// checksum field (link frames are never rewritten in flight).
-[[nodiscard]] std::uint32_t link_checksum(std::span<const std::uint8_t> f) {
-  std::uint32_t h = fnv1a(kFnvOffset, f.subspan(0, 1));
-  return fnv1a(h, f.subspan(5));
+[[nodiscard]] std::uint64_t xxh_round(std::uint64_t acc, std::uint64_t word) {
+  return std::rotl(acc + word * kPrime2, 31) * kPrime1;
 }
 
-/// Relay-frame checksum: kind byte, the three ring ids (bytes 5..64) and
-/// the wrapped inner frame — skipping the hops byte at offset 65, which
-/// the relay agent rewrites in place.  Callers guarantee `f` is at least
-/// kHeaderBytes long.
-[[nodiscard]] std::uint32_t relay_checksum(std::span<const std::uint8_t> f) {
-  std::uint32_t h = fnv1a(kFnvOffset, f.subspan(0, 1));
-  h = fnv1a(h, f.subspan(5, 60));
-  return fnv1a(h, f.subspan(RelayFrame::kHeaderBytes));
-}
+/// Streaming XXH64 (seed 0): frame_checksum feeds it the covered regions
+/// of a frame one after another, and it hashes them as one input.  Whole
+/// 32-byte stripes go straight from the caller's buffer through the four
+/// lanes; only a stripe that straddles two regions, and the final
+/// partial stripe that digest() folds in, are staged in `held_`.
+class FrameHasher {
+ public:
+  void update(std::span<const std::uint8_t> bytes) {
+    const std::uint8_t* p = bytes.data();
+    std::size_t n = bytes.size();
+    total_ += n;
+    if (held_bytes_ > 0) {
+      std::size_t take = std::min(n, kStripe - held_bytes_);
+      std::memcpy(held_.data() + held_bytes_, p, take);
+      held_bytes_ += take;
+      p += take;
+      n -= take;
+      if (held_bytes_ < kStripe) return;
+      stripes(held_.data(), 1);
+      held_bytes_ = 0;
+    }
+    stripes(p, n / kStripe);
+    p += n - n % kStripe;
+    n %= kStripe;
+    if (n > 0) std::memcpy(held_.data(), p, n);
+    held_bytes_ = n;
+  }
+
+  [[nodiscard]] std::uint32_t digest() const {
+    std::uint64_t h = kPrime5;
+    if (total_ >= kStripe) {
+      h = std::rotl(lanes_[0], 1) + std::rotl(lanes_[1], 7) +
+          std::rotl(lanes_[2], 12) + std::rotl(lanes_[3], 18);
+      for (std::uint64_t lane : lanes_) {
+        h = (h ^ xxh_round(0, lane)) * kPrime1 + kPrime4;
+      }
+    }
+    h += total_;
+    const std::uint8_t* p = held_.data();
+    std::size_t n = held_bytes_;
+    for (; n >= 8; p += 8, n -= 8) {
+      h = std::rotl(h ^ xxh_round(0, load_le64(p)), 27) * kPrime1 + kPrime4;
+    }
+    if (n >= 4) {
+      h = std::rotl(h ^ load_le32(p) * kPrime1, 23) * kPrime2 + kPrime3;
+      p += 4;
+      n -= 4;
+    }
+    for (; n > 0; ++p, --n) h = std::rotl(h ^ *p * kPrime5, 11) * kPrime1;
+    h = (h ^ (h >> 33)) * kPrime2;
+    h = (h ^ (h >> 29)) * kPrime3;
+    return static_cast<std::uint32_t>(h ^ (h >> 32));
+  }
+
+ private:
+  static constexpr std::size_t kStripe = 32;
+
+  void stripes(const std::uint8_t* p, std::size_t count) {
+    // Locals, not the members: the lanes stay in registers, since stores
+    // through `this` could otherwise alias the byte loads from `p`.
+    std::uint64_t a = lanes_[0], b = lanes_[1], c = lanes_[2],
+                  d = lanes_[3];
+    for (; count > 0; --count, p += kStripe) {
+      a = xxh_round(a, load_le64(p));
+      b = xxh_round(b, load_le64(p + 8));
+      c = xxh_round(c, load_le64(p + 16));
+      d = xxh_round(d, load_le64(p + 24));
+    }
+    lanes_ = {a, b, c, d};
+  }
+
+  std::array<std::uint64_t, 4> lanes_{kPrime1 + kPrime2, kPrime2, 0,
+                                      0 - kPrime1};
+  std::array<std::uint8_t, kStripe> held_{};
+  std::size_t held_bytes_ = 0;
+  std::uint64_t total_ = 0;
+};
 
 }  // namespace
+
+std::uint32_t frame_checksum(std::span<const std::uint8_t> frame) {
+  const std::size_t n = frame.size();
+  // The in-place-rewritten range the checksum skips besides its own
+  // field (bytes 1..4); empty for link and census frames.
+  std::size_t skip_begin = n;
+  std::size_t skip_end = n;
+  if (n > 0 && frame[0] == static_cast<std::uint8_t>(FrameKind::kRouted)) {
+    skip_begin = 55;  // ttl, hops, bounced, via
+    skip_end = RoutedPacket::kHeaderBytes;
+  } else if (n > 0 &&
+             frame[0] == static_cast<std::uint8_t>(FrameKind::kRelay)) {
+    skip_begin = 65;  // hops
+    skip_end = RelayFrame::kHeaderBytes;
+  }
+  FrameHasher h;
+  auto cover = [&](std::size_t begin, std::size_t end) {
+    end = std::min(end, n);
+    if (begin < end) h.update(frame.subspan(begin, end - begin));
+  };
+  cover(0, 1);
+  cover(5, skip_begin);
+  cover(skip_end, n);
+  return h.digest();
+}
 
 void RoutedPacket::set_payload(Bytes payload) {
   owned_payload_ = std::move(payload);
@@ -120,7 +217,7 @@ Bytes RoutedPacket::serialize() const {
   w.ring_id(via);
   w.raw(body);
   Bytes out = std::move(w).take();
-  store_u32(out.data() + 1, routed_checksum(out));
+  store_u32(out.data() + 1, frame_checksum(out));
   return out;
 }
 
@@ -170,7 +267,7 @@ std::optional<RoutedPacket> RoutedPacket::parse(SharedBytes frame) {
     return std::nullopt;
   }
   if (*type < 1 || *type > 3) return std::nullopt;
-  if (*csum != routed_checksum(frame.view())) return std::nullopt;
+  if (*csum != frame_checksum(frame.view())) return std::nullopt;
   p.ttl = *ttl;
   p.hops = *hops;
   p.mode = static_cast<DeliveryMode>(*mode);
@@ -292,7 +389,7 @@ Bytes LinkFrame::serialize() const {
   w.u16(observed.port);
   transport::write_uri_list(w, uris);
   Bytes out = std::move(w).take();
-  store_u32(out.data() + 1, link_checksum(out));
+  store_u32(out.data() + 1, frame_checksum(out));
   return out;
 }
 
@@ -319,7 +416,7 @@ std::optional<LinkFrame> LinkFrame::parse(
   }
   auto uris = transport::read_uri_list(r);
   if (!uris) return std::nullopt;
-  if (*csum != link_checksum(frame)) return std::nullopt;
+  if (*csum != frame_checksum(frame)) return std::nullopt;
   LinkFrame f;
   f.type = static_cast<LinkType>(*type);
   f.con_type = static_cast<ConnectionType>(*con_type);
@@ -342,7 +439,7 @@ Bytes RelayFrame::wrap(const Address& src, const Address& relay,
   w.u8(0);  // hops: incremented in place by the relay agent
   w.raw(inner);
   Bytes out = std::move(w).take();
-  store_u32(out.data() + 1, relay_checksum(out));
+  store_u32(out.data() + 1, frame_checksum(out));
   return out;
 }
 
@@ -365,7 +462,7 @@ std::optional<RelayFrame> RelayFrame::parse(SharedBytes frame) {
   auto hops = r.u8();
   if (!csum || !src || !relay || !dst || !hops) return std::nullopt;
   if (r.remaining() == 0) return std::nullopt;  // empty tunnel: nonsense
-  if (*csum != relay_checksum(frame.view())) return std::nullopt;
+  if (*csum != frame_checksum(frame.view())) return std::nullopt;
   RelayFrame f;
   f.src = *src;
   f.relay = *relay;
@@ -389,7 +486,7 @@ Bytes CensusFrame::serialize() const {
   w.u16(ttl);
   transport::write_uri_list(w, origin_uris);
   Bytes out = std::move(w).take();
-  store_u32(out.data() + 1, link_checksum(out));
+  store_u32(out.data() + 1, frame_checksum(out));
   return out;
 }
 
@@ -407,7 +504,7 @@ std::optional<CensusFrame> CensusFrame::parse(
   if (!csum || !origin || !hops || !ttl) return std::nullopt;
   auto uris = transport::read_uri_list(r);
   if (!uris) return std::nullopt;
-  if (*csum != link_checksum(frame)) return std::nullopt;
+  if (*csum != frame_checksum(frame)) return std::nullopt;
   CensusFrame f;
   f.origin = *origin;
   f.hops = *hops;

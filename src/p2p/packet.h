@@ -29,15 +29,16 @@ enum class ConnectionType : std::uint8_t {
 
 /// Outer frame discriminator.
 ///
-/// Every frame carries a 32-bit FNV-1a checksum right after this byte.
-/// UDP's own 16-bit checksum is weak — the fault model lets half of all
-/// corrupted datagrams through it — and a bit-flipped frame that still
-/// parses would install a phantom address (a node that does not exist)
-/// into connection tables.  The application-level checksum closes that:
-/// parse() rejects any frame whose recomputed checksum disagrees, and
-/// the node counts the reject.  For routed frames the checksum covers
-/// only the fields a forwarding hop may NOT rewrite (plus the payload),
-/// so it is computed once at origin and survives in-place forwarding.
+/// Every frame carries a 32-bit checksum (frame_checksum) right after
+/// this byte.  UDP's own 16-bit checksum is weak — the fault model lets
+/// half of all corrupted datagrams through it — and a bit-flipped frame
+/// that still parses would install a phantom address (a node that does
+/// not exist) into connection tables.  The application-level checksum
+/// closes that: parse() rejects any frame whose recomputed checksum
+/// disagrees, and the node counts the reject.  For routed frames the
+/// checksum covers only the fields a forwarding hop may NOT rewrite
+/// (plus the payload), so it is computed once at origin and survives
+/// in-place forwarding.
 enum class FrameKind : std::uint8_t {
   kRouted = 1,  // forwarded hop-by-hop over the structured ring
   kLink = 2,    // direct link-level message between two endpoints
@@ -288,6 +289,19 @@ struct CensusFrame {
 
 /// Peek the outer frame kind without a full parse.
 [[nodiscard]] std::optional<FrameKind> frame_kind(
+    std::span<const std::uint8_t> frame);
+
+/// The checksum every frame kind stores big-endian at bytes 1..4: the
+/// low 32 bits of XXH64 (seed 0) over the covered bytes, taken as one
+/// stream.  The covered bytes are the kind byte and everything after the
+/// checksum field, minus the bytes a forwarding hop rewrites in place:
+/// ttl, hops, bounced and via (bytes 55..77) of a routed frame, the hops
+/// byte (65) of a relay frame.  XXH64 reads little-endian 64-bit words
+/// into four independent lanes and mixes in the length, so verifying a
+/// frame at every hop costs a fraction of a nanosecond per byte, and the
+/// value is the same on any host byte order.  Total over any input: a
+/// frame shorter than its kind's header hashes the covered bytes it has.
+[[nodiscard]] std::uint32_t frame_checksum(
     std::span<const std::uint8_t> frame);
 
 }  // namespace wow::p2p

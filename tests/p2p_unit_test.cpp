@@ -92,6 +92,128 @@ TEST(ConnectionTable, SuccessorAndPredecessorOfArbitraryPosition) {
   EXPECT_EQ(table.predecessor_of(Address{50})->addr, Address{700});
 }
 
+// Reference answers for the ring queries: linear scans over the table in
+// index order, which is how ConnectionTable answered them before it
+// binary-searched.  Ties on distance keep the lowest index.
+std::vector<const Connection*> entries_of(const ConnectionTable& table) {
+  std::vector<const Connection*> out;
+  table.for_each([&out](const Connection& c) { out.push_back(&c); });
+  return out;
+}
+
+const Connection* linear_closest_to(const ConnectionTable& table,
+                                    const Address& dst,
+                                    const Address* exclude) {
+  RingId best = table.self().ring_distance(dst);
+  const Connection* winner = nullptr;
+  for (const Connection* c : entries_of(table)) {
+    if (exclude != nullptr && c->addr == *exclude) continue;
+    RingId d = c->addr.ring_distance(dst);
+    if (d < best) {
+      best = d;
+      winner = c;
+    }
+  }
+  return winner;
+}
+
+const Connection* linear_successor_of(const ConnectionTable& table,
+                                      const Address& pos,
+                                      const Address* exclude) {
+  const Connection* best = nullptr;
+  RingId best_d = RingId::max();
+  for (const Connection* c : entries_of(table)) {
+    if (c->addr == pos) continue;
+    if (exclude != nullptr && c->addr == *exclude) continue;
+    RingId d = pos.clockwise_distance(c->addr);
+    if (best == nullptr || d < best_d) {
+      best = c;
+      best_d = d;
+    }
+  }
+  return best;
+}
+
+const Connection* linear_predecessor_of(const ConnectionTable& table,
+                                        const Address& pos,
+                                        const Address* exclude) {
+  const Connection* best = nullptr;
+  RingId best_d = RingId::max();
+  for (const Connection* c : entries_of(table)) {
+    if (c->addr == pos) continue;
+    if (exclude != nullptr && c->addr == *exclude) continue;
+    RingId d = c->addr.clockwise_distance(pos);
+    if (best == nullptr || d < best_d) {
+      best = c;
+      best_d = d;
+    }
+  }
+  return best;
+}
+
+/// Every query, with and without an exclusion, must return the very
+/// entry (same pointer) the linear reference returns.
+void expect_queries_match(const ConnectionTable& table, const Address& q,
+                          const Address& excluded, const char* what) {
+  for (const Address* exclude : {static_cast<const Address*>(nullptr),
+                                 &excluded}) {
+    EXPECT_EQ(table.closest_to(q, exclude),
+              linear_closest_to(table, q, exclude))
+        << what << " closest_to " << q.to_hex() << " size " << table.size();
+    EXPECT_EQ(table.successor_of(q, exclude),
+              linear_successor_of(table, q, exclude))
+        << what << " successor_of " << q.to_hex() << " size "
+        << table.size();
+    EXPECT_EQ(table.predecessor_of(q, exclude),
+              linear_predecessor_of(table, q, exclude))
+        << what << " predecessor_of " << q.to_hex() << " size "
+        << table.size();
+  }
+}
+
+// The binary-search ring queries against the linear reference, on tables
+// of 0..2000 entries.  Random 160-bit ids cover the routing case; small
+// integer ids (offset from a base that is sometimes just below the wrap
+// point) put several entries at equal distance from a target, on both
+// sides, and sometimes put self itself in the table.
+TEST(ConnectionTable, RingQueriesMatchLinearReference) {
+  Rng rng(20261017);
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 16; ++n) sizes.push_back(n);
+  for (std::size_t n : {31, 64, 233, 1000, 2000}) sizes.push_back(n);
+  for (std::size_t size : sizes) {
+    for (bool small_ids : {false, true}) {
+      const RingId base =
+          rng.uniform(0, 1) == 0 ? RingId{} : RingId{} - RingId{20};
+      auto draw = [&] {
+        return small_ids ? base + RingId{static_cast<std::uint64_t>(
+                                      rng.uniform(0, 3 * size + 40))}
+                         : rng.ring_id();
+      };
+      ConnectionTable table(draw());
+      while (table.size() < size) {
+        Connection c;
+        c.addr = draw();
+        table.add(std::move(c));
+      }
+      const std::vector<Address> held = table.addresses();
+      auto any_held = [&] {
+        return held[static_cast<std::size_t>(
+            rng.uniform(0, static_cast<std::int64_t>(held.size()) - 1))];
+      };
+      for (int query = 0; query < 200; ++query) {
+        const Address excluded = held.empty() || query % 2 == 0 ? draw()
+                                                                : any_held();
+        expect_queries_match(table, draw(), excluded, "random");
+        expect_queries_match(table, table.self(), excluded, "self");
+        if (!held.empty()) {
+          expect_queries_match(table, any_held(), excluded, "held");
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------- ShortcutOverlord
 
 struct OverlordHarness {
