@@ -149,6 +149,19 @@ void BM_ConnectionTableSuccessorPredecessor(benchmark::State& state) {
 }
 BENCHMARK(BM_ConnectionTableSuccessorPredecessor)->Arg(8)->Arg(2000);
 
+void BM_ConnectionTableFind(benchmark::State& state) {
+  // Looking up a held peer, as every link frame, keepalive and drop does.
+  // The peer sits halfway round the ring order, where a linear scan
+  // would read half the table.
+  Rng rng(7);
+  p2p::ConnectionTable table = random_table(rng, state.range(0));
+  const p2p::Address held = table.nth(table.size() / 2).addr;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table.find(held));
+  }
+}
+BENCHMARK(BM_ConnectionTableFind)->Arg(8)->Arg(2000);
+
 void BM_NatTranslateOutbound(benchmark::State& state) {
   net::NatBox nat("bench", net::Ipv4Addr(1, 2, 3, 4), {});
   net::Endpoint inside{net::Ipv4Addr(10, 0, 0, 1), 1000};

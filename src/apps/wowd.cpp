@@ -6,9 +6,9 @@
 // daemon on this workstation"; this file is just the other composition
 // root (DESIGN §17).
 //
-//   wowd --port=17001 --vip=10.128.0.1 \
-//        --bootstrap=brunet.udp://10.0.0.1:17001 \
-//        --status-sock=/tmp/wowd.sock
+//   wowd --port=17001 --vip=10.128.0.1
+//        --bootstrap=brunet.udp://10.0.0.1:17001
+//        --status-sock=/tmp/wowd.sock           (one command line)
 //
 // A unix status socket answers one-line commands (status / peers /
 // metrics / flight / ping <vip> / stop) with JSON — tools/wowctl is the
@@ -180,16 +180,6 @@ struct Options {
   return ok;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (c == '\n') { out += "\\n"; continue; }
-    out += c;
-  }
-  return out;
-}
-
 /// The daemon's control plane: a unix stream socket speaking one-line
 /// commands with JSON replies.  Single-threaded like everything else —
 /// clients are fds watched by the same loop that runs the overlay.
@@ -282,10 +272,10 @@ class StatusServer {
     } else if (cmd == "metrics") {
       reply(fd, metrics_.to_json());
     } else if (cmd == "flight") {
-      reply(fd, "{\"flight\":\"" +
-                    json_escape(node_.p2p().flight().dump(
-                        node_.p2p().brief())) +
-                    "\"}");
+      std::string out = "{\"flight\":";
+      append_escaped(out, node_.p2p().flight().dump(node_.p2p().brief()));
+      out += '}';
+      reply(fd, out);
     } else if (cmd == "ping") {
       std::string target;
       in >> target;

@@ -46,7 +46,8 @@ void FlightRecorder::record(SimTime t, FlightKind kind,
   e.t = t;
   e.kind = kind;
   std::size_t n = std::min(peer.size(), sizeof e.peer - 1);
-  std::memcpy(e.peer, peer.data(), n);
+  // An empty view may carry a null data(), which memcpy must not see.
+  if (n > 0) std::memcpy(e.peer, peer.data(), n);
   e.peer[n] = '\0';
   e.a = a;
   e.b = b;

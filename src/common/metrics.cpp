@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "common/trace.h"
+
 namespace wow {
 
 namespace {
@@ -13,15 +15,6 @@ namespace {
     case MetricsRegistry::Sample::Kind::kHistogram: return "histogram";
   }
   return "?";
-}
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
 }
 
 /// %.17g prints doubles round-trip exactly; integers come out unpadded.
@@ -160,11 +153,11 @@ std::string MetricsRegistry::to_json() const {
     if (!first) out += ',';
     first = false;
     out += "{\"name\":";
-    append_json_string(out, s.name);
+    append_escaped(out, s.name);
     out += ",\"node\":";
-    append_json_string(out, s.labels.node);
+    append_escaped(out, s.labels.node);
     out += ",\"component\":";
-    append_json_string(out, s.labels.component);
+    append_escaped(out, s.labels.component);
     out += ",\"type\":\"";
     out += kind_name(s.kind);
     out += "\",\"value\":";
@@ -286,11 +279,11 @@ std::string MetricsTimeSeries::to_jsonl() const {
       out += "{\"t\":";
       append_number(out, p.t);
       out += ",\"name\":";
-      append_json_string(out, s.name);
+      append_escaped(out, s.name);
       out += ",\"node\":";
-      append_json_string(out, s.labels.node);
+      append_escaped(out, s.labels.node);
       out += ",\"component\":";
-      append_json_string(out, s.labels.component);
+      append_escaped(out, s.labels.component);
       out += ",\"kind\":\"";
       out += kind_name(s.kind);
       out += "\",\"value\":";

@@ -4,8 +4,6 @@
 
 namespace wow {
 
-namespace {
-
 void append_escaped(std::string& out, std::string_view s) {
   out += '"';
   for (char c : s) {
@@ -28,6 +26,8 @@ void append_escaped(std::string& out, std::string_view s) {
   }
   out += '"';
 }
+
+namespace {
 
 void append_record_head(std::string& out, SimTime now,
                         std::string_view component, std::string_view node,

@@ -11,6 +11,11 @@
 
 namespace wow {
 
+/// Append `s` to `out` as a quoted JSON string: `"` and `\` escaped,
+/// newline, carriage return and tab by name, every other byte below 0x20
+/// as \u00XX.  The one JSON string escaper (traces, metrics, wowd).
+void append_escaped(std::string& out, std::string_view s);
+
 /// Receives one JSON record per trace event (no trailing newline).
 /// Implementations must not call back into the simulation: the tracer is
 /// a pure observer and attaching a sink may not perturb event order.

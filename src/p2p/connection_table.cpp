@@ -2,10 +2,14 @@
 
 #include <algorithm>
 
+#include "p2p/ring_math.h"
+
 namespace wow::p2p {
 
 bool ConnectionTable::add(Connection connection) {
-  if (Connection* existing = find(connection.addr)) {
+  const std::size_t at = lower_index(connection.addr);
+  if (at < conns_.size() && conns_[at].addr == connection.addr) {
+    Connection* existing = &conns_[at];
     existing->last_heard = connection.last_heard;
     // A direct path always supersedes a relay tunnel (that transition IS
     // the relay→direct upgrade), but a relay refresh must never clobber
@@ -21,34 +25,26 @@ bool ConnectionTable::add(Connection connection) {
     }
     return false;
   }
-  const std::size_t at = lower_index(self_.clockwise_distance(connection.addr));
   conns_.insert(conns_.begin() + static_cast<std::ptrdiff_t>(at),
                 std::move(connection));
   return true;
 }
 
 bool ConnectionTable::remove(const Address& addr) {
-  for (auto it = conns_.begin(); it != conns_.end(); ++it) {
-    if (it->addr == addr) {
-      conns_.erase(it);
-      return true;
-    }
-  }
-  return false;
+  const std::size_t i = index_of(addr);
+  if (i == conns_.size()) return false;
+  conns_.erase(conns_.begin() + static_cast<std::ptrdiff_t>(i));
+  return true;
 }
 
 Connection* ConnectionTable::find(const Address& addr) {
-  for (Connection& c : conns_) {
-    if (c.addr == addr) return &c;
-  }
-  return nullptr;
+  const std::size_t i = index_of(addr);
+  return i < conns_.size() ? &conns_[i] : nullptr;
 }
 
 const Connection* ConnectionTable::find(const Address& addr) const {
-  for (const Connection& c : conns_) {
-    if (c.addr == addr) return &c;
-  }
-  return nullptr;
+  const std::size_t i = index_of(addr);
+  return i < conns_.size() ? &conns_[i] : nullptr;
 }
 
 std::size_t ConnectionTable::count(ConnectionType type) const {
@@ -82,21 +78,38 @@ ConnectionTable::TypeCounts ConnectionTable::count_by_type() const {
 // most one skipped peer (`exclude`) stands in front of it: two steps per
 // side always reach it.  The peer at `pos` itself is the last one either
 // walk of successor_of/predecessor_of would reach.
+//
+// Sorting by clockwise distance from self_ puts the addresses at or after
+// self_ first, in increasing order, then the ones below it (whose distance
+// wraps past zero), also increasing.  The searches compare (wraps,
+// address) pairs, which order entries the same way without a 160-bit
+// subtract per probe.
 
-std::size_t ConnectionTable::lower_index(const RingId& key) const {
+std::size_t ConnectionTable::lower_index(const Address& pos) const {
+  const bool pos_wraps = pos < self_;
   auto it = std::partition_point(
-      conns_.begin(), conns_.end(), [this, &key](const Connection& c) {
-        return self_.clockwise_distance(c.addr) < key;
+      conns_.begin(), conns_.end(), [&](const Connection& c) {
+        const bool wraps = c.addr < self_;
+        return wraps != pos_wraps ? pos_wraps : c.addr < pos;
       });
   return static_cast<std::size_t>(it - conns_.begin());
 }
 
-std::size_t ConnectionTable::upper_index(const RingId& key) const {
+std::size_t ConnectionTable::upper_index(const Address& pos) const {
+  const bool pos_wraps = pos < self_;
   auto it = std::partition_point(
-      conns_.begin(), conns_.end(), [this, &key](const Connection& c) {
-        return !(key < self_.clockwise_distance(c.addr));
+      conns_.begin(), conns_.end(), [&](const Connection& c) {
+        const bool wraps = c.addr < self_;
+        return wraps != pos_wraps ? pos_wraps : !(pos < c.addr);
       });
   return static_cast<std::size_t>(it - conns_.begin());
+}
+
+std::size_t ConnectionTable::index_of(const Address& addr) const {
+  // Clockwise distance from self_ is a bijection on addresses, so the
+  // only entry that can hold `addr` is the first one not below it.
+  const std::size_t at = lower_index(addr);
+  return at < conns_.size() && conns_[at].addr == addr ? at : conns_.size();
 }
 
 const Connection* ConnectionTable::first_allowed(std::size_t at,
@@ -123,7 +136,7 @@ const Connection* ConnectionTable::first_allowed(std::size_t at,
 
 const Connection* ConnectionTable::closest_to(const Address& dst,
                                               const Address* exclude) const {
-  const std::size_t at = lower_index(self_.clockwise_distance(dst));
+  const std::size_t at = lower_index(dst);
   const Connection* cw = first_allowed(at, true, nullptr, exclude);
   if (cw == nullptr) return nullptr;  // empty, or every peer is excluded
   const Connection* ccw = first_allowed(at, false, nullptr, exclude);
@@ -138,14 +151,12 @@ const Connection* ConnectionTable::closest_to(const Address& dst,
 
 const Connection* ConnectionTable::successor_of(const Address& pos,
                                                 const Address* exclude) const {
-  return first_allowed(upper_index(self_.clockwise_distance(pos)), true, &pos,
-                       exclude);
+  return first_allowed(upper_index(pos), true, &pos, exclude);
 }
 
 const Connection* ConnectionTable::predecessor_of(
     const Address& pos, const Address* exclude) const {
-  return first_allowed(lower_index(self_.clockwise_distance(pos)), false,
-                       &pos, exclude);
+  return first_allowed(lower_index(pos), false, &pos, exclude);
 }
 
 const Connection* ConnectionTable::right_neighbor() const {
@@ -174,16 +185,41 @@ std::vector<const Connection*> ConnectionTable::left_neighbors(
   return out;
 }
 
-void ConnectionTable::for_each(
-    const std::function<void(const Connection&)>& fn) const {
-  for (const Connection& c : conns_) fn(c);
+// Both near-set queries walk the ring order outward from self: the
+// entries clockwise of self up to some position are a prefix of the
+// vector, and those counter-clockwise of self back to it are a suffix.
+// Near links sit next to self, so the walks usually stop within a few
+// entries.
+
+std::size_t ConnectionTable::near_inside(const Address& peer,
+                                         std::size_t limit) const {
+  auto count_near = [limit](auto first, auto last) {
+    std::size_t found = 0;
+    for (; first != last && found < limit; ++first) {
+      if (first->type == ConnectionType::kStructuredNear) ++found;
+    }
+    return found;
+  };
+  if (self_.clockwise_distance(peer) < ring_half()) {
+    const auto end = static_cast<std::ptrdiff_t>(lower_index(peer));
+    return count_near(conns_.begin(), conns_.begin() + end);
+  }
+  const auto end = static_cast<std::ptrdiff_t>(upper_index(peer));
+  return count_near(conns_.rbegin(), conns_.rend() - end);
 }
 
-std::vector<Address> ConnectionTable::addresses() const {
-  std::vector<Address> out;
-  out.reserve(conns_.size());
-  for (const Connection& c : conns_) out.push_back(c.addr);
-  return out;
+bool ConnectionTable::near_on_both_sides() const {
+  // A relay tunnel holds the ring together while the pair cannot link
+  // directly — it counts as near coverage (that is its entire point).
+  auto holds_ring = [](const Connection& c) {
+    return c.type == ConnectionType::kStructuredNear ||
+           c.type == ConnectionType::kRelay;
+  };
+  // Entries before `mid` lie less than half a ring clockwise of self.
+  const auto mid =
+      static_cast<std::ptrdiff_t>(lower_index(self_ + ring_half()));
+  return std::any_of(conns_.begin(), conns_.begin() + mid, holds_ring) &&
+         std::any_of(conns_.rbegin(), conns_.rend() - mid, holds_ring);
 }
 
 }  // namespace wow::p2p

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -77,12 +76,17 @@ struct Connection {
 /// entries, where a node-per-entry tree costs an allocation plus ~40
 /// bytes of color/pointer overhead per connection and a pointer chase
 /// per step; the vector is one block.  Well-known bootstrap endpoints
-/// hold hundreds to thousands of entries, so the ring queries
-/// (closest_to, successor_of, predecessor_of) binary-search the ring
-/// order and then look at no more than two entries on each side:
-/// O(log n) per routing decision.  Pointers returned by
-/// find()/closest_to()/… are invalidated by add()/remove() — every
-/// protocol service already re-finds after mutating (the
+/// hold hundreds to thousands of entries, so every lookup binary-searches
+/// the ring order: find/remove/add locate an address by its clockwise
+/// distance and one equality check, and the ring queries (closest_to,
+/// successor_of, predecessor_of) then look at no more than two entries
+/// on each side — O(log n).  The near-set queries (near_inside,
+/// near_on_both_sides) bound their walk with one search, walk outward
+/// from self and stop at their first answer, so they cost what they
+/// count, not the table size.  The one per-datagram O(n) scan left is
+/// credit_liveness, which matches on endpoint, not address.  Pointers
+/// returned by find()/closest_to()/… are invalidated by add()/remove() —
+/// every protocol service already re-finds after mutating (the
 /// collect-then-mutate idiom in the sweeps).
 class ConnectionTable {
  public:
@@ -161,8 +165,30 @@ class ConnectionTable {
   [[nodiscard]] std::vector<const Connection*> left_neighbors(
       std::size_t n) const;
 
-  void for_each(const std::function<void(const Connection&)>& fn) const;
-  [[nodiscard]] std::vector<Address> addresses() const;
+  /// Structured-near connections strictly between self and `peer` on
+  /// peer's side of the ring (clockwise when peer is less than half a
+  /// ring clockwise of self, counter-clockwise otherwise), counted up to
+  /// `limit`: the walk starts next to self and stops at peer's position
+  /// or at the limit-th near link.
+  [[nodiscard]] std::size_t near_inside(const Address& peer,
+                                        std::size_t limit) const;
+  /// True when a structured-near or relay connection lies on each half
+  /// of the ring: one less than half a ring clockwise of self, one at
+  /// least half a ring.  Walks in from both ends of the ring order and
+  /// stops at the first such link on each half.
+  [[nodiscard]] bool near_on_both_sides() const;
+
+  /// The `i`-th connection in ring order (clockwise from self);
+  /// `i < size()`.
+  [[nodiscard]] const Connection& nth(std::size_t i) const {
+    return conns_[i];
+  }
+
+  /// Visit every connection in ring order (clockwise from self).
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const Connection& c : conns_) fn(c);
+  }
 
   /// Live protocol-state bytes: held connections only (the §14 1 KB
   /// budget metric; allocator slack shows up in memory_bytes).
@@ -190,9 +216,12 @@ class ConnectionTable {
   }
 
   /// Index of the first entry whose clockwise distance from self_ is
-  /// not below (lower_index) / above (upper_index) `key`; size() if none.
-  [[nodiscard]] std::size_t lower_index(const RingId& key) const;
-  [[nodiscard]] std::size_t upper_index(const RingId& key) const;
+  /// not below (lower_index) / above (upper_index) that of `pos`; size()
+  /// if none.
+  [[nodiscard]] std::size_t lower_index(const Address& pos) const;
+  [[nodiscard]] std::size_t upper_index(const Address& pos) const;
+  /// Index of the entry for `addr`; size() if it is not held.
+  [[nodiscard]] std::size_t index_of(const Address& addr) const;
   /// The first entry of at most two that is neither `skip` nor
   /// `exclude`, walking the ring from the search boundary `at`: clockwise
   /// from entry `at`, or counter-clockwise from the entry before it

@@ -89,14 +89,9 @@ void CtmOverlord::send_join() {
   const Connection* left = table_.left_neighbor();
   if (right == nullptr) return;
 
-  const Connection* random_agent = nullptr;
-  std::vector<Address> addrs = table_.addresses();
-  if (!addrs.empty()) {
-    const Address& pick = addrs[static_cast<std::size_t>(rng_.uniform(
-        0, static_cast<std::int64_t>(addrs.size()) - 1))];
-    const Connection* c = table_.find(pick);
-    if (c != nullptr && c != right && c != left) random_agent = c;
-  }
+  const Connection* random_agent = &table_.nth(static_cast<std::size_t>(
+      rng_.uniform(0, static_cast<std::int64_t>(table_.size()) - 1)));
+  if (random_agent == right || random_agent == left) random_agent = nullptr;
 
   const Connection* agents[3] = {right, left != right ? left : nullptr,
                                  random_agent};
@@ -139,21 +134,9 @@ void CtmOverlord::send_join() {
 }
 
 bool CtmOverlord::wants_near(const Address& peer) const {
-  if (peer == table_.self()) return false;
-  RingId half = ring_half();
-  RingId cw = table_.self().clockwise_distance(peer);
-  bool right = cw < half;
-  RingId dist = right ? cw : peer.clockwise_distance(table_.self());
-  int closer = 0;
-  table_.for_each([&](const Connection& c) {
-    if (c.type != ConnectionType::kStructuredNear) return;
-    if (c.addr == peer) return;
-    RingId c_cw = table_.self().clockwise_distance(c.addr);
-    if ((c_cw < half) != right) return;
-    RingId c_dist = right ? c_cw : c.addr.clockwise_distance(table_.self());
-    if (c_dist < dist) ++closer;
-  });
-  return closer < config_.near_per_side;
+  if (peer == table_.self() || config_.near_per_side <= 0) return false;
+  const auto per_side = static_cast<std::size_t>(config_.near_per_side);
+  return table_.near_inside(peer, per_side) < per_side;
 }
 
 void CtmOverlord::handle_request(const RoutedPacket& packet,

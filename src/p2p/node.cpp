@@ -715,25 +715,7 @@ void Node::drop_connection(const Address& peer, bool send_close,
 }
 
 bool Node::routable() const {
-  if (!running_) return false;
-  bool right_covered = false;
-  bool left_covered = false;
-  RingId half = ring_half();
-  table_.for_each([&](const Connection& c) {
-    // A relay tunnel holds the ring together while the pair cannot link
-    // directly — it counts as near coverage (that is its entire point).
-    if (c.type != ConnectionType::kStructuredNear &&
-        c.type != ConnectionType::kRelay) {
-      return;
-    }
-    RingId cw = config_.address.clockwise_distance(c.addr);
-    if (cw < half) {
-      right_covered = true;
-    } else {
-      left_covered = true;
-    }
-  });
-  return right_covered && left_covered;
+  return running_ && table_.near_on_both_sides();
 }
 
 void Node::update_routable() {

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
+#include "common/flight_recorder.h"
 #include "common/ring_id.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "common/trace.h"
 
 namespace wow {
 namespace {
@@ -314,6 +316,38 @@ TEST(Rng, UniformBounds) {
     EXPECT_GE(v, 3);
     EXPECT_LE(v, 7);
   }
+}
+
+// Every byte below 0x20 must leave the escaper escaped, or a flight dump
+// or metric label carrying one is not valid JSON.
+TEST(Json, AppendEscapedEscapesEveryControlByte) {
+  std::string in;
+  for (int b = 0; b < 0x20; ++b) in += static_cast<char>(b);
+  in += "\"\\a";
+  std::string out = "x=";
+  append_escaped(out, in);
+  EXPECT_EQ(out,
+            "x=\""
+            "\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007"
+            "\\u0008\\t\\n\\u000b\\u000c\\r\\u000e\\u000f"
+            "\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017"
+            "\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f"
+            "\\\"\\\\a\"");
+}
+
+TEST(FlightRecorder, RecordsEmptyPeer) {
+  FlightRecorder flight(1);
+  flight.record(1, FlightKind::kConnLost, "abcdef01", 2, 3);
+  // A default view has a null data(); it must overwrite the old name.
+  flight.record(2, FlightKind::kStart, std::string_view{}, 4, 5);
+  ASSERT_EQ(flight.size(), 1u);
+  flight.for_each([](const FlightRecorder::Entry& e) {
+    EXPECT_EQ(e.t, 2);
+    EXPECT_EQ(e.kind, FlightKind::kStart);
+    EXPECT_STREQ(e.peer, "");
+    EXPECT_EQ(e.a, 4);
+    EXPECT_EQ(e.b, 5);
+  });
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "net/network.h"
 #include "net/sim_edge.h"
 #include "p2p/connection_table.h"
 #include "p2p/linking.h"
+#include "p2p/ring_math.h"
 #include "p2p/shortcut_overlord.h"
 #include "sim/simulator.h"
 
@@ -151,10 +154,78 @@ const Connection* linear_predecessor_of(const ConnectionTable& table,
   return best;
 }
 
+const Connection* linear_find(const ConnectionTable& table,
+                              const Address& addr) {
+  for (const Connection* c : entries_of(table)) {
+    if (c->addr == addr) return c;
+  }
+  return nullptr;
+}
+
+std::vector<Address> addresses_of(const ConnectionTable& table) {
+  std::vector<Address> out;
+  for (const Connection* c : entries_of(table)) out.push_back(c->addr);
+  return out;
+}
+
+// The near links CtmOverlord::wants_near counted between self and `peer`
+// on peer's side of the ring, as it did with for_each before the table
+// answered near_inside.
+std::size_t linear_near_inside(const ConnectionTable& table,
+                               const Address& peer) {
+  const Address& self = table.self();
+  RingId half = ring_half();
+  RingId cw = self.clockwise_distance(peer);
+  bool right = cw < half;
+  RingId dist = right ? cw : peer.clockwise_distance(self);
+  std::size_t closer = 0;
+  table.for_each([&](const Connection& c) {
+    if (c.type != ConnectionType::kStructuredNear) return;
+    if (c.addr == peer) return;
+    RingId c_cw = self.clockwise_distance(c.addr);
+    if ((c_cw < half) != right) return;
+    RingId c_dist = right ? c_cw : c.addr.clockwise_distance(self);
+    if (c_dist < dist) ++closer;
+  });
+  return closer;
+}
+
+// Node::routable's for_each formulation before the table answered
+// near_on_both_sides.
+bool linear_near_on_both_sides(const ConnectionTable& table) {
+  bool right_covered = false;
+  bool left_covered = false;
+  RingId half = ring_half();
+  table.for_each([&](const Connection& c) {
+    if (c.type != ConnectionType::kStructuredNear &&
+        c.type != ConnectionType::kRelay) {
+      return;
+    }
+    RingId cw = table.self().clockwise_distance(c.addr);
+    if (cw < half) {
+      right_covered = true;
+    } else {
+      left_covered = true;
+    }
+  });
+  return right_covered && left_covered;
+}
+
 /// Every query, with and without an exclusion, must return the very
 /// entry (same pointer) the linear reference returns.
 void expect_queries_match(const ConnectionTable& table, const Address& q,
                           const Address& excluded, const char* what) {
+  EXPECT_EQ(table.find(q), linear_find(table, q))
+      << what << " find " << q.to_hex() << " size " << table.size();
+  EXPECT_EQ(table.contains(q), linear_find(table, q) != nullptr)
+      << what << " contains " << q.to_hex() << " size " << table.size();
+  // near_per_side 0, 1 and 2: the count stops at the limit.
+  const std::size_t near = linear_near_inside(table, q);
+  for (std::size_t limit : {0, 1, 2}) {
+    EXPECT_EQ(table.near_inside(q, limit), std::min(near, limit))
+        << what << " near_inside " << q.to_hex() << " limit " << limit
+        << " size " << table.size();
+  }
   for (const Address* exclude : {static_cast<const Address*>(nullptr),
                                  &excluded}) {
     EXPECT_EQ(table.closest_to(q, exclude),
@@ -171,13 +242,25 @@ void expect_queries_match(const ConnectionTable& table, const Address& q,
   }
 }
 
-// The binary-search ring queries against the linear reference, on tables
-// of 0..2000 entries.  Random 160-bit ids cover the routing case; small
-// integer ids (offset from a base that is sometimes just below the wrap
-// point) put several entries at equal distance from a target, on both
-// sides, and sometimes put self itself in the table.
+// The binary-search table queries against the linear reference, on
+// tables of 0..2000 entries.  Random 160-bit ids cover the routing case;
+// small integer ids (offset from a base that is sometimes just below the
+// wrap point) put several entries at equal distance from a target, on
+// both sides, and sometimes put self itself in the table.  Connection
+// types come from their own generator, so the ids are the same whatever
+// the mix; one table in two holds few near and relay links, so the
+// near-set walks also cross long runs of other types.  Each table is then
+// drained by remove() in random order, checking every step, so the
+// near-set queries also see every subset of a table's near links.
 TEST(ConnectionTable, RingQueriesMatchLinearReference) {
+  constexpr ConnectionType kTypes[] = {
+      ConnectionType::kStructuredNear, ConnectionType::kRelay,
+      ConnectionType::kStructuredFar, ConnectionType::kShortcut,
+      ConnectionType::kLeaf};
   Rng rng(20261017);
+  Rng types(7);
+  int self_held = 0;
+  int wrapped = 0;
   std::vector<std::size_t> sizes;
   for (std::size_t n = 0; n <= 16; ++n) sizes.push_back(n);
   for (std::size_t n : {31, 64, 233, 1000, 2000}) sizes.push_back(n);
@@ -190,13 +273,38 @@ TEST(ConnectionTable, RingQueriesMatchLinearReference) {
                                       rng.uniform(0, 3 * size + 40))}
                          : rng.ring_id();
       };
+      const std::int64_t spread = types.uniform(0, 1) == 0 ? 4 : 400;
+      auto draw_type = [&] {
+        const std::int64_t t = types.uniform(0, spread);
+        return t < 5 ? kTypes[t] : ConnectionType::kLeaf;
+      };
       ConnectionTable table(draw());
       while (table.size() < size) {
         Connection c;
         c.addr = draw();
+        c.type = draw_type();
         table.add(std::move(c));
       }
-      const std::vector<Address> held = table.addresses();
+      // One table in two also holds near or relay peers at, just before
+      // and just after half a ring from self, where a peer changes sides.
+      if (types.uniform(0, 1) == 0) {
+        const RingId half = ring_half();
+        for (const RingId& at : {half - RingId{1}, half, half + RingId{1}}) {
+          Connection c;
+          c.addr = table.self() + at;
+          c.type = kTypes[types.uniform(0, 1)];
+          table.add(std::move(c));
+        }
+      }
+      if (table.contains(table.self())) ++self_held;
+      const std::vector<Address> held = addresses_of(table);
+      if (small_ids && base != RingId{} &&
+          std::any_of(held.begin(), held.end(),
+                      [&](const Address& a) { return !(a < base); }) &&
+          std::any_of(held.begin(), held.end(),
+                      [](const Address& a) { return a < RingId{20}; })) {
+        ++wrapped;  // ids on both sides of the wrap point
+      }
       auto any_held = [&] {
         return held[static_cast<std::size_t>(
             rng.uniform(0, static_cast<std::int64_t>(held.size()) - 1))];
@@ -210,8 +318,28 @@ TEST(ConnectionTable, RingQueriesMatchLinearReference) {
           expect_queries_match(table, any_held(), excluded, "held");
         }
       }
+
+      std::vector<Address> expect = held;
+      while (true) {
+        EXPECT_EQ(table.near_on_both_sides(),
+                  linear_near_on_both_sides(table))
+            << "near_on_both_sides size " << table.size();
+        if (expect.empty()) break;
+        const bool miss = rng.uniform(0, 3) == 0;
+        const auto pick = static_cast<std::size_t>(
+            rng.uniform(0, static_cast<std::int64_t>(expect.size()) - 1));
+        const Address victim = miss ? draw() : expect[pick];
+        auto it = std::find(expect.begin(), expect.end(), victim);
+        const bool was_held = it != expect.end();
+        if (was_held) expect.erase(it);
+        EXPECT_EQ(table.remove(victim), was_held) << victim.to_hex();
+        ASSERT_EQ(addresses_of(table), expect) << "after remove "
+                                               << victim.to_hex();
+      }
     }
   }
+  EXPECT_GT(self_held, 0);
+  EXPECT_GT(wrapped, 0);
 }
 
 // ---------------------------------------------------------- ShortcutOverlord

@@ -8,8 +8,9 @@
 Each gate divides one benchmark's time by another's from the same run, so
 the speed of the host cancels out and only the cost's shape is checked:
 a forwarding hop must not cost O(payload) (the frame checksum is verified
-at every hop) and a routing lookup must not cost O(table size).  Exits 1
-when a ratio exceeds its bound or a benchmark is missing.
+at every hop), and neither a routing lookup nor finding a held peer may
+cost O(table size).  Exits 1 when a ratio exceeds its bound or a
+benchmark is missing.
 """
 
 import json
@@ -18,11 +19,13 @@ import sys
 
 # (numerator, denominator, bound).  Release build on a 4-vCPU 2.1 GHz
 # Xeon: the hop ratio measured 2.1-2.6 (about 10 with a byte-at-a-time
-# checksum) and the lookup ratio 1.5-1.7 (about 200 with linear scans).
+# checksum), the closest-peer ratio 1.0-1.7 and the find ratio 2.0-2.7
+# (about 200 and 185-220 with linear scans).
 GATES = (
     ("BM_RoutedPacketForwardHop/1400", "BM_RoutedPacketForwardHop/64", 4.0),
     ("BM_ConnectionTableClosestTo/2000", "BM_ConnectionTableClosestTo/8",
      4.0),
+    ("BM_ConnectionTableFind/2000", "BM_ConnectionTableFind/8", 4.0),
 )
 
 
