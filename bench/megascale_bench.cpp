@@ -66,7 +66,6 @@ RunResult run_arm(int nodes, bool flyweight, std::uint64_t seed,
   cfg.batched_delivery = flyweight;
   cfg.join_stagger = stagger;
   cfg.check_period = 30 * kSecond;
-  cfg.settle_horizon = 30 * kMinute;
 
   auto t0 = std::chrono::steady_clock::now();
   MegascaleNet net(cfg);
@@ -89,7 +88,7 @@ RunResult run_arm(int nodes, bool flyweight, std::uint64_t seed,
   r.network_bytes = mem.network_bytes;
   if (r.converged) {
     r.hops = net.sample_greedy_hops(2000);
-    r.oracle_ok = net.oracle_check(/*max_route_pairs=*/2000).ok;
+    r.oracle_ok = net.oracle(/*route_pairs=*/2000).ok;
   }
   return r;
 }

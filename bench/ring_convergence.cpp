@@ -45,11 +45,9 @@ RoundResult run_round(int nodes, std::uint64_t seed, int wellknown,
   cfg.seed = seed;
   cfg.flyweight = true;
   cfg.batched_delivery = true;
-  cfg.sites = 4;
   cfg.wellknown_endpoints = wellknown;
   cfg.join_stagger = 0;  // the flash crowd: everyone boots at once
   cfg.check_period = check_period;
-  cfg.settle_horizon = 30 * kMinute;
 
   auto t0 = std::chrono::steady_clock::now();
   MegascaleNet net(cfg);

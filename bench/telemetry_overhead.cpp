@@ -28,7 +28,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -39,7 +38,7 @@
 #include "p2p/node.h"
 #include "p2p/node_inspector.h"
 #include "sim/simulator.h"
-#include "transport/uri.h"
+#include "wow/fleet.h"
 
 namespace {
 
@@ -81,29 +80,17 @@ ScenarioStats run_scenario(int node_count, Profile profile, double rate) {
   const bool telemetry = profile != Profile::kOff;
   auto t0 = std::chrono::steady_clock::now();
 
-  sim::Simulator sim(99);
-  net::Network network(sim);
-  network.set_default_wan(
+  p2p::NodeConfig node;
+  node.flight_capacity = telemetry ? 64 : 0;
+  Fleet fleet(FleetConfig{.seed = 99,
+                          .nodes = node_count,
+                          .sites = 1,
+                          .node = node,
+                          .wellknown = 1});
+  fleet.network.set_default_wan(
       net::LinkModel{30 * kMillisecond, 2 * kMillisecond, 0.002});
-  auto site = network.add_site("site0");
-  std::vector<net::Host*> hosts;
-  std::vector<std::unique_ptr<p2p::Node>> nodes;
-  for (int i = 0; i < node_count; ++i) {
-    auto ip = net::Ipv4Addr(128, 1, static_cast<std::uint8_t>(i / 250),
-                            static_cast<std::uint8_t>(1 + i % 250));
-    auto& host = network.add_host(ip, net::Network::kInternet, site,
-                                  net::Host::Config{"h" + std::to_string(i)});
-    hosts.push_back(&host);
-    p2p::NodeConfig cfg;
-    cfg.port = 17000;
-    cfg.flight_capacity = telemetry ? 64 : 0;
-    if (i > 0) {
-      cfg.bootstrap = {transport::Uri{transport::TransportKind::kUdp,
-                                      net::Endpoint{hosts[0]->ip(), 17000}}};
-    }
-    nodes.push_back(std::make_unique<p2p::Node>(
-        p2p::NodeDeps::sim(sim, network, host), cfg));
-  }
+  sim::Simulator& sim = fleet.sim;
+  const auto& nodes = fleet.nodes;
 
   CountingSink sink;
   p2p::FleetSnapshotter snaps(/*per_node_lines=*/false);

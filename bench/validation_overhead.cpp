@@ -26,7 +26,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,7 +33,7 @@
 #include "net/network.h"
 #include "p2p/node.h"
 #include "sim/simulator.h"
-#include "transport/uri.h"
+#include "wow/fleet.h"
 
 namespace {
 
@@ -52,30 +51,18 @@ struct ScenarioStats {
 /// timed; the two configurations differ in nothing but
 /// `defenses_enabled`, so the per-hop delta IS the validation cost.
 ScenarioStats run_scenario(int node_count, bool defenses, int bursts) {
-  sim::Simulator sim(4242);
-  net::Network network(sim);
-  network.set_default_wan(
+  p2p::NodeConfig node;
+  node.defenses_enabled = defenses;
+  node.register_node_metrics = false;  // measure protocol, not registry
+  Fleet fleet(FleetConfig{.seed = 4242,
+                          .nodes = node_count,
+                          .sites = 1,
+                          .node = node,
+                          .wellknown = 1});
+  fleet.network.set_default_wan(
       net::LinkModel{30 * kMillisecond, 2 * kMillisecond, 0.0});
-  auto site = network.add_site("site0");
-  std::vector<net::Host*> hosts;
-  std::vector<std::unique_ptr<p2p::Node>> nodes;
-  for (int i = 0; i < node_count; ++i) {
-    auto ip = net::Ipv4Addr(128, 1, static_cast<std::uint8_t>(i / 250),
-                            static_cast<std::uint8_t>(1 + i % 250));
-    auto& host = network.add_host(ip, net::Network::kInternet, site,
-                                  net::Host::Config{"h" + std::to_string(i)});
-    hosts.push_back(&host);
-    p2p::NodeConfig cfg;
-    cfg.port = 17000;
-    cfg.defenses_enabled = defenses;
-    cfg.register_node_metrics = false;  // measure protocol, not registry
-    if (i > 0) {
-      cfg.bootstrap = {transport::Uri{transport::TransportKind::kUdp,
-                                      net::Endpoint{hosts[0]->ip(), 17000}}};
-    }
-    nodes.push_back(std::make_unique<p2p::Node>(
-        p2p::NodeDeps::sim(sim, network, host), cfg));
-  }
+  sim::Simulator& sim = fleet.sim;
+  const auto& nodes = fleet.nodes;
 
   for (auto& n : nodes) n->start();
   sim.run_until(3 * kMinute);

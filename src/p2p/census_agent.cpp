@@ -26,15 +26,6 @@ void CensusAgent::maintain() {
   probe.hops = 0;
   probe.ttl = static_cast<std::uint16_t>(
       std::clamp(config_.census_ttl, 1, 0xffff));
-  if (config_.census_arc_hops > 0) {
-    // Arc sampling (ROADMAP: census at scale): probe only a bounded arc
-    // of the successor chain.  The walk cannot measure ring size, but
-    // the merge rule still fires at every hop along the arc, so foreign
-    // segments are detected at a fraction of the full-loop cost.
-    probe.ttl = std::min(
-        probe.ttl, static_cast<std::uint16_t>(
-                       std::clamp(config_.census_arc_hops, 1, 0xffff)));
-  }
   probe.origin_uris = hooks_.local_uris();
   const Bytes wire = probe.serialize();
   hooks_.send(succ->remote, wire);
@@ -75,25 +66,10 @@ void CensusAgent::handle(const CensusFrame& frame) {
     // budget alone — cap the accepted TTL at our OWN census bound so a
     // fabricated census with ttl 0xffff cannot conscript the whole ring
     // into an unbounded walk.
-    std::uint16_t cap = static_cast<std::uint16_t>(
-        std::clamp(config_.census_ttl, 1, 0xffff));
-    if (config_.census_arc_hops > 0) {
-      cap = std::min(cap, static_cast<std::uint16_t>(std::clamp(
-                              config_.census_arc_hops, 1, 0xffff)));
-    }
-    ttl = std::min(ttl, cap);
+    ttl = std::min(ttl, static_cast<std::uint16_t>(
+                            std::clamp(config_.census_ttl, 1, 0xffff)));
   }
-  if (hops >= ttl) {  // strayed too far (or arc complete); bound the walk
-    if (config_.census_arc_hops > 0) {
-      ++stats_.census_arc_bounded;
-      if (tracer_.enabled(TraceClass::kProtocol)) {
-        tracer_.event(timers_.now(), "node", trace_node_, "census.arc_end",
-                      {{"origin", frame.origin.brief()},
-                       {"hops", std::to_string(hops)}});
-      }
-    }
-    return;
-  }
+  if (hops >= ttl) return;  // strayed too far; bound the walk
   const Connection* succ = table_.right_neighbor();
   if (succ == nullptr) return;
   // Merge rule: the origin sits inside our successor arc, so WE should

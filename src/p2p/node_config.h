@@ -158,15 +158,6 @@ struct NodeConfig {
   /// cache, and verified (live-connection) entries always outrank them.
   std::size_t gossip_per_source_cap = 2;
 
-  /// Census sub-ring sampling: when > 0, census probes walk a bounded
-  /// arc of this many successor hops instead of the full ring.  Arc
-  /// probes cannot measure ring size (they never return to the origin)
-  /// but they still detect foreign-origin segments along the arc, which
-  /// is the part the merge protocol needs — and their cost is O(arc)
-  /// per launch, so the census can stay always-on at megascale.
-  /// 0 keeps the full-ring walk.
-  int census_arc_hops = 0;
-
   /// Period of the maintenance tick driving the leaf/near/far overlords
   /// (jittered per node to avoid lockstep).
   SimDuration maintenance_period = 2 * kSecond;

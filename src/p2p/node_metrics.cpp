@@ -94,8 +94,6 @@ void Node::register_metrics() {
       [this] { return double(stats_.merges_initiated); });
   add("node_merges_completed",
       [this] { return double(stats_.merges_completed); });
-  add("node_census_arc_bounded",
-      [this] { return double(stats_.census_arc_bounded); });
   add("node_replays_detected",
       [this] { return double(stats_.replays_detected); });
   add("node_unsolicited_replies",

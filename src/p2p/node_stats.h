@@ -74,9 +74,6 @@ struct NodeStats {
   /// (the merge link established).
   std::uint64_t merges_initiated = 0;
   std::uint64_t merges_completed = 0;
-  /// Census probes that hit the bounded-arc hop limit (arc sampling
-  /// mode, census_arc_hops > 0) — the arc was fully walked.
-  std::uint64_t census_arc_bounded = 0;
   /// Self-defense (DESIGN §16).  Replayed CTM requests caught by the
   /// replay window.
   std::uint64_t replays_detected = 0;

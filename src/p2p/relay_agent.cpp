@@ -148,7 +148,10 @@ void RelayAgent::handle_relay_link(const LinkFrame& frame,
           return;
         }
       }
-      add_relay_connection(frame.sender, outer.relay, agent->remote,
+      // Copied first: the insert below can move every table entry,
+      // `agent` included.
+      const net::Endpoint agent_endpoint = agent->remote;
+      add_relay_connection(frame.sender, outer.relay, agent_endpoint,
                            frame.uris);
       LinkFrame reply;
       reply.type = LinkType::kReply;
@@ -156,7 +159,7 @@ void RelayAgent::handle_relay_link(const LinkFrame& frame,
       reply.con_type = ConnectionType::kRelay;
       reply.token = frame.token;
       reply.uris = hooks_.local_uris();
-      edges_.send_to(agent->remote,
+      edges_.send_to(agent_endpoint,
                      RelayFrame::wrap(table_.self(), outer.relay,
                                       frame.sender, reply.serialize()));
       return;

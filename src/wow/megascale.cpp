@@ -1,10 +1,7 @@
 #include "wow/megascale.h"
 
 #include <algorithm>
-#include <unordered_map>
 
-#include "common/ring_id.h"
-#include "p2p/node_deps.h"
 #include "transport/uri.h"
 
 namespace wow {
@@ -15,79 +12,53 @@ namespace {
 /// expectation; anything longer is counted as unreached (a loop or a
 /// ring defect, which the oracle sweep diagnoses properly).
 constexpr int kMaxProbeHops = 256;
+/// Geographic sites, round-robin over hosts.
+constexpr int kSites = 4;
+/// Random bootstrap pool size per joiner (wellknown_endpoints == 0).
+constexpr int kBootstrapPool = 3;
+/// Batched delivery rounds each drain up to this grid.
+constexpr SimDuration kBatchQuantum = kMillisecond;
+/// Give up on convergence this long after the last join.
+constexpr SimDuration kSettleHorizon = 30 * kMinute;
+
+FleetConfig fleet_config(const MegascaleConfig& config) {
+  return FleetConfig{.seed = config.seed,
+                     .nodes = config.nodes,
+                     .sites = kSites,
+                     .node = config.flyweight ? p2p::NodeConfig::flyweight()
+                                              : p2p::NodeConfig{},
+                     .wellknown = config.wellknown_endpoints};
+}
 
 }  // namespace
 
 MegascaleNet::MegascaleNet(const MegascaleConfig& config)
-    : sim(config.seed), network(sim), config_(config),
+    : Fleet(fleet_config(config)), config_(config),
       probe_rng_(config.seed ^ 0x6d656761736bULL) {
   if (config_.batched_delivery) {
-    network.enable_batched_delivery(config_.batch_quantum);
+    network.enable_batched_delivery(kBatchQuantum);
   }
-  std::vector<net::SiteId> sites;
-  int site_count = config_.sites > 0 ? config_.sites : 1;
-  sites.reserve(static_cast<std::size_t>(site_count));
-  for (int s = 0; s < site_count; ++s) {
-    sites.push_back(network.add_site("site" + std::to_string(s)));
-  }
-
-  // Topology randomness (bootstrap pool picks) is drawn from its own
-  // stream: the simulator's Rng stays reserved for link jitter so the
-  // event sequence is a pure function of the seed regardless of pool
-  // size.
+  if (config_.wellknown_endpoints > 0) return;
+  // Random pools: up to kBootstrapPool distinct random earlier nodes per
+  // joiner; the first joiner after node 0 necessarily gets node 0.  The
+  // picks come from a topology stream of their own: the simulator's Rng
+  // stays reserved for link jitter, so the event sequence is a pure
+  // function of the seed whatever the pool size.
   Rng topo(config_.seed ^ 0xb007a11ULL);
-
-  int n = config_.nodes;
-  hosts.reserve(static_cast<std::size_t>(n));
-  nodes.reserve(static_cast<std::size_t>(n));
-  // One shared host class and one shared (empty) name: the whole fleet
-  // costs a single Params pool entry and a single interner slot.
-  net::Host::Config host_config;
-  for (int i = 0; i < n; ++i) {
-    // Flat 129.x.y.z mapping (index bytes): unique and public to 2^24.
-    auto u = static_cast<std::uint32_t>(i);
-    auto ip = net::Ipv4Addr(129, static_cast<std::uint8_t>(u >> 16),
-                            static_cast<std::uint8_t>(u >> 8),
-                            static_cast<std::uint8_t>(u));
-    auto& host = network.add_host(
-        ip, net::Network::kInternet,
-        sites[static_cast<std::size_t>(i % site_count)], host_config);
-    hosts.push_back(&host);
-
-    p2p::NodeConfig cfg =
-        config_.flyweight ? p2p::NodeConfig::flyweight() : p2p::NodeConfig{};
-    cfg.port = 17000;
-    cfg.census_interval = config_.census_interval;
-    if (i > 0 && config_.wellknown_endpoints > 0) {
-      // Flash-crowd shape: every joiner shares the same well-known
-      // multi-endpoint list (the first K hosts), so the bootstrap
-      // service takes the whole join load and must spread it via
-      // rotation + backoff + gossip.  Early joiners only list hosts
-      // that exist before them.
-      int k = std::min(config_.wellknown_endpoints, i);
-      for (int j = 0; j < k; ++j) {
-        cfg.bootstrap.push_back(transport::Uri{
-            transport::TransportKind::kUdp,
-            net::Endpoint{hosts[static_cast<std::size_t>(j)]->ip(), 17000}});
-      }
-    } else if (i > 0) {
-      // Up to bootstrap_pool distinct random earlier nodes; the first
-      // joiner after node 0 necessarily gets node 0.
-      int pool = std::min(config_.bootstrap_pool, i);
-      std::vector<int> picked;
-      for (int p = 0; p < pool; ++p) {
-        int j = static_cast<int>(topo.uniform(0, i - 1));
-        if (std::find(picked.begin(), picked.end(), j) != picked.end()) {
-          continue;  // duplicate draw: a smaller pool is fine
-        }
-        picked.push_back(j);
-        cfg.bootstrap.push_back(transport::Uri{
-            transport::TransportKind::kUdp,
-            net::Endpoint{hosts[static_cast<std::size_t>(j)]->ip(), 17000}});
+  std::vector<transport::Uri> pool;
+  for (int i = 1; i < config_.nodes; ++i) {
+    pool.clear();
+    for (int p = 0; p < std::min(kBootstrapPool, i); ++p) {
+      auto j = static_cast<std::size_t>(topo.uniform(0, i - 1));
+      transport::Uri uri{transport::TransportKind::kUdp,
+                         net::Endpoint{hosts[j]->ip(), kPort}};
+      // A duplicate draw leaves a smaller pool.
+      if (std::find(pool.begin(), pool.end(), uri) == pool.end()) {
+        pool.push_back(uri);
       }
     }
-    nodes.push_back(std::make_unique<p2p::Node>(
-        p2p::NodeDeps::sim(sim, network, host), cfg));
+    // Copy-assigned, so the list holds exactly its entries.
+    nodes[static_cast<std::size_t>(i)]->mutable_config().bootstrap = pool;
   }
 }
 
@@ -118,7 +89,7 @@ std::optional<SimTime> MegascaleNet::run_until_converged() {
   }
   ring_order_.clear();  // addresses are drawn at start()
 
-  SimTime deadline = sim.now() + config_.settle_horizon;
+  SimTime deadline = sim.now() + kSettleHorizon;
   while (true) {
     sim.run_for(config_.check_period);
     if (converged()) return sim.now();
@@ -259,27 +230,6 @@ MegascaleNet::JoinStats MegascaleNet::join_latency_stats() const {
   js.p99_s = at(99);
   js.max_s = lat.back();
   return js;
-}
-
-std::size_t MegascaleNet::ring_census() const {
-  std::vector<p2p::Node*> live;
-  live.reserve(nodes.size());
-  for (const auto& n : nodes) {
-    if (n->running()) live.push_back(n.get());
-  }
-  return p2p::Oracle::ring_census(live);
-}
-
-p2p::OracleReport MegascaleNet::oracle_check(std::size_t max_route_pairs) {
-  std::vector<p2p::Node*> live;
-  live.reserve(nodes.size());
-  for (const auto& n : nodes) {
-    if (n->running()) live.push_back(n.get());
-  }
-  p2p::Oracle::Config cfg;
-  cfg.seed = config_.seed;
-  cfg.max_route_pairs = max_route_pairs;
-  return p2p::Oracle::check(live, sim.now(), cfg);
 }
 
 }  // namespace wow

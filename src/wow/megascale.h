@@ -2,23 +2,20 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/time.h"
-#include "net/network.h"
 #include "p2p/node.h"
-#include "p2p/oracle.h"
-#include "sim/simulator.h"
+#include "wow/fleet.h"
 
 namespace wow {
 
 /// Knobs of the megascale testbed profile (DESIGN §14): a flat public
 /// overlay sized for 10^4..10^6 nodes, built to answer three questions
 /// — how fast does the ring converge, how long are greedy routes, and
-/// how many bytes does each node cost.
+/// how many bytes does each node cost.  The fleet spans four sites.
 struct MegascaleConfig {
   std::uint64_t seed = 1;
   int nodes = 10000;
@@ -27,25 +24,19 @@ struct MegascaleConfig {
   /// the full-service default — the paired baseline in BENCH_PR7.
   bool flyweight = true;
   /// Coalesced per-host final-hop delivery (one drain event per host
-  /// instead of one event per datagram).  Changes cross-host
-  /// interleaving relative to the exact default path, so it is opt-in.
+  /// per 1 ms quantum instead of one event per datagram).  Changes
+  /// cross-host interleaving relative to the exact default path, so it
+  /// is opt-in.
   bool batched_delivery = true;
-  SimDuration batch_quantum = kMillisecond;
 
-  /// Geographic sites, round-robin over hosts.
-  int sites = 4;
-  /// Each joiner bootstraps off up to this many random earlier nodes
-  /// (spreads the join load that a single well-known node would take).
-  int bootstrap_pool = 3;
-  /// When > 0, joiners skip the random-pool draw and all share the SAME
-  /// multi-endpoint bootstrap list: the first `wellknown_endpoints`
-  /// hosts.  This is the flash-crowd shape — every newcomer hits the
-  /// well-known service, which must spread the load through endpoint
-  /// rotation, backoff, and gossip peer-sampling.
+  /// When > 0, joiners all share the SAME multi-endpoint bootstrap
+  /// list: the first `wellknown_endpoints` hosts.  This is the
+  /// flash-crowd shape — every newcomer hits the well-known service,
+  /// which must spread the load through endpoint rotation, backoff, and
+  /// gossip peer-sampling.  0 gives each joiner up to three distinct
+  /// random earlier nodes instead, spreading the join load that a
+  /// single well-known node would take.
   int wellknown_endpoints = 0;
-  /// Per-node ring-census probe period, forwarded into NodeConfig
-  /// (0 = off, the wire-silent default).
-  SimDuration census_interval = 0;
   /// Gap between consecutive node starts.  A ramped join lands each
   /// node on an already-formed ring, so the per-join cost stays
   /// O(log n) messages; 0 starts everyone at once (the stress shape).
@@ -54,22 +45,21 @@ struct MegascaleConfig {
   /// — never from simulator timers — so instrumented and bare runs
   /// execute identical event sequences.
   SimDuration check_period = 10 * kSecond;
-  /// Give up on convergence this long after the last join.
-  SimDuration settle_horizon = 30 * kMinute;
 };
 
-/// The megascale overlay under test: simulator + network fabric + n
-/// flyweight (or default) nodes, plus the measurement probes.  All
-/// probes are pure observers over the connection tables — they draw
-/// nothing from the RNG and schedule nothing, so measuring cannot
-/// perturb a deterministic run.
-class MegascaleNet {
+/// The megascale overlay under test: a Fleet of n flyweight (or
+/// default) nodes, plus the measurement probes.  All probes are pure
+/// observers over the connection tables — they draw nothing from the
+/// RNG and schedule nothing, so measuring cannot perturb a
+/// deterministic run.
+class MegascaleNet : public Fleet {
  public:
   explicit MegascaleNet(const MegascaleConfig& config);
 
   /// Drive the join ramp, then run until the ring converges (every
-  /// node routable and every successor pointer closing the ring) or
-  /// the settle horizon lapses.  Returns the convergence sim-time.
+  /// node routable and every successor pointer closing the ring) or 30
+  /// simulated minutes pass after the last join.  Returns the
+  /// convergence sim-time.
   [[nodiscard]] std::optional<SimTime> run_until_converged();
 
   /// Start up to `count` not-yet-started nodes at the CURRENT sim time,
@@ -136,21 +126,7 @@ class MegascaleNet {
   };
   [[nodiscard]] JoinStats join_latency_stats() const;
 
-  /// Connected ring components over the RUNNING fleet
-  /// (p2p::Oracle::ring_census): 1 = a single merged ring.
-  [[nodiscard]] std::size_t ring_census() const;
-
-  /// Full structural-invariant sweep (Oracle) over the live fleet,
-  /// with the routing sweep capped at `max_route_pairs` pairs.
-  [[nodiscard]] p2p::OracleReport oracle_check(std::size_t max_route_pairs);
-
   [[nodiscard]] std::size_t started() const { return started_; }
-
-  sim::Simulator sim;
-  net::Network network;
-  /// Parallel arrays: hosts[i] backs nodes[i].
-  std::vector<net::Host*> hosts;
-  std::vector<std::unique_ptr<p2p::Node>> nodes;
 
  private:
   /// Nodes ordered by ring address (valid once all joined; rebuilt

@@ -16,68 +16,12 @@
 namespace wow {
 namespace {
 
-/// Three WAN sites, four hosts each — the smallest topology where one
-/// site-pair path going dark leaves ring neighbors mutually unreachable
-/// while a mutual neighbor at the third site can still relay for them.
-struct TriSiteOverlay {
-  static constexpr int kSites = 3;
-  static constexpr int kPerSite = 4;
-
-  explicit TriSiteOverlay(std::uint64_t seed, p2p::NodeConfig base = {})
-      : sim(seed), network(sim) {
-    network.set_default_wan(
-        net::LinkModel{30 * kMillisecond, 2 * kMillisecond, 0.002});
-    for (int s = 0; s < kSites; ++s) {
-      sites.push_back(network.add_site("site" + std::to_string(s)));
-    }
-    for (int i = 0; i < kSites * kPerSite; ++i) {
-      int s = i % kSites;
-      auto ip = net::Ipv4Addr(128, static_cast<std::uint8_t>(20 + s), 0,
-                              static_cast<std::uint8_t>(1 + i));
-      net::Host::Config hc;
-      hc.name = "host" + std::to_string(i);
-      auto& host = network.add_host(
-          ip, net::Network::kInternet, sites[static_cast<std::size_t>(s)],
-          hc);
-      hosts.push_back(&host);
-      p2p::NodeConfig cfg = base;
-      cfg.port = 17000;
-      if (i > 0) {
-        cfg.bootstrap = {transport::Uri{
-            transport::TransportKind::kUdp,
-            net::Endpoint{hosts[0]->ip(), 17000}}};
-      }
-      nodes.push_back(std::make_unique<p2p::Node>(
-          p2p::NodeDeps::sim(sim, network, host), cfg));
-    }
-  }
-
-  void start_all() {
-    for (auto& n : nodes) n->start();
-  }
-
-  [[nodiscard]] std::vector<p2p::Node*> live() const {
-    std::vector<p2p::Node*> out;
-    for (const auto& n : nodes) {
-      if (n->running()) out.push_back(n.get());
-    }
-    return out;
-  }
-
-  [[nodiscard]] std::uint64_t sum_stat(
-      std::uint64_t p2p::Node::Stats::*field) const {
-    std::uint64_t total = 0;
-    for (const auto& n : nodes) total += n->stats().*field;
-    return total;
-  }
-
-  sim::Simulator sim;
-  net::Network network;
-  std::vector<net::SiteId> sites;
-  /// Physical hosts, parallel to `nodes`.
-  std::vector<net::Host*> hosts;
-  std::vector<std::unique_ptr<p2p::Node>> nodes;
-};
+std::uint64_t sum_stat(const Fleet& net,
+                       std::uint64_t p2p::Node::Stats::*field) {
+  std::uint64_t total = 0;
+  for (const auto& n : net.nodes) total += n->stats().*field;
+  return total;
+}
 
 // ------------------------------------------------------------ RTT timers
 
@@ -258,7 +202,7 @@ TEST(Adaptive, RepeatedFlapsQuarantineThenForgive) {
 /// timeout and swept once the budget is spent — the map stays bounded no
 /// matter how lossy the WAN gets.
 TEST(Adaptive, PendingCtmsRetriedAndSweptUnderStorm) {
-  TriSiteOverlay net(29);
+  testing::ThreeSiteOverlay net(29);
   net.start_all();
   net.sim.run_until(30 * kSecond);
 
@@ -272,7 +216,7 @@ TEST(Adaptive, PendingCtmsRetriedAndSweptUnderStorm) {
   net.sim.run_for(3 * kMinute + kSecond);
 
   // Lossy joining must have forced at least one CTM retransmission.
-  EXPECT_GT(net.sum_stat(&p2p::Node::Stats::ctm_retries), 0u);
+  EXPECT_GT(sum_stat(net, &p2p::Node::Stats::ctm_retries), 0u);
 
   // After the storm plus the maximum CTM timeout, the pending maps have
   // drained to (at most) whatever the steady-state overlords keep in
@@ -281,8 +225,7 @@ TEST(Adaptive, PendingCtmsRetriedAndSweptUnderStorm) {
   for (const auto& n : net.nodes) {
     EXPECT_LE(n->pending_ctm_count(), 4u) << n->address().brief();
   }
-  auto report =
-      p2p::Oracle::check(net.live(), net.sim.now(), {.seed = 29});
+  auto report = net.oracle(0);
   EXPECT_TRUE(report.ok) << report.to_string();
 }
 
@@ -294,7 +237,7 @@ TEST(Adaptive, PendingCtmsRetriedAndSweptUnderStorm) {
 /// the path heals the periodic probes must upgrade every tunnel back to
 /// a direct connection.
 TEST(Adaptive, RelayBridgesUnlinkablePairThenUpgradesOnHeal) {
-  TriSiteOverlay net(11);
+  testing::ThreeSiteOverlay net(11);
   net.start_all();
   net.sim.run_until(3 * kMinute);
   for (p2p::Node* n : net.live()) EXPECT_TRUE(n->routable());
@@ -307,8 +250,8 @@ TEST(Adaptive, RelayBridgesUnlinkablePairThenUpgradesOnHeal) {
   net.network.faults().inject(flap);
 
   net.sim.run_for(3 * kMinute);  // detection + relay establishment
-  EXPECT_GT(net.sum_stat(&p2p::Node::Stats::relays_established), 0u);
-  EXPECT_GT(net.sum_stat(&p2p::Node::Stats::relay_forwarded), 0u);
+  EXPECT_GT(sum_stat(net, &p2p::Node::Stats::relays_established), 0u);
+  EXPECT_GT(sum_stat(net, &p2p::Node::Stats::relay_forwarded), 0u);
   std::size_t tunnels = 0;
   for (const auto& n : net.nodes) {
     n->connections().for_each([&](const p2p::Connection& c) {
@@ -320,21 +263,20 @@ TEST(Adaptive, RelayBridgesUnlinkablePairThenUpgradesOnHeal) {
   // Mid-flap the full oracle must hold: relays count as near coverage,
   // greedy routing works through them, and every tunnel's agent is live
   // and able to forward.
-  auto mid = p2p::Oracle::check(net.live(), net.sim.now(), {.seed = 11});
+  auto mid = net.oracle(0);
   EXPECT_TRUE(mid.ok) << mid.to_string();
 
   // Heal, then give the upgrade probes time to land.
   net.sim.run_for(kMinute + kSecond);  // flap ends
   net.sim.run_for(3 * kMinute);
-  EXPECT_GT(net.sum_stat(&p2p::Node::Stats::relays_upgraded), 0u);
+  EXPECT_GT(sum_stat(net, &p2p::Node::Stats::relays_upgraded), 0u);
   for (const auto& n : net.nodes) {
     n->connections().for_each([&](const p2p::Connection& c) {
       EXPECT_FALSE(c.is_relay())
           << n->address().brief() << " still tunnels to " << c.addr.brief();
     });
   }
-  auto report =
-      p2p::Oracle::check(net.live(), net.sim.now(), {.seed = 11});
+  auto report = net.oracle(0);
   EXPECT_TRUE(report.ok) << report.to_string();
 }
 

@@ -133,11 +133,11 @@ TEST(BootstrapTest, RotatesPastDeadEndpointsWithBackoff) {
   // off, and still land on the ring via the third.
   net::Host::Config hc;
   hc.name = "deadA";
-  auto& dead_a = net.network.add_host(net::Ipv4Addr(128, 9, 0, 1),
-                                      net::Network::kInternet, net.site, hc);
+  auto& dead_a = net.network.add_host(
+      net::Ipv4Addr(128, 9, 0, 1), net::Network::kInternet, net.sites[0], hc);
   hc.name = "deadB";
-  auto& dead_b = net.network.add_host(net::Ipv4Addr(128, 9, 0, 2),
-                                      net::Network::kInternet, net.site, hc);
+  auto& dead_b = net.network.add_host(
+      net::Ipv4Addr(128, 9, 0, 2), net::Network::kInternet, net.sites[0], hc);
   Node& joiner = *net.nodes[7];
   joiner.mutable_config().bootstrap = {
       uri_of(dead_a.ip(), 17000), uri_of(dead_b.ip(), 17000),
@@ -192,71 +192,51 @@ TEST(BootstrapTest, TwoIndependentlyFormedRingsMergeIntoOne) {
   constexpr int kHalf = 12;  // debug builds: same protocol, smaller rings
 #endif
   constexpr std::uint64_t kSeed = 47;
-  sim::Simulator sim(kSeed);
-  net::Network network(sim);
-  auto site = network.add_site("site0");
-
-  std::vector<net::Host*> hosts;
-  std::vector<std::unique_ptr<Node>> nodes;
-  for (int i = 0; i < 2 * kHalf; ++i) {
-    auto ip = net::Ipv4Addr(128, static_cast<std::uint8_t>(1 + i / 250), 0,
-                            static_cast<std::uint8_t>(1 + i % 250));
-    net::Host::Config hc;
-    hc.name = "host" + std::to_string(i);
-    auto& host = network.add_host(ip, net::Network::kInternet, site, hc);
-    hosts.push_back(&host);
-    NodeConfig cfg;
-    cfg.port = 17000;
-    cfg.census_interval = 30 * kSecond;
-    // Disjoint bootstrap universes: group A (0..kHalf-1) seeds off node
-    // 0, group B off node kHalf — two overlays that have never heard of
-    // each other.
-    int seed_node = i < kHalf ? 0 : kHalf;
-    if (i != seed_node) {
-      cfg.bootstrap = {uri_of(hosts[static_cast<std::size_t>(seed_node)]->ip(),
-                              17000)};
-    }
-    nodes.push_back(std::make_unique<Node>(
-        NodeDeps::sim(sim, network, host), cfg));
+  NodeConfig node;
+  node.census_interval = 30 * kSecond;
+  Fleet net(FleetConfig{.seed = kSeed,
+                        .nodes = 2 * kHalf,
+                        .sites = 1,
+                        .node = node,
+                        .wellknown = 1});
+  // Disjoint bootstrap universes: group A (0..kHalf-1) seeds off node
+  // 0, group B off node kHalf — two overlays that have never heard of
+  // each other.
+  net.nodes[kHalf]->mutable_config().bootstrap.clear();
+  for (int i = kHalf + 1; i < 2 * kHalf; ++i) {
+    net.nodes[static_cast<std::size_t>(i)]->mutable_config().bootstrap = {
+        uri_of(net.hosts[kHalf]->ip(), Fleet::kPort)};
   }
-  for (auto& n : nodes) n->start();
-
-  auto live = [&] {
-    std::vector<Node*> v;
-    for (auto& n : nodes) {
-      if (n->running()) v.push_back(n.get());
-    }
-    return v;
-  };
+  net.start_all();
 
   // Let both rings form and self-stabilize independently.
-  SimTime split_deadline = sim.now() + 20 * kMinute;
-  while (Oracle::ring_census(live()) != 2 && sim.now() < split_deadline) {
-    sim.run_for(10 * kSecond);
+  SimTime split_deadline = net.sim.now() + 20 * kMinute;
+  while (net.ring_census() != 2 && net.sim.now() < split_deadline) {
+    net.sim.run_for(10 * kSecond);
   }
-  ASSERT_EQ(Oracle::ring_census(live()), 2u)
+  ASSERT_EQ(net.ring_census(), 2u)
       << "two separate rings never formed (seed=" << kSeed << ")";
 
   // The heal: a handful of A nodes learn B's well-known endpoint (an
   // updated bootstrap list).  Their in-ring re-probe bridges a leaf into
   // ring B, the census probe crosses it, and the merge protocol pulls
   // the rings together.
-  for (int i = 1; i <= 3; ++i) {
-    nodes[static_cast<std::size_t>(i)]->mutable_config().bootstrap.push_back(
-        uri_of(hosts[kHalf]->ip(), 17000));
+  for (std::size_t i = 1; i <= 3; ++i) {
+    net.nodes[i]->mutable_config().bootstrap.push_back(
+        uri_of(net.hosts[kHalf]->ip(), Fleet::kPort));
   }
 
-  SimTime merge_deadline = sim.now() + 40 * kMinute;
-  while (Oracle::ring_census(live()) != 1 && sim.now() < merge_deadline) {
-    sim.run_for(10 * kSecond);
+  SimTime merge_deadline = net.sim.now() + 40 * kMinute;
+  while (net.ring_census() != 1 && net.sim.now() < merge_deadline) {
+    net.sim.run_for(10 * kSecond);
   }
-  EXPECT_EQ(Oracle::ring_census(live()), 1u)
+  EXPECT_EQ(net.ring_census(), 1u)
       << "rings never merged (seed=" << kSeed << ")";
 
   std::uint64_t initiated = 0;
   std::uint64_t completed = 0;
   std::uint64_t censuses = 0;
-  for (const auto& n : nodes) {
+  for (const auto& n : net.nodes) {
     initiated += n->stats().merges_initiated;
     completed += n->stats().merges_completed;
     censuses += n->stats().census_launched;
@@ -268,14 +248,11 @@ TEST(BootstrapTest, TwoIndependentlyFormedRingsMergeIntoOne) {
   // Full structural convergence follows the topological merge: let the
   // near repair finish, then the oracle (which includes the ring_census
   // invariant) must be green.
-  SimTime settle_deadline = sim.now() + 30 * kMinute;
-  Oracle::Config ocfg;
-  ocfg.seed = kSeed;
-  ocfg.max_route_pairs = 2000;
+  SimTime settle_deadline = net.sim.now() + 30 * kMinute;
   OracleReport report;
-  while (sim.now() < settle_deadline) {
-    sim.run_for(30 * kSecond);
-    report = Oracle::check(live(), sim.now(), ocfg);
+  while (net.sim.now() < settle_deadline) {
+    net.sim.run_for(30 * kSecond);
+    report = net.oracle(/*route_pairs=*/2000);
     if (report.ok) break;
   }
   EXPECT_TRUE(report.ok) << report.to_string();
@@ -295,7 +272,6 @@ void run_flash_crowd(int n, std::uint64_t seed, bool flyweight) {
   cfg.wellknown_endpoints = 3;
   cfg.join_stagger = 0;  // the burst
   cfg.check_period = 15 * kSecond;
-  cfg.settle_horizon = 30 * kMinute;
   MegascaleNet net(cfg);
 
   net.start_burst(static_cast<std::size_t>(n));
@@ -314,7 +290,7 @@ void run_flash_crowd(int n, std::uint64_t seed, bool flyweight) {
       << ", nodes=" << n << ")";
   EXPECT_EQ(net.ring_census(), 1u);
 
-  p2p::OracleReport oracle = net.oracle_check(/*max_route_pairs=*/2000);
+  p2p::OracleReport oracle = net.oracle(/*route_pairs=*/2000);
   EXPECT_TRUE(oracle.ok) << oracle.to_string();
 
   MegascaleNet::JoinStats js = net.join_latency_stats();

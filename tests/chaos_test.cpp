@@ -16,72 +16,7 @@
 namespace wow {
 namespace {
 
-/// A public overlay spread over three WAN sites (4 hosts each), the
-/// smallest topology where partitions and link flaps have teeth.
-struct MultiSiteOverlay {
-  static constexpr int kSites = 3;
-  static constexpr int kPerSite = 4;
-
-  explicit MultiSiteOverlay(std::uint64_t seed, p2p::NodeConfig base = {})
-      : sim(seed), network(sim) {
-    network.set_default_wan(
-        net::LinkModel{30 * kMillisecond, 2 * kMillisecond, 0.002});
-    for (int s = 0; s < kSites; ++s) {
-      sites.push_back(network.add_site("site" + std::to_string(s)));
-    }
-    for (int i = 0; i < kSites * kPerSite; ++i) {
-      int s = i % kSites;
-      auto ip = net::Ipv4Addr(128, static_cast<std::uint8_t>(10 + s), 0,
-                              static_cast<std::uint8_t>(1 + i));
-      net::Host::Config hc;
-      hc.name = "host" + std::to_string(i);
-      auto& host =
-          network.add_host(ip, net::Network::kInternet, sites[
-              static_cast<std::size_t>(s)], hc);
-      hosts.push_back(&host);
-      p2p::NodeConfig cfg = base;
-      cfg.port = 17000;
-      if (i > 0) {
-        cfg.bootstrap = {transport::Uri{
-            transport::TransportKind::kUdp,
-            net::Endpoint{hosts[0]->ip(), 17000}}};
-      }
-      nodes.push_back(std::make_unique<p2p::Node>(
-          p2p::NodeDeps::sim(sim, network, host), cfg));
-    }
-    // Crash faults kill and later restart the overlay process.
-    network.faults().set_crash_handler([this](net::HostId host, bool down) {
-      for (std::size_t i = 0; i < nodes.size(); ++i) {
-        if (hosts[i]->id() != host) continue;
-        auto& n = nodes[i];
-        if (down && n->running()) n->stop();
-        if (!down && !n->running()) n->restart();
-      }
-    });
-  }
-
-  void start_all() {
-    for (auto& n : nodes) n->start();
-  }
-
-  [[nodiscard]] std::vector<p2p::Node*> live() const {
-    std::vector<p2p::Node*> out;
-    for (const auto& n : nodes) {
-      if (n->running()) out.push_back(n.get());
-    }
-    return out;
-  }
-
-  sim::Simulator sim;
-  net::Network network;
-  std::vector<net::SiteId> sites;
-  /// Physical hosts, parallel to `nodes` (the node no longer exposes
-  /// its host — the transport seam hides the simulated network).
-  std::vector<net::Host*> hosts;
-  std::vector<std::unique_ptr<p2p::Node>> nodes;
-};
-
-net::FaultPlan::RandomParams soak_params(const MultiSiteOverlay& net) {
+net::FaultPlan::RandomParams soak_params(const Fleet& net) {
   net::FaultPlan::RandomParams params;
   params.events = 10;
   params.start = 3 * kMinute;  // let the ring form first
@@ -139,7 +74,7 @@ TEST(FaultPlan, ParseRejectsMalformedSchedules) {
 /// out or are repaired; either way the oracle must be green again after
 /// the heal window.
 TEST(Chaos, PartitionHealsAndOracleConverges) {
-  MultiSiteOverlay net(11);
+  testing::ThreeSiteOverlay net(11);
   net.start_all();
   net.sim.run_until(3 * kMinute);
 
@@ -160,7 +95,7 @@ TEST(Chaos, PartitionHealsAndOracleConverges) {
                 net::Network::DropReason::kPartition), 0u);
   net.sim.run_for(4 * kMinute);  // repair window
 
-  auto report = p2p::Oracle::check(net.live(), net.sim.now(), {.seed = 11});
+  auto report = net.oracle(0);
   EXPECT_TRUE(report.ok) << report.to_string();
   EXPECT_GT(net.network.faults().stats().faults_healed, 0u);
 }
@@ -214,9 +149,7 @@ TEST(Chaos, DuplicateDeliveryIsTolerated) {
     EXPECT_FALSE(duplicate_entry);
   }
 
-  std::vector<p2p::Node*> live;
-  for (const auto& n : net.nodes) live.push_back(n.get());
-  auto report = p2p::Oracle::check(live, net.sim.now(), {.seed = 21});
+  auto report = net.oracle(0);
   EXPECT_TRUE(report.ok) << report.to_string();
 }
 
@@ -234,11 +167,7 @@ TEST(Chaos, OracleCatchesBrokenKeepalive) {
   net.nodes[3]->stop();  // kill -9, no Close frames
   net.sim.run_for(3 * kMinute);
 
-  std::vector<p2p::Node*> live;
-  for (const auto& n : net.nodes) {
-    if (n->running()) live.push_back(n.get());
-  }
-  auto report = p2p::Oracle::check(live, net.sim.now(), {.seed = 31});
+  auto report = net.oracle(0);
   EXPECT_FALSE(report.ok);
   EXPECT_NE(report.to_string().find("VIOLATION"), std::string::npos);
   EXPECT_NE(report.to_string().find("seed=31"), std::string::npos);
@@ -257,11 +186,7 @@ TEST(Chaos, HealthyKeepaliveRepairsSameCrash) {
   // Detection alone costs a ping cycle (~75 s); give repair several more.
   net.sim.run_for(6 * kMinute);
 
-  std::vector<p2p::Node*> live;
-  for (const auto& n : net.nodes) {
-    if (n->running()) live.push_back(n.get());
-  }
-  auto report = p2p::Oracle::check(live, net.sim.now(), {.seed = 31});
+  auto report = net.oracle(0);
   EXPECT_TRUE(report.ok) << report.to_string();
 }
 
@@ -271,7 +196,7 @@ TEST(Chaos, HealthyKeepaliveRepairsSameCrash) {
 /// oracle must pass; a failure prints the chaos_runner reproducer.
 TEST(Chaos, SeededSoakConvergesAfterHeal) {
   for (std::uint64_t seed : {101ull, 202ull, 303ull}) {
-    MultiSiteOverlay net(seed);
+    testing::ThreeSiteOverlay net(seed);
     auto plan = net::FaultPlan::random(seed, soak_params(net));
     const std::string reproducer =
         "reproduce: chaos_runner --seed=" + std::to_string(seed) +
@@ -300,9 +225,8 @@ TEST(Chaos, SeededSoakConvergesAfterHeal) {
 
     net.sim.run_for(5 * kMinute);  // repair window
 
-    auto live = net.live();
-    EXPECT_EQ(live.size(), net.nodes.size()) << reproducer;
-    auto report = p2p::Oracle::check(live, net.sim.now(), {.seed = seed});
+    EXPECT_EQ(net.live().size(), net.nodes.size()) << reproducer;
+    auto report = net.oracle(0);
     EXPECT_TRUE(report.ok) << report.to_string() << "\n  " << reproducer;
   }
 }

@@ -169,7 +169,7 @@ TEST(Determinism, ChaosScheduleRunsAreByteIdentical) {
     net::FaultPlan::RandomParams params;
     params.start = net.sim.now();
     params.horizon = net.sim.now() + 5 * kMinute;
-    params.sites = {net.site};
+    params.sites = net.sites;
     for (std::size_t i = 5; i < net.nodes.size(); ++i) {
       params.hosts.push_back(net.hosts[i]->id());
     }

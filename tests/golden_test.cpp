@@ -1,0 +1,241 @@
+// Golden digests (DESIGN §7): four seeded scenarios hash their state at
+// every simulated minute and at the end, and the lines must equal the
+// committed tests/golden/<scenario>.digest.  The determinism suite only
+// compares two runs of one binary; these files pin behaviour across
+// changes.
+//
+//   golden_test                  compare against the committed files
+//   golden_test --update-golden  rewrite them (CHANGES.md says why)
+//
+// A digest covers the executed-event count; each node's address, its
+// connections sorted by (peer, type) and seven NodeStats counters; and
+// the network's sent, delivered and loss totals.  It covers no endpoint,
+// host name or wire byte, so re-addressing a fleet or changing the frame
+// checksum cannot move it.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "net/faults.h"
+#include "test_util.h"
+#include "wow/megascale.h"
+
+namespace wow {
+namespace {
+
+bool g_update_golden = false;
+
+/// 64-bit FNV-1a.  Deliberately not p2p::frame_checksum: changing the
+/// wire checksum must not move a digest.
+class Hasher {
+ public:
+  void word(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xffu;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  void address(const p2p::Address& a) {
+    for (std::uint32_t limb : a.limbs()) word(limb);
+  }
+  [[nodiscard]] std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+/// Drives a run and samples its digest between run chunks, never from
+/// a simulator timer, so recording cannot change the run.
+class Recorder {
+ public:
+  Recorder(sim::Simulator& sim, const net::Network& network,
+           const std::vector<std::unique_ptr<p2p::Node>>& nodes)
+      : sim_(sim), network_(network), nodes_(nodes) {}
+
+  /// Run to `until`, sampling at every simulated minute on the way.
+  void run_until(SimTime until) {
+    while (sim_.now() < until) {
+      const SimTime minute = (sim_.now() / kMinute + 1) * kMinute;
+      sim_.run_until(std::min(minute, until));
+      if (sim_.now() == minute) sample("");
+    }
+  }
+  void run_for(SimDuration d) { run_until(sim_.now() + d); }
+
+  /// The closing sample; returns every line recorded.
+  std::string finish() {
+    sample("end ");
+    return text_;
+  }
+
+ private:
+  void sample(const char* label) {
+    Hasher h;
+    h.word(sim_.executed_events());
+    std::vector<std::pair<p2p::Address, p2p::ConnectionType>> conns;
+    for (const auto& n : nodes_) {
+      h.address(n->address());
+      conns.clear();
+      n->connections().for_each([&](const p2p::Connection& c) {
+        conns.emplace_back(c.addr, c.type);
+      });
+      std::sort(conns.begin(), conns.end());
+      h.word(conns.size());
+      for (const auto& [peer, type] : conns) {
+        h.address(peer);
+        h.word(static_cast<std::uint64_t>(type));
+      }
+      const p2p::NodeStats& s = n->stats();
+      for (std::uint64_t v :
+           {s.data_sent, s.data_delivered, s.data_forwarded,
+            s.connections_added, s.connections_lost, s.ctm_sent,
+            s.pings_sent}) {
+        h.word(v);
+      }
+    }
+    const net::Network::Stats& ns = network_.stats();
+    h.word(ns.sent);
+    h.word(ns.delivered);
+    h.word(ns.drops(net::Network::DropReason::kLoss));
+    char line[128];
+    std::snprintf(line, sizeof line,
+                  "%st=%" PRId64 "s events=%" PRIu64 " digest=%016" PRIx64
+                  "\n",
+                  label, sim_.now() / kSecond, sim_.executed_events(),
+                  h.value());
+    text_ += line;
+  }
+
+  sim::Simulator& sim_;
+  const net::Network& network_;
+  const std::vector<std::unique_ptr<p2p::Node>>& nodes_;
+  std::string text_;
+};
+
+/// Compare `digest` with tests/golden/<name>.digest, or rewrite the
+/// file under --update-golden.
+void check_golden(const std::string& name, const std::string& about,
+                  const std::string& digest) {
+  const std::string path = std::string(WOW_GOLDEN_DIR) + "/" + name +
+                           ".digest";
+  const std::string text = "# " + name + ": " + about + "\n" + digest;
+  if (g_update_golden) {
+    std::ofstream out(path);
+    ASSERT_TRUE(out) << "cannot write " << path;
+    out << text;
+    return;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << "missing " << path
+                  << " (golden_test --update-golden writes it)";
+  std::stringstream committed;
+  committed << in.rdbuf();
+  EXPECT_EQ(committed.str(), text)
+      << name << " changed behaviour; if intended, rerun with "
+      << "--update-golden and say why in CHANGES.md";
+}
+
+TEST(Golden, PublicOverlayAllPairs) {
+  testing::PublicOverlay net(10, /*seed=*/12345);
+  Recorder rec(net.sim, net.network, net.nodes);
+  net.start_all();
+  rec.run_until(3 * kMinute);
+  for (auto& a : net.nodes) {
+    for (auto& b : net.nodes) {
+      if (a != b) a->send_data(b->address(), Bytes{7});
+    }
+  }
+  rec.run_for(kMinute);
+  check_golden("public10",
+               "10-node public overlay, seed 12345, all-pairs traffic at "
+               "3 min",
+               rec.finish());
+}
+
+TEST(Golden, ChaosSoakSeed101) {
+  constexpr std::uint64_t kSeed = 101;
+  testing::ThreeSiteOverlay net(kSeed);
+  net::FaultPlan::RandomParams params;
+  params.events = 10;
+  params.start = 3 * kMinute;
+  params.horizon = 10 * kMinute;
+  params.sites = net.sites;
+  for (std::size_t i = net.nodes.size() / 2; i < net.nodes.size(); ++i) {
+    params.hosts.push_back(net.hosts[i]->id());
+  }
+  auto plan = net::FaultPlan::random(kSeed, params);
+
+  Recorder rec(net.sim, net.network, net.nodes);
+  net.start_all();
+  rec.run_until(3 * kMinute);
+  net.network.faults().schedule(plan);
+  for (int burst = 0; burst < 24; ++burst) {
+    auto live = net.live();
+    for (std::size_t i = 0; i + 1 < live.size(); i += 2) {
+      live[i]->send_data(live[i + 1]->address(), Bytes{7, 7});
+    }
+    rec.run_for(20 * kSecond);
+  }
+  rec.run_for(5 * kMinute);
+  check_golden("chaos12",
+               "12 hosts on 3 WAN sites, FaultPlan::random seed 101 with "
+               "crash restarts, chaos_test traffic",
+               rec.finish());
+}
+
+TEST(Golden, FlyweightFlashCrowd) {
+  MegascaleConfig cfg;
+  cfg.seed = 1;
+  cfg.nodes = 256;
+  cfg.wellknown_endpoints = 3;
+  cfg.join_stagger = 0;
+  MegascaleNet net(cfg);
+  Recorder rec(net.sim, net.network, net.nodes);
+  net.start_burst(static_cast<std::size_t>(cfg.nodes));
+  rec.run_until(5 * kMinute);
+  check_golden("crowd256",
+               "256 flyweight nodes boot in one burst against 3 "
+               "well-known endpoints, seed 1",
+               rec.finish());
+}
+
+TEST(Golden, FlyweightRampRandomPool) {
+  MegascaleConfig cfg;
+  cfg.seed = 2;
+  cfg.nodes = 256;
+  MegascaleNet net(cfg);
+  Recorder rec(net.sim, net.network, net.nodes);
+  // MegascaleNet's join ramp, one start per stagger step.
+  for (int i = 0; i < cfg.nodes; ++i) {
+    rec.run_until(i * cfg.join_stagger);
+    net.start_burst(1);
+  }
+  rec.run_until(5 * kMinute);
+  check_golden("ramp256",
+               "256 flyweight nodes join 20 ms apart off random bootstrap "
+               "pools, seed 2",
+               rec.finish());
+}
+
+}  // namespace
+}  // namespace wow
+
+int main(int argc, char** argv) {
+  ::testing::InitGoogleTest(&argc, argv);
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]) != "--update-golden") {
+      std::fprintf(stderr, "golden_test: unknown flag %s\n", argv[i]);
+      return 2;
+    }
+    wow::g_update_golden = true;
+  }
+  return RUN_ALL_TESTS();
+}

@@ -94,6 +94,7 @@ struct KeepaliveHarness {
               table.remove(peer);
               km->erase_ping_state(peer);
             },
+            nullptr,  // record_flight
         });
   }
 
@@ -209,6 +210,8 @@ struct CtmHarness {
             [](const p2p::Address&) { return false; },  // is_quarantined
             [] {},                                      // update_routable
             [] {},                                      // count_parse_reject
+            nullptr,                                    // record_flight
+            nullptr,                                    // note_peer
         });
   }
 

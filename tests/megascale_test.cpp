@@ -18,7 +18,6 @@ MegascaleConfig small_config(int nodes, std::uint64_t seed) {
   cfg.batched_delivery = true;
   cfg.join_stagger = 50 * kMillisecond;
   cfg.check_period = 10 * kSecond;
-  cfg.settle_horizon = 30 * kMinute;
   return cfg;
 }
 
@@ -27,7 +26,7 @@ TEST(MegascaleTest, SmallFlyweightRingConvergesAndRoutes) {
   auto converged_at = net.run_until_converged();
   ASSERT_TRUE(converged_at.has_value()) << "64-node ring did not converge";
 
-  p2p::OracleReport oracle = net.oracle_check(/*max_route_pairs=*/500);
+  p2p::OracleReport oracle = net.oracle(/*route_pairs=*/500);
   EXPECT_TRUE(oracle.ok) << oracle.to_string();
 
   MegascaleNet::HopStats hops = net.sample_greedy_hops(400);
@@ -43,7 +42,7 @@ TEST(MegascaleTest, DefaultProfileAlsoConverges) {
   MegascaleNet net(cfg);
   auto converged_at = net.run_until_converged();
   ASSERT_TRUE(converged_at.has_value()) << "48-node default ring stuck";
-  p2p::OracleReport oracle = net.oracle_check(/*max_route_pairs=*/300);
+  p2p::OracleReport oracle = net.oracle(/*route_pairs=*/300);
   EXPECT_TRUE(oracle.ok) << oracle.to_string();
 }
 
@@ -100,7 +99,7 @@ TEST(MegascaleTest, TenThousandNodeRingOracleGreen) {
   auto converged_at = net.run_until_converged();
   ASSERT_TRUE(converged_at.has_value()) << "10k-node ring did not converge";
 
-  p2p::OracleReport oracle = net.oracle_check(/*max_route_pairs=*/5000);
+  p2p::OracleReport oracle = net.oracle(/*route_pairs=*/5000);
   EXPECT_TRUE(oracle.ok) << oracle.to_string();
 
   MegascaleNet::HopStats hops = net.sample_greedy_hops(2000);

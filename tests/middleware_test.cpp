@@ -94,13 +94,17 @@ TEST_F(ChannelTest, FramesSurviveSegmentation) {
 }
 
 TEST_F(ChannelTest, BidirectionalTraffic) {
+  // The test owns accepted channels; a handler capturing its own
+  // channel by shared_ptr would be a reference cycle that never frees.
+  std::vector<std::shared_ptr<MessageChannel>> accepted;
   stack1->listen(80, [&](std::shared_ptr<vtcp::TcpSocket> s) {
     auto channel = MessageChannel::wrap(std::move(s));
-    channel->set_message_handler([channel](const Bytes& m) {
+    channel->set_message_handler([ch = channel.get()](const Bytes& m) {
       Bytes echo = m;
       echo.push_back(0xff);
-      channel->send(echo);
+      ch->send(echo);
     });
+    accepted.push_back(std::move(channel));
   });
   auto client = MessageChannel::wrap(stack0->connect(net.vip(1), 80));
   Bytes reply;

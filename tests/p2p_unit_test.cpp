@@ -354,6 +354,8 @@ struct OverlordHarness {
             [this](const Address& a) { return linking.count(a) != 0; },
             [this] { return shortcut_count; },
             [this](const Address& a) { requested.push_back(a); },
+            nullptr,  // is_quarantined
+            nullptr,  // retry_cooldown_hint
         });
   }
 
@@ -506,6 +508,10 @@ struct LinkPair {
               return std::find(established.begin(), established.end(),
                                peer) != established.end();
             },
+            nullptr,  // rto_hint
+            nullptr,  // on_rtt_sample
+            nullptr,  // is_quarantined
+            nullptr,  // reply_rejected
         });
   }
 
@@ -568,6 +574,10 @@ TEST(LinkingEngine, AllUrisDeadReportsFailure) {
           [&failed](const Address&, ConnectionType) { failed = true; },
           [](const transport::Uri&) {},
           [](const Address&) { return false; },
+          nullptr,  // rto_hint
+          nullptr,  // on_rtt_sample
+          nullptr,  // is_quarantined
+          nullptr,  // reply_rejected
       });
   transport::Uri dead{transport::TransportKind::kUdp,
                       net::Endpoint{net::Ipv4Addr(10, 9, 9, 9), 1}};

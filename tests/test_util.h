@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ipop/ipop_node.h"
@@ -9,55 +10,36 @@
 #include "p2p/node.h"
 #include "sim/simulator.h"
 #include "transport/uri.h"
+#include "wow/fleet.h"
 
 namespace wow::testing {
 
 /// A small all-public overlay for protocol tests: `n` hosts at one site,
 /// each running one P2P node; every node bootstraps off node 0.
-struct PublicOverlay {
+struct PublicOverlay : Fleet {
   explicit PublicOverlay(int n, std::uint64_t seed = 7,
                          p2p::NodeConfig base = {})
-      : sim(seed), network(sim) {
-    site = network.add_site("site0");
-    for (int i = 0; i < n; ++i) {
-      auto ip = net::Ipv4Addr(128, 1, static_cast<std::uint8_t>(i / 250),
-                              static_cast<std::uint8_t>(1 + i % 250));
-      net::Host::Config hc;
-      hc.name = "host" + std::to_string(i);
-      auto& host = network.add_host(ip, net::Network::kInternet, site, hc);
-      hosts.push_back(&host);
-      p2p::NodeConfig cfg = base;
-      cfg.port = 17000;
-      if (i > 0) {
-        cfg.bootstrap = {transport::Uri{
-            transport::TransportKind::kUdp,
-            net::Endpoint{hosts[0]->ip(), 17000}}};
-      }
-      nodes.push_back(std::make_unique<p2p::Node>(
-          p2p::NodeDeps::sim(sim, network, host), cfg));
-    }
-  }
+      : Fleet(FleetConfig{.seed = seed,
+                          .nodes = n,
+                          .sites = 1,
+                          .node = std::move(base),
+                          .wellknown = 1}) {}
+};
 
-  void start_all() {
-    for (auto& n : nodes) n->start();
+/// Twelve public hosts over three WAN sites (30 ms, 0.2% loss): the
+/// smallest topology where partitions and link flaps have teeth, and
+/// where a mutual neighbor at the third site can relay for two sites
+/// that lost their path.  Every node bootstraps off node 0.
+struct ThreeSiteOverlay : Fleet {
+  explicit ThreeSiteOverlay(std::uint64_t seed)
+      : Fleet(FleetConfig{.seed = seed,
+                          .nodes = 12,
+                          .sites = 3,
+                          .node = {},
+                          .wellknown = 1}) {
+    network.set_default_wan(
+        net::LinkModel{30 * kMillisecond, 2 * kMillisecond, 0.002});
   }
-
-  /// Count nodes that report full routability.
-  [[nodiscard]] int routable_count() const {
-    int c = 0;
-    for (const auto& n : nodes) {
-      if (n->routable()) ++c;
-    }
-    return c;
-  }
-
-  sim::Simulator sim;
-  net::Network network;
-  net::SiteId site = 0;
-  /// Physical hosts, parallel to `nodes` (the node no longer exposes
-  /// its host — the transport seam hides the simulated network).
-  std::vector<net::Host*> hosts;
-  std::vector<std::unique_ptr<p2p::Node>> nodes;
 };
 
 /// A small virtual cluster for IPOP/TCP tests: one public router node

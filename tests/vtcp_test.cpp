@@ -72,11 +72,15 @@ TEST_F(VtcpTest, ConnectToClosedPortIsRefused) {
 
 TEST_F(VtcpTest, SmallMessageRoundTrip) {
   Bytes received;
+  // The test owns accepted sockets; a handler capturing its own socket
+  // by shared_ptr would be a reference cycle that never frees.
+  std::vector<std::shared_ptr<TcpSocket>> accepted;
   stack1->listen(80, [&](std::shared_ptr<TcpSocket> s) {
-    s->set_data_handler([&received, s](const Bytes& data) {
+    s->set_data_handler([&received, sock = s.get()](const Bytes& data) {
       received.insert(received.end(), data.begin(), data.end());
-      s->send(Bytes{'o', 'k'});
+      sock->send(Bytes{'o', 'k'});
     });
+    accepted.push_back(std::move(s));
   });
 
   Bytes reply;
@@ -243,15 +247,19 @@ TEST_F(VtcpTest, ResetTearsDownPeer) {
 TEST_F(VtcpTest, ManyConcurrentConnections) {
   int established = 0;
   int completed = 0;
+  std::vector<std::shared_ptr<TcpSocket>> accepted;
   stack1->listen(80, [&](std::shared_ptr<TcpSocket> s) {
-    s->set_data_handler([s](const Bytes& data) { s->send(data); });
+    s->set_data_handler([sock = s.get()](const Bytes& data) {
+      sock->send(data);
+    });
+    accepted.push_back(std::move(s));
   });
   std::vector<std::shared_ptr<TcpSocket>> clients;
   for (int i = 0; i < 20; ++i) {
     auto c = stack0->connect(net.vip(1), 80);
-    c->set_established_handler([&established, c, i] {
+    c->set_established_handler([&established, sock = c.get(), i] {
       ++established;
-      c->send(Bytes(static_cast<std::size_t>(i + 1), 0x11));
+      sock->send(Bytes(static_cast<std::size_t>(i + 1), 0x11));
     });
     c->set_data_handler([&completed, i, got = std::size_t{0}](
                             const Bytes& data) mutable {

@@ -60,7 +60,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -74,6 +74,7 @@
 #include "sim/simulator.h"
 #include "tool_flags.h"
 #include "transport/uri.h"
+#include "wow/fleet.h"
 
 namespace {
 
@@ -116,76 +117,43 @@ struct Options {
 constexpr int kMaxDefaultNodes = 8192;
 constexpr int kMaxFlyweightNodes = 1 << 20;
 
-/// The soak topology: public hosts spread round-robin over three WAN
-/// sites, all bootstrapping off node 0 (which faults never touch).
+/// The soak topology: a Fleet of public hosts round-robin over three
+/// WAN sites, all bootstrapping off node 0 (which faults never touch).
 /// The flashcrowd profile instead gives every joiner the SAME
 /// three-endpoint well-known list (hosts 0..2) and turns the ring
 /// census on, so endpoint rotation, backoff, and the merge protocol
 /// all carry real load.
-struct SoakNet {
-  explicit SoakNet(const Options& opt)
-      : sim(opt.seed), network(sim) {
-    const int node_count = opt.nodes;
-    const bool with_nat = opt.composite;
-    const bool flyweight = opt.flyweight;
-    const bool flashcrowd = opt.flashcrowd;
-    // Deterministic adversary placement: every k-th node, skipping the
-    // bootstrap.  A stride (rather than a random draw) keeps the cast
-    // identical across seeds, so an 8-seed matrix varies the ATTACK
-    // interleavings, not who the attackers are.
-    const int stride = opt.byzantine
-        ? std::max(2, static_cast<int>(1.0 / opt.adversary_fraction + 0.5))
-        : 0;
+FleetConfig soak_fleet(const Options& opt) {
+  p2p::NodeConfig node =
+      opt.flyweight ? p2p::NodeConfig::flyweight() : p2p::NodeConfig{};
+  if (opt.no_defenses) node.defenses_enabled = false;
+  if (opt.byzantine || opt.flashcrowd) node.census_interval = kMinute;
+  return FleetConfig{.seed = opt.seed,
+                     .nodes = opt.nodes,
+                     .sites = 3,
+                     .node = std::move(node),
+                     .wellknown = opt.flashcrowd ? 3 : 1};
+}
+
+struct SoakNet : Fleet {
+  explicit SoakNet(const Options& opt) : Fleet(soak_fleet(opt)) {
     network.set_default_wan(
         net::LinkModel{30 * kMillisecond, 2 * kMillisecond, 0.002});
-    for (int s = 0; s < 3; ++s) {
-      sites.push_back(network.add_site("site" + std::to_string(s)));
-    }
-    for (int i = 0; i < node_count; ++i) {
-      // Default profile: /16-style spread, octet 3 paging every 250
-      // hosts — unique up to the 8192-node cap.  Flyweight fleets use a
-      // flat 129.x.y.z mapping (index bytes) that stays unique and
-      // public (clear of the 60.x and 192.168 NAT ranges) to 2^20.
-      auto u = static_cast<std::uint32_t>(i);
-      auto ip = flyweight
-                    ? net::Ipv4Addr(129, static_cast<std::uint8_t>(u >> 16),
-                                    static_cast<std::uint8_t>(u >> 8),
-                                    static_cast<std::uint8_t>(u))
-                    : net::Ipv4Addr(128, static_cast<std::uint8_t>(10 + i % 3),
-                                    static_cast<std::uint8_t>(i / 250),
-                                    static_cast<std::uint8_t>(1 + i % 250));
-      auto& host = network.add_host(
-          ip, net::Network::kInternet, sites[static_cast<std::size_t>(i % 3)],
-          net::Host::Config{"host" + std::to_string(i)});
-      hosts.push_back(&host);
-      p2p::NodeConfig cfg =
-          flyweight ? p2p::NodeConfig::flyweight() : p2p::NodeConfig{};
-      cfg.port = 17000;
-      if (opt.no_defenses) cfg.defenses_enabled = false;
-      if (opt.byzantine) cfg.census_interval = kMinute;
-      if (flashcrowd) {
-        cfg.census_interval = kMinute;
-        for (int j = 0; j < std::min(3, i); ++j) {
-          cfg.bootstrap.push_back(transport::Uri{
-              transport::TransportKind::kUdp,
-              net::Endpoint{hosts[static_cast<std::size_t>(j)]->ip(),
-                            17000}});
-        }
-      } else if (i > 0) {
-        cfg.bootstrap = {transport::Uri{
-            transport::TransportKind::kUdp,
-            net::Endpoint{hosts[0]->ip(), 17000}}};
-      }
-      nodes.push_back(std::make_unique<p2p::Node>(
-          p2p::NodeDeps::sim(sim, network, host), cfg));
-      if (stride != 0 && i > 0 && i % stride == 0) {
+    if (opt.byzantine) {
+      // Deterministic adversary placement: every k-th node, skipping the
+      // bootstrap.  A stride (rather than a random draw) keeps the cast
+      // identical across seeds, so an 8-seed matrix varies the ATTACK
+      // interleavings, not who the attackers are.
+      const int stride =
+          std::max(2, static_cast<int>(1.0 / opt.adversary_fraction + 0.5));
+      for (int i = stride; i < opt.nodes; i += stride) {
         adversaries.push_back(std::make_unique<p2p::AdversaryAgent>(
-            *nodes.back(), sim,
+            *nodes[static_cast<std::size_t>(i)], sim,
             opt.seed ^ (0x9e3779b97f4a7c15ull *
                         (static_cast<std::uint64_t>(i) + 1))));
       }
     }
-    if (with_nat) {
+    if (opt.composite) {
       // Two NAT domains with two hosts each: targets for kNatReboot, and
       // — the hairpin-less one — a source of un-linkable pairs that must
       // fall back to relay tunnels.
@@ -207,49 +175,21 @@ struct SoakNet {
                                 std::to_string(i)});
           hosts.push_back(&host);
           p2p::NodeConfig cfg;
-          cfg.port = 17000;
+          cfg.port = kPort;
           cfg.bootstrap = {transport::Uri{
               transport::TransportKind::kUdp,
-              net::Endpoint{hosts[0]->ip(), 17000}}};
+              net::Endpoint{hosts[0]->ip(), kPort}}};
           nodes.push_back(std::make_unique<p2p::Node>(
               p2p::NodeDeps::sim(sim, network, host), cfg));
         }
       }
     }
-    for (std::size_t i = 0; i < hosts.size(); ++i) {
-      host_index[hosts[i]->id()] = i;
-    }
-    network.faults().set_crash_handler([this](net::HostId host, bool down) {
-      // O(1) per fault event; the old full-fleet scan was O(faults x
-      // nodes) and showed up at megascale.
-      auto it = host_index.find(host);
-      if (it == host_index.end()) return;
-      auto& n = nodes[it->second];
-      if (down && n->running()) n->stop();
-      if (!down && !n->running()) n->restart();
-    });
   }
 
-  [[nodiscard]] std::vector<p2p::Node*> live() const {
-    std::vector<p2p::Node*> out;
-    for (const auto& n : nodes) {
-      if (n->running()) out.push_back(n.get());
-    }
-    return out;
-  }
-
-  sim::Simulator sim;
-  net::Network network;
-  std::vector<net::SiteId> sites;
   std::vector<net::DomainId> nat_domains;
-  /// Physical hosts, parallel to `nodes`.
-  std::vector<net::Host*> hosts;
-  std::vector<std::unique_ptr<p2p::Node>> nodes;
   /// Byzantine fabric (--profile=byzantine): agents riding the every
   /// k-th node, each on its own derived seed.
   std::vector<std::unique_ptr<p2p::AdversaryAgent>> adversaries;
-  /// HostId -> index into hosts/nodes, for O(1) fault dispatch.
-  std::unordered_map<net::HostId, std::size_t> host_index;
 };
 
 /// The composite worst case: a congestion storm, a partition long
