@@ -23,7 +23,7 @@ using namespace wow::bench;
 void run_order(bool public_first, std::uint64_t seed, int trials) {
   TestbedConfig config;
   config.seed = seed;
-  config.link.public_uri_first = public_first;
+  config.public_uri_first = public_first;
 
   JoinLab lab(config);
   for (Scenario scenario : {Scenario::kUflUfl, Scenario::kUflNwu}) {

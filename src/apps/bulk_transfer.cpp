@@ -13,9 +13,13 @@ BulkSource::BulkSource(sim::TimerService&, vtcp::TcpStack& stack,
 void BulkSource::serve(std::shared_ptr<vtcp::TcpSocket> socket) {
   ++started_;
   // Feed the socket in send-buffer-sized slices so arbitrarily large
-  // files never sit in memory; writable() pulls the next slice.
+  // files never sit in memory; writable() pulls the next slice.  The
+  // handlers hold the socket weakly: they are stored in the socket, so
+  // a strong reference would keep every served socket alive forever.
   auto remaining = std::make_shared<std::uint64_t>(bytes_);
-  auto feed = [socket, remaining] {
+  auto feed = [weak = std::weak_ptr<vtcp::TcpSocket>(socket), remaining] {
+    auto socket = weak.lock();
+    if (!socket) return;
     while (*remaining > 0) {
       std::size_t room = socket->send_buffer_room();
       if (room == 0) return;

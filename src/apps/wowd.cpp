@@ -20,6 +20,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -180,6 +181,11 @@ struct Options {
   return ok;
 }
 
+/// Longest control command accepted, newline excluded.  The longest real
+/// command, `ping <vip>`, is under 32 B; a client that sends more is
+/// answered with an error and dropped, so it cannot grow daemon memory.
+constexpr std::size_t kMaxCommandBytes = 1024;
+
 /// The daemon's control plane: a unix stream socket speaking one-line
 /// commands with JSON replies.  Single-threaded like everything else —
 /// clients are fds watched by the same loop that runs the overlay.
@@ -239,7 +245,12 @@ class StatusServer {
     for (;;) {
       ssize_t n = ::read(fd, buf, sizeof buf);
       if (n > 0) {
-        clients_[fd].inbuf.append(buf, static_cast<std::size_t>(n));
+        std::string& inbuf = clients_[fd].inbuf;
+        inbuf.append(buf, static_cast<std::size_t>(n));
+        if (std::min(inbuf.find('\n'), inbuf.size()) > kMaxCommandBytes) {
+          reply(fd, "{\"error\":\"command too long\"}");
+          return;
+        }
         continue;
       }
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;

@@ -13,22 +13,11 @@ const char* to_string(NatType type) {
 }
 
 Endpoint NatBox::translate_outbound(const Endpoint& internal_src,
-                                    const Endpoint& remote, SimTime now) {
+                                    const Endpoint& remote) {
   InternalKey key = internal_key(internal_src, remote);
-  auto it = by_internal_.find(key);
-  if (it != by_internal_.end()) {
-    auto mapping_it = by_public_port_.find(it->second);
-    if (mapping_it != by_public_port_.end() &&
-        !mapping_expired(mapping_it->second, now)) {
-      Mapping& m = mapping_it->second;
-      m.sent_to.insert(remote);
-      m.last_used = now;
-      return Endpoint{public_ip_, mapping_it->first};
-    }
-    // Expired: fall through and allocate fresh (the renumbering the paper
-    // observed on the home node).
-    if (mapping_it != by_public_port_.end()) by_public_port_.erase(mapping_it);
-    by_internal_.erase(it);
+  if (auto it = by_internal_.find(key); it != by_internal_.end()) {
+    by_public_port_.at(it->second).sent_to.insert(remote);
+    return Endpoint{public_ip_, it->second};
   }
 
   // Allocate the next free public port.
@@ -43,7 +32,6 @@ Endpoint NatBox::translate_outbound(const Endpoint& internal_src,
   m.internal = internal_src;
   m.sent_to.insert(remote);
   if (config_.type == NatType::kSymmetric) m.bound_remote = remote;
-  m.last_used = now;
   by_public_port_.emplace(port, std::move(m));
   by_internal_.emplace(key, port);
   return Endpoint{public_ip_, port};
@@ -68,8 +56,7 @@ bool NatBox::filter_admits(const Mapping& m, const Endpoint& remote) const {
 }
 
 std::optional<Endpoint> NatBox::translate_inbound(const Endpoint& public_dst,
-                                                  const Endpoint& remote,
-                                                  SimTime now) {
+                                                  const Endpoint& remote) const {
   if (public_dst.ip != public_ip_) return std::nullopt;
   if (!config_.open_external_ports.empty() &&
       config_.open_external_ports.count(public_dst.port) == 0) {
@@ -77,16 +64,8 @@ std::optional<Endpoint> NatBox::translate_inbound(const Endpoint& public_dst,
   }
   auto it = by_public_port_.find(public_dst.port);
   if (it == by_public_port_.end()) return std::nullopt;
-  Mapping& m = it->second;
-  if (mapping_expired(m, now)) {
-    by_internal_.erase(internal_key(m.internal, m.bound_remote.value_or(
-                                                    Endpoint{})));
-    by_public_port_.erase(it);
-    return std::nullopt;
-  }
-  if (!filter_admits(m, remote)) return std::nullopt;
-  m.last_used = now;
-  return m.internal;
+  if (!filter_admits(it->second, remote)) return std::nullopt;
+  return it->second.internal;
 }
 
 std::optional<std::uint16_t> NatBox::public_port_of(

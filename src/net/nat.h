@@ -6,7 +6,6 @@
 #include <set>
 #include <string>
 
-#include "common/time.h"
 #include "net/addr.h"
 
 namespace wow::net {
@@ -37,8 +36,6 @@ class NatBox {
   struct Config {
     NatType type = NatType::kPortRestricted;
     bool hairpin = false;
-    /// Mappings expire after this idle time (0 = never).
-    SimDuration mapping_timeout = 0;
     /// If non-empty, only these external UDP ports accept inbound traffic
     /// (the paper's ncgrid.org firewall had a single open port).
     std::set<std::uint16_t> open_external_ports;
@@ -54,18 +51,18 @@ class NatBox {
   [[nodiscard]] const Config& config() const { return config_; }
 
   /// Outbound translation: a packet from `internal_src` to `remote` is
-  /// leaving the private network.  Creates or refreshes a mapping and
-  /// returns the public source endpoint.
+  /// leaving the private network.  Creates or reuses a mapping and
+  /// returns the public source endpoint.  Mappings never expire; only
+  /// flush_mappings() forgets them.
   [[nodiscard]] Endpoint translate_outbound(const Endpoint& internal_src,
-                                            const Endpoint& remote,
-                                            SimTime now);
+                                            const Endpoint& remote);
 
   /// Inbound translation: a packet from `remote` arrives at our
   /// `public_dst` endpoint.  Returns the internal destination if a
   /// mapping exists and the filtering rule admits the sender, otherwise
   /// nullopt (packet dropped).
   [[nodiscard]] std::optional<Endpoint> translate_inbound(
-      const Endpoint& public_dst, const Endpoint& remote, SimTime now);
+      const Endpoint& public_dst, const Endpoint& remote) const;
 
   /// Simulate the NAT rebooting or the ISP renumbering: all mappings are
   /// forgotten (the paper observed translation changes on the home
@@ -89,7 +86,6 @@ class NatBox {
     std::set<Endpoint> sent_to;
     /// For symmetric NATs, the single remote this mapping is bound to.
     std::optional<Endpoint> bound_remote;
-    SimTime last_used = 0;
   };
 
   /// Key for the internal-side lookup: symmetric NATs key by
@@ -104,10 +100,6 @@ class NatBox {
 
   [[nodiscard]] bool filter_admits(const Mapping& m,
                                    const Endpoint& remote) const;
-  [[nodiscard]] bool mapping_expired(const Mapping& m, SimTime now) const {
-    return config_.mapping_timeout > 0 &&
-           now - m.last_used > config_.mapping_timeout;
-  }
 
   std::string name_;
   Ipv4Addr public_ip_;

@@ -246,7 +246,7 @@ void Network::send(Host& from, std::uint16_t src_port, const Endpoint& dst,
       }
       t += sample_latency(link);
       std::optional<Endpoint> inside =
-          nat.translate_inbound(cur_dst, cur_src, now);
+          nat.translate_inbound(cur_dst, cur_src);
       if (!inside) {
         record_drop(DropReason::kNatFiltered, cur_src, cur_dst);
         return;
@@ -264,7 +264,7 @@ void Network::send(Host& from, std::uint16_t src_port, const Endpoint& dst,
         return;
       }
       NatBox& nat = *dom.nat;
-      cur_src = nat.translate_outbound(cur_src, cur_dst, now);
+      cur_src = nat.translate_outbound(cur_src, cur_dst);
       t += nat_hop_;
       ascended.insert(&nat);
       cur_domain = dom.parent;

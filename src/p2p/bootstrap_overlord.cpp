@@ -6,14 +6,22 @@ namespace wow::p2p {
 
 namespace {
 
-/// Exponential backoff: base * 2^(failures-1), capped.  The doubling
-/// loop stops at the cap, so the failure count can grow without bound
-/// (a permanently dead endpoint) and never overflow.
-SimDuration backoff_for(std::int32_t failures, SimDuration base,
-                        SimDuration cap) {
-  SimDuration d = base;
-  for (std::int32_t i = 1; i < failures && d < cap; ++i) d *= 2;
-  return std::min(d, cap);
+/// Per-endpoint bootstrap backoff (the flap-quarantine shape): after
+/// each failed probe of an endpoint, that endpoint is skipped for
+/// base * 2^(failures-1), capped at max, plus up to one base of jitter.
+/// The rotation moves on to the next endpoint meanwhile.
+constexpr SimDuration kBackoffBase = 15 * kSecond;
+constexpr SimDuration kBackoffMax = 2 * kMinute;
+/// How often the peer cache is refreshed from live connections.
+constexpr SimDuration kCacheRefreshInterval = 30 * kSecond;
+
+/// The backoff after `failures` failed probes.  The doubling loop stops
+/// at the cap, so the failure count can grow without bound (a
+/// permanently dead endpoint) and never overflow.
+SimDuration backoff_for(std::int32_t failures) {
+  SimDuration d = kBackoffBase;
+  for (std::int32_t i = 1; i < failures && d < kBackoffMax; ++i) d *= 2;
+  return std::min(d, kBackoffMax);
 }
 
 }  // namespace
@@ -88,7 +96,6 @@ void BootstrapOverlord::maintain_bootstrap() {
   // CTMs merge across, and covering every endpoint individually is
   // what lets two rings that each hold a DIFFERENT endpoint find each
   // other.
-  if (config_.bootstrap_reprobe_interval <= 0) return;
   if (table_.empty() || config_.bootstrap.empty()) return;
   if (timers_.now() - last_bootstrap_probe_ <
       config_.bootstrap_reprobe_interval) {
@@ -102,7 +109,7 @@ void BootstrapOverlord::maintain_bootstrap() {
 void BootstrapOverlord::refresh_cache() {
   if (cache_.capacity() == 0) return;
   const SimTime now = timers_.now();
-  if (now - last_cache_refresh_ < config_.peer_cache_refresh_interval) return;
+  if (now - last_cache_refresh_ < kCacheRefreshInterval) return;
   last_cache_refresh_ = now;
   cache_.evict_stale(now);
   table_.for_each([&](const Connection& c) {
@@ -119,13 +126,11 @@ void BootstrapOverlord::note_probe_failed() {
   }
   EndpointHealth& h = health_[static_cast<std::size_t>(pending_probe_)];
   ++h.failures;
-  const SimDuration backoff =
-      backoff_for(h.failures, config_.bootstrap_backoff_base,
-                  config_.bootstrap_backoff_max);
+  const SimDuration backoff = backoff_for(h.failures);
   // Jitter of up to one base interval de-synchronizes a flash crowd
   // that watched the same endpoint die at the same instant.
   h.retry_after =
-      timers_.now() + backoff + rng_.jitter(config_.bootstrap_backoff_base);
+      timers_.now() + backoff + rng_.jitter(kBackoffBase);
   ++stats_.bootstrap_endpoint_failures;
   if (hooks_.record_flight) {
     hooks_.record_flight(

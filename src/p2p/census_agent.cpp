@@ -10,6 +10,8 @@ namespace {
 /// heavily fragmented overlay converges one bridge at a time instead of
 /// spraying link attempts.
 constexpr std::size_t kMaxPendingMerges = 8;
+/// Hop bound on a census probe.
+constexpr std::uint16_t kCensusTtl = 512;
 
 }  // namespace
 
@@ -24,8 +26,7 @@ void CensusAgent::maintain() {
   CensusFrame probe;
   probe.origin = table_.self();
   probe.hops = 0;
-  probe.ttl = static_cast<std::uint16_t>(
-      std::clamp(config_.census_ttl, 1, 0xffff));
+  probe.ttl = kCensusTtl;
   probe.origin_uris = hooks_.local_uris();
   const Bytes wire = probe.serialize();
   hooks_.send(succ->remote, wire);
@@ -66,8 +67,7 @@ void CensusAgent::handle(const CensusFrame& frame) {
     // budget alone — cap the accepted TTL at our OWN census bound so a
     // fabricated census with ttl 0xffff cannot conscript the whole ring
     // into an unbounded walk.
-    ttl = std::min(ttl, static_cast<std::uint16_t>(
-                            std::clamp(config_.census_ttl, 1, 0xffff)));
+    ttl = std::min(ttl, kCensusTtl);
   }
   if (hops >= ttl) return;  // strayed too far; bound the walk
   const Connection* succ = table_.right_neighbor();

@@ -7,6 +7,19 @@
 
 namespace wow::p2p {
 
+namespace {
+
+/// Floor of the adaptive CTM timeout, and the timeout used before any
+/// reply has been measured.
+constexpr SimDuration kCtmRtoMin = 2 * kSecond;
+constexpr SimDuration kCtmRtoInitial = 10 * kSecond;
+/// Recently-answered CTM (src, token) pairs remembered per node; a
+/// duplicate inside the window is answered minimally (no link_start,
+/// no gossip) so replayed joins cannot re-trigger link attempts.
+constexpr std::size_t kCtmReplayWindow = 64;
+
+}  // namespace
+
 void CtmOverlord::reset() {
   pending_ctms_.clear();
   ctm_srtt_ = 0;
@@ -19,13 +32,11 @@ bool CtmOverlord::check_replay(const Address& src, std::uint32_t token) {
   for (const AnsweredCtm& seen : replay_window_) {
     if (seen.token == token && seen.src == src) return true;
   }
-  const auto cap = static_cast<std::size_t>(
-      std::max(config_.ctm_replay_window, 1));
-  if (replay_window_.size() < cap) {
+  if (replay_window_.size() < kCtmReplayWindow) {
     replay_window_.push_back(AnsweredCtm{src, token});
   } else {
     replay_window_[replay_cursor_] = AnsweredCtm{src, token};
-    replay_cursor_ = (replay_cursor_ + 1) % cap;
+    replay_cursor_ = (replay_cursor_ + 1) % kCtmReplayWindow;
   }
   return false;
 }
@@ -43,7 +54,7 @@ void CtmOverlord::initiate(const Address& target, ConnectionType type) {
   RoutedPacket packet;
   packet.src = table_.self();
   packet.dst = target;
-  packet.ttl = config_.ttl;
+  packet.ttl = RoutedPacket::kOriginTtl;
   packet.mode = DeliveryMode::kNearest;
   packet.type = RoutedType::kCtmRequest;
   packet.trace_id = tracer_.next_trace_id();
@@ -60,9 +71,8 @@ void CtmOverlord::initiate(const Address& target, ConnectionType type) {
   }
   pending_ctms_[token] =
       PendingCtm{target, type, timers_.now(), span,
-                 /*retries_left=*/config_.adaptive_timers
-                     ? config_.ctm_max_retries
-                     : 0,
+                 /*retries_left=*/config_.adaptive_timers ? kCtmMaxRetries
+                                                          : 0,
                  /*retransmitted=*/false};
   ++stats_.ctm_sent;
   // Targeted acquisitions only (join/stabilize announces would cycle
@@ -108,7 +118,7 @@ void CtmOverlord::send_join() {
     RoutedPacket packet;
     packet.src = table_.self();
     packet.dst = table_.self();
-    packet.ttl = config_.ttl;
+    packet.ttl = RoutedPacket::kOriginTtl;
     packet.mode = DeliveryMode::kNearest;
     packet.type = RoutedType::kCtmRequest;
     packet.trace_id = tracer_.next_trace_id();
@@ -188,7 +198,7 @@ void CtmOverlord::handle_request(const RoutedPacket& packet,
     out.src = table_.self();
     out.dst = packet.src;
     out.via = req->forwarder;
-    out.ttl = config_.ttl;
+    out.ttl = RoutedPacket::kOriginTtl;
     out.mode = DeliveryMode::kExact;
     out.type = RoutedType::kCtmReply;
     out.trace_id = tracer_.next_trace_id();
@@ -266,7 +276,7 @@ void CtmOverlord::handle_request(const RoutedPacket& packet,
   out.src = table_.self();
   out.dst = packet.src;
   out.via = req->forwarder;
-  out.ttl = config_.ttl;
+  out.ttl = RoutedPacket::kOriginTtl;
   out.mode = DeliveryMode::kExact;
   out.type = RoutedType::kCtmReply;
   out.trace_id = tracer_.next_trace_id();
@@ -439,7 +449,7 @@ void CtmOverlord::retry(std::uint32_t token, PendingCtm& pending) {
   RoutedPacket packet;
   packet.src = table_.self();
   packet.dst = pending.target;
-  packet.ttl = config_.ttl;
+  packet.ttl = RoutedPacket::kOriginTtl;
   packet.mode = DeliveryMode::kNearest;
   packet.type = RoutedType::kCtmRequest;
   packet.trace_id = tracer_.next_trace_id();
@@ -458,10 +468,9 @@ void CtmOverlord::retry(std::uint32_t token, PendingCtm& pending) {
 }
 
 SimDuration CtmOverlord::ctm_timeout() const {
-  if (!config_.adaptive_timers) return config_.ctm_rto_max;
-  if (ctm_srtt_ == 0) return config_.ctm_rto_initial;
-  return std::clamp(ctm_srtt_ + 4 * ctm_rttvar_, config_.ctm_rto_min,
-                    config_.ctm_rto_max);
+  if (!config_.adaptive_timers) return kCtmRtoMax;
+  if (ctm_srtt_ == 0) return kCtmRtoInitial;
+  return std::clamp(ctm_srtt_ + 4 * ctm_rttvar_, kCtmRtoMin, kCtmRtoMax);
 }
 
 double CtmOverlord::estimate_network_size() const {

@@ -20,6 +20,12 @@
 
 namespace wow::p2p {
 
+/// CTM request timeout-with-retry: the ceiling of the adaptive clamp
+/// (and the fixed-mode timeout, which expires with no retries — the
+/// seed behavior) and the adaptive retry budget.
+inline constexpr SimDuration kCtmRtoMax = 2 * kMinute;
+inline constexpr int kCtmMaxRetries = 2;
+
 /// Connect-To-Me service (§IV-B) plus the near/far acquisition policy
 /// that drives it.
 ///
@@ -104,7 +110,7 @@ class CtmOverlord {
     fast_stabilize_until_ = timers_.now() + kMinute;
   }
 
-  /// Current CTM request timeout (adaptive clamp, or ctm_rto_max fixed).
+  /// Current CTM request timeout (adaptive clamp, or kCtmRtoMax fixed).
   [[nodiscard]] SimDuration ctm_timeout() const;
   /// CTM requests awaiting a reply or retry; bounded by the sweep.
   [[nodiscard]] std::size_t pending_count() const {
@@ -186,8 +192,8 @@ class CtmOverlord {
   std::map<std::uint32_t, PendingCtm> pending_ctms_;
   std::uint32_t next_ctm_token_ = 1;
   /// Bounded ring of recently-answered (src, token) pairs — the CTM
-  /// replay window (DESIGN §16).  Sized by config_.ctm_replay_window;
-  /// only populated while defenses are enabled.
+  /// replay window (DESIGN §16).  Holds kCtmReplayWindow entries; only
+  /// populated while defenses are enabled.
   std::vector<AnsweredCtm> replay_window_;
   std::size_t replay_cursor_ = 0;
   /// CTM round-trip estimator (request → reply over the overlay), node

@@ -5,6 +5,17 @@
 
 namespace wow::p2p {
 
+namespace {
+
+/// A connection that lives less than this counts as a flap.
+constexpr SimDuration kFlapLifetime = 30 * kSecond;
+/// The window kFlapThreshold flaps must fall inside.
+constexpr SimDuration kFlapWindow = 5 * kMinute;
+/// Ceiling of the doubling quarantine.
+constexpr SimDuration kQuarantineMax = 2 * kMinute;
+
+}  // namespace
+
 void KeepaliveManager::start(SimDuration first_delay) {
   running_ = true;
   timer_ = timers_.schedule(first_delay, [this] { sweep(); });
@@ -38,7 +49,7 @@ void KeepaliveManager::sweep() {
       return;
     }
     PingState& ps = ping_states_[c.addr];
-    if (ps.outstanding >= config_.ping_retries) {
+    if (ps.outstanding >= kPingRetries) {
       dead.push_back(c.addr);
       return;
     }
@@ -47,7 +58,7 @@ void KeepaliveManager::sweep() {
     // per unanswered probe, never slower than the fixed schedule.
     SimDuration spacing = config_.ping_interval / 2;
     if (config_.adaptive_timers && c.srtt != 0) {
-      spacing = c.rto(config_.ping_rto_min, config_.ping_interval / 2);
+      spacing = c.rto(kPingRtoMin, config_.ping_interval / 2);
       for (int i = 0; i < ps.outstanding; ++i) {
         spacing = std::min(spacing * 2, config_.ping_interval / 2);
       }
@@ -130,7 +141,7 @@ void KeepaliveManager::note_rtt(const Address& peer, SimDuration sample) {
 void KeepaliveManager::note_flap(const Address& peer, SimDuration lifetime) {
   if (!config_.quarantine_enabled) return;
   SimTime now = timers_.now();
-  if (lifetime >= config_.flap_lifetime) {
+  if (lifetime >= kFlapLifetime) {
     // A connection that held for a while proves the path works; decay
     // one quarantine level so an old episode is eventually forgiven.
     auto it = peer_health_.find(peer);
@@ -141,17 +152,17 @@ void KeepaliveManager::note_flap(const Address& peer, SimDuration lifetime) {
     return;
   }
   PeerHealth& h = peer_health_[peer];
-  if (h.flaps == 0 || now - h.first_flap > config_.flap_window) {
+  if (h.flaps == 0 || now - h.first_flap > kFlapWindow) {
     h.flaps = 0;
     h.first_flap = now;
   }
   ++h.flaps;
   h.last_update = now;
-  if (h.flaps < config_.flap_threshold) return;
+  if (h.flaps < kFlapThreshold) return;
   // Enough flaps inside the window: quarantine, doubling per episode.
-  SimDuration duration = config_.quarantine_base;
+  SimDuration duration = kQuarantineBase;
   for (int i = 0; i < h.quarantine_level; ++i) {
-    duration = std::min(duration * 2, config_.quarantine_max);
+    duration = std::min(duration * 2, kQuarantineMax);
   }
   ++h.quarantine_level;
   h.quarantine_until = now + duration;
@@ -179,9 +190,9 @@ void KeepaliveManager::punish(const Address& peer) {
   // a repeat offender waits exponentially longer each time.
   SimTime now = timers_.now();
   PeerHealth& h = peer_health_[peer];
-  SimDuration duration = config_.quarantine_base;
+  SimDuration duration = kQuarantineBase;
   for (int i = 0; i < h.quarantine_level; ++i) {
-    duration = std::min(duration * 2, config_.quarantine_max);
+    duration = std::min(duration * 2, kQuarantineMax);
   }
   ++h.quarantine_level;
   h.quarantine_until = now + duration;
@@ -217,7 +228,7 @@ void KeepaliveManager::decay_health() {
   // Durable peer-health records decay: an entry untouched for three
   // flap windows (and past its quarantine) has nothing left to say.
   for (auto it = peer_health_.begin(); it != peer_health_.end();) {
-    if (timers_.now() - it->second.last_update > 3 * config_.flap_window &&
+    if (timers_.now() - it->second.last_update > 3 * kFlapWindow &&
         timers_.now() >= it->second.quarantine_until &&
         table_.find(it->first) == nullptr) {
       it = peer_health_.erase(it);

@@ -20,6 +20,21 @@
 
 namespace wow::p2p {
 
+/// Unanswered keepalive probes after which a connection is dropped
+/// (§IV-B).  The oracle's dead-node grace is built from it too.
+inline constexpr int kPingRetries = 3;
+/// Floor for the adaptive keepalive probe RTO; its ceiling is
+/// ping_interval / 2 so adaptation only ever detects death faster
+/// than the fixed schedule (the oracle's grace bound stays valid).
+inline constexpr SimDuration kPingRtoMin = 250 * kMillisecond;
+/// Flap quarantine: kFlapThreshold flaps (connections that die young)
+/// inside one flap window quarantine the peer for
+/// kQuarantineBase * 2^episode, capped (keepalive.cpp).  During it no
+/// ACTIVE attempt (CTM, link, shortcut) targets the peer; passive
+/// accepts stay open so a one-sided quarantine converges.
+inline constexpr int kFlapThreshold = 3;
+inline constexpr SimDuration kQuarantineBase = 15 * kSecond;
+
 /// Keepalive + peer-health service (§IV-B, PR 4's adaptive layer).
 ///
 /// Owns the per-connection probe episodes (ping/pong with Karn-filtered
@@ -82,8 +97,8 @@ class KeepaliveManager {
 
   /// Begin (or escalate) a quarantine episode immediately, bypassing
   /// flap accounting — the misbehavior ledger's verdict (DESIGN §16).
-  /// Same escalation schedule as flap quarantine: base * 2^level capped
-  /// at quarantine_max.
+  /// Same escalation schedule as flap quarantine: base * 2^level,
+  /// capped.
   void punish(const Address& peer);
 
   /// Warm-start a fresh connection's RTT estimator from the peer's

@@ -6,6 +6,23 @@
 
 namespace wow::p2p {
 
+namespace {
+
+/// Floor for the adaptive per-attempt RTO (Callbacks::rto_hint); a
+/// measured 2 ms LAN RTT must not shrink the handshake timer into
+/// spurious-retransmit territory.  The hint is clamped to
+/// [kLinkMinRto, kLinkInitialRto] — adaptation only ever speeds
+/// linking up.
+constexpr SimDuration kLinkMinRto = 250 * kMillisecond;
+/// After a race abort (mutual link-error), wait this long (doubling,
+/// with jitter, capped) before checking/retrying, at most
+/// kLinkMaxRestarts times.
+constexpr SimDuration kLinkRestartBackoff = 2 * kSecond;
+constexpr SimDuration kLinkRestartBackoffMax = 60 * kSecond;
+constexpr int kLinkMaxRestarts = 8;
+
+}  // namespace
+
 std::vector<transport::Uri> LinkingEngine::order_uris(
     std::vector<transport::Uri> uris) const {
   // Stable partition keeps relative order within each class.
@@ -14,7 +31,7 @@ std::vector<transport::Uri> LinkingEngine::order_uris(
                      bool a_pub = !a.endpoint.ip.is_private();
                      bool b_pub = !b.endpoint.ip.is_private();
                      if (a_pub == b_pub) return false;
-                     return config_.public_uri_first ? a_pub : !a_pub;
+                     return public_uri_first_ ? a_pub : !a_pub;
                    });
   return uris;
 }
@@ -36,7 +53,7 @@ void LinkingEngine::start(const Address& target, ConnectionType type,
         bool is_public = !uri.endpoint.ip.is_private();
         bool current_private =
             existing->uris[existing->uri_index].endpoint.ip.is_private();
-        if (config_.public_uri_first && is_public && current_private &&
+        if (public_uri_first_ && is_public && current_private &&
             !existing->in_restart_wait) {
           // The ordering policy says public before private; a private
           // trial can burn the full retry schedule on an unroutable
@@ -51,7 +68,7 @@ void LinkingEngine::start(const Address& target, ConnectionType type,
         }
       }
       if (promoted) {
-        existing->retries_left = config_.max_retries;
+        existing->retries_left = kLinkMaxRetries;
         existing->rto = existing->initial_rto;
         timers_.cancel(existing->timer);
         send_request(*existing);
@@ -83,13 +100,13 @@ void LinkingEngine::start(const Address& target, ConnectionType type,
   attempt.type = type;
   attempt.token = token;
   attempt.uris = order_uris(std::move(uris));
-  attempt.retries_left = config_.max_retries;
-  attempt.initial_rto = config_.initial_rto;
+  attempt.retries_left = kLinkMaxRetries;
+  attempt.initial_rto = kLinkInitialRto;
   if (target != Address{} && callbacks_.rto_hint) {
     SimDuration hint = callbacks_.rto_hint(target);
     if (hint > 0) {
       attempt.initial_rto =
-          std::clamp(hint, config_.min_rto, config_.initial_rto);
+          std::clamp(hint, kLinkMinRto, kLinkInitialRto);
     }
   }
   attempt.rto = attempt.initial_rto;
@@ -142,7 +159,7 @@ void LinkingEngine::on_timeout(std::uint32_t token) {
   if (attempt->retries_left > 0) {
     --attempt->retries_left;
     attempt->rto = static_cast<SimDuration>(
-        static_cast<double>(attempt->rto) * config_.backoff);
+        static_cast<double>(attempt->rto) * kLinkBackoff);
     send_request(*attempt);
     return;
   }
@@ -150,7 +167,7 @@ void LinkingEngine::on_timeout(std::uint32_t token) {
   ++attempt->uri_index;
   if (attempt->uri_index < attempt->uris.size()) {
     ++stats_.uri_failovers;
-    attempt->retries_left = config_.max_retries;
+    attempt->retries_left = kLinkMaxRetries;
     attempt->rto = attempt->initial_rto;
     trace_attempt(*attempt, "link.uri_failover");
     send_request(*attempt);
@@ -176,7 +193,7 @@ void LinkingEngine::schedule_restart(Attempt& attempt) {
   attempt.in_restart_wait = true;
   timers_.cancel(attempt.timer);
   ++attempt.restarts;
-  if (attempt.restarts > config_.max_restarts) {
+  if (attempt.restarts > kLinkMaxRestarts) {
     ++stats_.failures;
     Address target = attempt.target;
     ConnectionType type = attempt.type;
@@ -193,9 +210,9 @@ void LinkingEngine::schedule_restart(Attempt& attempt) {
     if (callbacks_.on_failed) callbacks_.on_failed(target, type);
     return;
   }
-  SimDuration wait = config_.restart_backoff;
+  SimDuration wait = kLinkRestartBackoff;
   for (int i = 1; i < attempt.restarts; ++i) {
-    wait = std::min(wait * 2, config_.restart_backoff_max);
+    wait = std::min(wait * 2, kLinkRestartBackoffMax);
   }
   wait += rng_.jitter(wait);  // jitter breaks repeated symmetry
   if (tracer_.enabled()) {
@@ -218,7 +235,7 @@ void LinkingEngine::schedule_restart(Attempt& attempt) {
     // Resume from the URI that was being tried, not from the top:
     // re-walking the list would re-pay the full dead-URI timeout
     // (≈157 s behind a non-hairpin NAT) after every race abort.
-    a->retries_left = config_.max_retries;
+    a->retries_left = kLinkMaxRetries;
     a->rto = a->initial_rto;
     send_request(*a);
   });
@@ -249,7 +266,7 @@ void LinkingEngine::handle_frame(const LinkFrame& frame,
                 ours->uris.begin() +
                     static_cast<std::ptrdiff_t>(ours->uri_index),
                 seen);
-            ours->retries_left = config_.max_retries;
+            ours->retries_left = kLinkMaxRetries;
             ours->rto = ours->initial_rto;
             timers_.cancel(ours->timer);
             send_request(*ours);

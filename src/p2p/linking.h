@@ -11,11 +11,21 @@
 #include "common/time.h"
 #include "common/trace.h"
 #include "p2p/edge.h"
-#include "p2p/link_config.h"
 #include "p2p/packet.h"
 #include "sim/timer_service.h"
 
 namespace wow::p2p {
+
+/// Handshake retransmission schedule per URI (§IV-B, §IV-D): the first
+/// RTO, its growth factor per retransmission and the retransmissions
+/// after the first send.  These are the paper's "conservative" Brunet
+/// settings (footnote 2): a dead URI costs
+/// kLinkInitialRto * (2^(kLinkMaxRetries+1) - 1) = 2.5 s * 63 ≈ 157 s
+/// before the next URI is tried — which is exactly why UFL-UFL
+/// shortcut setup takes ~200 s in Figure 4.
+inline constexpr SimDuration kLinkInitialRto = 2500 * kMillisecond;
+inline constexpr double kLinkBackoff = 2.0;
+inline constexpr int kLinkMaxRetries = 5;
 
 /// Outcome handed to the attempt's completion callback.
 enum class LinkResult { kEstablished, kFailed };
@@ -46,7 +56,7 @@ class LinkingEngine {
     /// Does a connection to this peer already exist?
     std::function<bool(const Address& peer)> has_connection;
     /// Adaptive seed for the attempt's RTO, from the peer's measured RTT
-    /// history (0 = no estimate, use config.initial_rto).  Optional.
+    /// history (0 = no estimate, use kLinkInitialRto).  Optional.
     std::function<SimDuration(const Address& peer)> rto_hint;
     /// A clean (Karn-filtered: single transmission) handshake round-trip
     /// completed; feeds the peer's RTT estimator.  Optional.
@@ -66,12 +76,15 @@ class LinkingEngine {
     std::function<void(const net::Endpoint& from)> reply_rejected;
   };
 
+  /// `public_uri_first` orders each peer's URIs public before private,
+  /// as the paper's implementation does (§V-B); false is the ordering
+  /// ablation.
   LinkingEngine(sim::TimerService& timers, Rng& rng, Tracer& tracer,
-                EdgeFactory& edges, Address self, LinkConfig config,
+                EdgeFactory& edges, Address self, bool public_uri_first,
                 Callbacks callbacks, bool defenses = true)
       : timers_(timers), rng_(rng), tracer_(tracer), edges_(edges),
-        self_(self), config_(config), callbacks_(std::move(callbacks)),
-        defenses_(defenses) {}
+        self_(self), public_uri_first_(public_uri_first),
+        callbacks_(std::move(callbacks)), defenses_(defenses) {}
 
   ~LinkingEngine() { abort_all(); }
   LinkingEngine(const LinkingEngine&) = delete;
@@ -104,8 +117,6 @@ class LinkingEngine {
 
   /// Cancel all in-flight attempts (node shutdown / migration).
   void abort_all();
-
-  [[nodiscard]] const LinkConfig& config() const { return config_; }
 
   struct Stats {
     std::uint64_t attempts_started = 0;
@@ -144,7 +155,7 @@ class LinkingEngine {
     std::size_t uri_index = 0;
     int retries_left = 0;
     SimDuration rto = 0;
-    /// Per-attempt RTO seed: config.initial_rto, or the clamped adaptive
+    /// Per-attempt RTO seed: kLinkInitialRto, or the clamped adaptive
     /// hint when the peer has RTT history.  Every reset (URI failover,
     /// restart resume, race retarget) restarts from this value.
     SimDuration initial_rto = 0;
@@ -172,7 +183,7 @@ class LinkingEngine {
   void finish(std::uint32_t token);
   [[nodiscard]] Attempt* by_token(std::uint32_t token);
   [[nodiscard]] Attempt* by_target(const Address& target);
-  /// Order a peer's URI list according to config_.public_uri_first.
+  /// Order a peer's URI list according to public_uri_first_.
   [[nodiscard]] std::vector<transport::Uri> order_uris(
       std::vector<transport::Uri> uris) const;
 
@@ -187,7 +198,7 @@ class LinkingEngine {
   Tracer& tracer_;
   EdgeFactory& edges_;
   Address self_;
-  LinkConfig config_;
+  bool public_uri_first_;
   Callbacks callbacks_;
   bool defenses_;
   std::uint32_t next_token_ = 1;

@@ -47,29 +47,33 @@ inline constexpr int kMisbehaviorReplay = 4;        // replayed control
                                                     // frame, endpoint-
                                                     // attributable
 
-/// Knobs for the ledger + rate limiter, mirrored from NodeConfig so the
-/// ledger stays testable in isolation.
-struct MisbehaviorParams {
-  /// Score at which the owner is told to quarantine/drop the peer.
-  int threshold = 8;
-  /// A source quiet for one full window starts from a clean score —
-  /// occasional corruption on an honest path never accumulates into a
-  /// quarantine.
-  SimDuration window = kMinute;
-  /// Token bucket for inbound CONTROL frames per source endpoint: burst
-  /// capacity and sustained refill rate.  Data frames are never shed
-  /// (control-vs-data shed priority: an attacker flooding CTMs must not
-  /// take the data plane down with them; an attacker flooding data only
-  /// burns forwarding, which the checksum already bounds).
-  int rate_burst = 64;
-  int rate_per_sec = 16;
-  /// Sources tracked at once.  The map is bounded: when full, the
-  /// longest-untouched entry is evicted deterministically; admission
-  /// fails OPEN for untracked sources (an attacker cycling endpoints
-  /// buys amnesia, not amplification — each fresh endpoint still pays
-  /// the full scoring path before any quarantine evidence is lost).
-  std::size_t max_entries = 1024;
-};
+/// Score at which the owner is told to quarantine/drop the peer.
+inline constexpr int kMisbehaviorThreshold = 8;
+/// A source quiet for one full window starts from a clean score —
+/// occasional corruption on an honest path never accumulates into a
+/// quarantine.
+inline constexpr SimDuration kMisbehaviorWindow = kMinute;
+/// Token bucket for inbound CONTROL frames per source endpoint: burst
+/// capacity and sustained per-second refill.  Data frames are never
+/// shed (control-vs-data shed priority: an attacker flooding CTMs must
+/// not take the data plane down with them; an attacker flooding data
+/// only burns forwarding, which the checksum already bounds).
+///
+/// Sized for a RING LINK, not a single peer's chatter: one endpoint
+/// bucket absorbs every multi-hop control frame the neighbor forwards
+/// — census walks, fast-cadence stabilization announces, CTM relays —
+/// which peaks around 10-20/s during a ring merge.  A shed anywhere
+/// along a census walk kills the whole walk, so the sustained rate
+/// carries ~10x headroom over that peak while still sitting orders of
+/// magnitude under the floods it sheds.
+inline constexpr int kRateLimitBurst = 256;
+inline constexpr int kRateLimitPerSec = 128;
+/// Sources tracked at once.  The map is bounded: when full, the
+/// longest-untouched entry is evicted deterministically; admission
+/// fails OPEN for untracked sources (an attacker cycling endpoints
+/// buys amnesia, not amplification — each fresh endpoint still pays
+/// the full scoring path before any quarantine evidence is lost).
+inline constexpr std::size_t kLedgerMaxEntries = 1024;
 
 /// Per-source-endpoint misbehavior ledger and control-frame rate
 /// limiter — the node's self-defense bookkeeping (DESIGN §16).
@@ -91,19 +95,16 @@ struct MisbehaviorParams {
 /// the datagram path is one hash lookup per control frame.
 class MisbehaviorLedger {
  public:
-  explicit MisbehaviorLedger(MisbehaviorParams params = {})
-      : params_(params) {}
-
   /// Accumulate `weight` of evidence against `from`.  Returns true when
   /// this note crossed the threshold (score then resets).
   bool note(const net::Endpoint& from, int weight, SimTime now) {
     Entry* e = entry_for(from, now);
     if (e == nullptr) return false;  // table full of fresher offenders
-    if (now - e->last_note > params_.window) e->score = 0;
+    if (now - e->last_note > kMisbehaviorWindow) e->score = 0;
     e->score += weight;
     e->last_note = now;
     e->last_touch = now;
-    if (e->score < params_.threshold) return false;
+    if (e->score < kMisbehaviorThreshold) return false;
     e->score = 0;  // one punishment per episode
     return true;
   }
@@ -113,11 +114,10 @@ class MisbehaviorLedger {
   bool admit_control(const net::Endpoint& from, SimTime now) {
     Entry* e = entry_for(from, now);
     if (e == nullptr) return true;  // fail open when the table is full
-    const std::int64_t cap =
-        static_cast<std::int64_t>(params_.rate_burst) * kSecond;
+    constexpr std::int64_t cap = std::int64_t{kRateLimitBurst} * kSecond;
     // Exact integer refill: elapsed microseconds * tokens-per-second
     // yields token-microseconds, the unit the bucket stores.
-    std::int64_t refill = (now - e->last_refill) * params_.rate_per_sec;
+    std::int64_t refill = (now - e->last_refill) * kRateLimitPerSec;
     e->tokens = e->tokens + refill > cap ? cap : e->tokens + refill;
     e->last_refill = now;
     e->last_touch = now;
@@ -130,14 +130,12 @@ class MisbehaviorLedger {
   [[nodiscard]] int score_of(const net::Endpoint& from, SimTime now) const {
     auto it = entries_.find(from);
     if (it == entries_.end()) return 0;
-    if (now - it->second.last_note > params_.window) return 0;
+    if (now - it->second.last_note > kMisbehaviorWindow) return 0;
     return it->second.score;
   }
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   void clear() { entries_.clear(); }
-
-  [[nodiscard]] const MisbehaviorParams& params() const { return params_; }
 
   /// Live dynamic-state bytes (the §14 protocol-state budget).
   [[nodiscard]] std::size_t state_bytes() const {
@@ -152,7 +150,7 @@ class MisbehaviorLedger {
     int score = 0;
     SimTime last_note = 0;
     /// Token bucket, scaled: one admission costs kSecond units, refill
-    /// is elapsed-microseconds * rate_per_sec units.
+    /// is elapsed-microseconds * kRateLimitPerSec units.
     std::int64_t tokens = 0;
     SimTime last_refill = 0;
     SimTime last_touch = 0;
@@ -161,10 +159,10 @@ class MisbehaviorLedger {
   Entry* entry_for(const net::Endpoint& from, SimTime now) {
     auto it = entries_.find(from);
     if (it != entries_.end()) return &it->second;
-    if (entries_.size() >= params_.max_entries) {
+    if (entries_.size() >= kLedgerMaxEntries) {
       // Deterministic eviction: the longest-untouched entry goes.  A
       // scan is fine — eviction only happens under endpoint churn past
-      // max_entries, never on the steady-state path.
+      // kLedgerMaxEntries, never on the steady-state path.
       auto victim = entries_.begin();
       for (auto cand = entries_.begin(); cand != entries_.end(); ++cand) {
         if (cand->second.last_touch < victim->second.last_touch ||
@@ -178,13 +176,12 @@ class MisbehaviorLedger {
       entries_.erase(victim);
     }
     Entry fresh;
-    fresh.tokens = static_cast<std::int64_t>(params_.rate_burst) * kSecond;
+    fresh.tokens = std::int64_t{kRateLimitBurst} * kSecond;
     fresh.last_refill = now;
     fresh.last_touch = now;
     return &entries_.emplace(from, fresh).first->second;
   }
 
-  MisbehaviorParams params_;
   std::unordered_map<net::Endpoint, Entry, net::EndpointHash> entries_;
 };
 

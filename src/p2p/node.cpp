@@ -38,13 +38,8 @@ Node::Node(NodeDeps deps, NodeConfig config)
       metrics_(*deps.metrics), tracer_(*deps.tracer),
       edges_(std::move(deps.edges)), config_(std::move(config)),
       table_(config_.address),
-      peer_cache_(config_.peer_cache_capacity, config_.peer_cache_ttl,
-                  config_.gossip_per_source_cap),
-      flight_(config_.flight_capacity),
-      ledger_(MisbehaviorParams{config_.misbehavior_threshold,
-                                config_.misbehavior_window,
-                                config_.rate_limit_burst,
-                                config_.rate_limit_per_sec}) {
+      peer_cache_(config_.peer_cache_capacity),
+      flight_(config_.flight_capacity) {
   if (config_.address == Address{}) {
     config_.address = rng_.ring_id();
     table_ = ConnectionTable(config_.address);
@@ -117,7 +112,8 @@ void Node::start() {
       });
 
   linking_ = std::make_unique<LinkingEngine>(
-      timers_, rng_, tracer_, *edges_, config_.address, config_.link,
+      timers_, rng_, tracer_, *edges_, config_.address,
+      config_.public_uri_first,
       LinkingEngine::Callbacks{
           [this](const Address& peer, const std::vector<transport::Uri>& uris,
                  const net::Endpoint& remote, ConnectionType type) {
@@ -462,7 +458,7 @@ void Node::send_data(const Address& dst, Bytes payload) {
   RoutedPacket packet;
   packet.src = config_.address;
   packet.dst = dst;
-  packet.ttl = config_.ttl;
+  packet.ttl = RoutedPacket::kOriginTtl;
   packet.mode = DeliveryMode::kExact;
   packet.type = RoutedType::kData;
   // The id is drawn unconditionally (one counter increment) so that
@@ -572,7 +568,7 @@ void Node::on_link_failed(const Address& peer, ConnectionType type) {
     // An upgrade probe exhausted every URI: the pair is still mutually
     // unreachable.  Keep the tunnel, back off the next probe.
     keepalive_->set_next_direct_probe(
-        peer, timers_.now() + config_.relay_probe_interval);
+        peer, timers_.now() + kRelayProbeInterval);
     flight_.record(timers_.now(), FlightKind::kRelayProbeFail, peer.brief());
     if (tracer_.enabled(TraceClass::kLifecycle)) {
       tracer_.event(timers_.now(), "node", trace_node_,

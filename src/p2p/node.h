@@ -279,7 +279,7 @@ class Node {
   NodeConfig config_;
   ConnectionTable table_;
   /// Survives stop()/restart() by design (see peer_cache()).  Declared
-  /// after config_ — constructed from its capacity/TTL knobs.
+  /// after config_ — constructed from its capacity.
   PeerCache peer_cache_;
 
   // protocol services (construction order: keepalive before the
@@ -313,8 +313,7 @@ class Node {
   /// Always-on bounded post-mortem ring (constructed from
   /// config_.flight_capacity, so it must be declared after config_).
   FlightRecorder flight_;
-  /// Per-endpoint misbehavior scores + control-frame token buckets
-  /// (constructed from the defense knobs; declared after config_).
+  /// Per-endpoint misbehavior scores + control-frame token buckets.
   MisbehaviorLedger ledger_;
   /// Cached labels: ring-address brief for traces/metrics, and the
   /// hierarchical logger component ("node/<brief>").

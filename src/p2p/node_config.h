@@ -5,14 +5,16 @@
 #include <vector>
 
 #include "common/time.h"
-#include "p2p/link_config.h"
 #include "p2p/packet.h"
 #include "p2p/shortcut_config.h"
 #include "transport/uri.h"
 
 namespace wow::p2p {
 
-/// Configuration of a Brunet P2P node.
+/// Configuration of a Brunet P2P node.  A value is a setting here only
+/// when it is a deployment setting or callers outside the tests set it
+/// to different values (DESIGN §12); every fixed protocol value is a
+/// named constant in the module that reads it.
 struct NodeConfig {
   /// Ring address; the zero address means "draw a random one at start".
   Address address;
@@ -25,56 +27,32 @@ struct NodeConfig {
   int near_per_side = 2;
   /// Structured-far connections to maintain (the `k` of §IV-A).
   int far_target = 4;
-  std::uint8_t ttl = 48;
 
-  LinkConfig link;
+  /// Paper's implementation tries the NAT-assigned public URI before the
+  /// private URI (§V-B).  Flipping this is the ordering ablation.
+  bool public_uri_first = true;
   ShortcutConfig shortcut;
 
   /// Keepalive (§IV-B): idle connections are pinged; after
-  /// `ping_retries` unanswered pings the connection state is discarded.
+  /// kPingRetries unanswered pings the connection state is discarded.
   SimDuration ping_interval = 15 * kSecond;
-  int ping_retries = 3;
 
   /// Adaptive self-healing.  When true, keepalive probe spacing, the
   /// linking RTO seed, and the CTM retry timeout all derive from
   /// measured per-peer RTT (Jacobson/Karn, as in the vtcp layer); when
-  /// false every timer runs on the fixed constants above — the ablation
+  /// false every timer runs on the fixed constants — the ablation
   /// baseline for the repair-latency experiment.
   bool adaptive_timers = true;
-  /// Floor for the adaptive keepalive probe RTO; its ceiling is
-  /// ping_interval / 2 so adaptation only ever detects death faster
-  /// than the fixed schedule (the oracle's grace bound stays valid).
-  SimDuration ping_rto_min = 250 * kMillisecond;
-  /// CTM request timeout-with-retry: adaptive clamp bounds, the seed
-  /// used before any reply has been measured, and the retry budget.
-  /// Fixed mode expires at ctm_rto_max with no retries (seed behavior).
-  SimDuration ctm_rto_min = 2 * kSecond;
-  SimDuration ctm_rto_max = 2 * kMinute;
-  SimDuration ctm_rto_initial = 10 * kSecond;
-  int ctm_max_retries = 2;
 
-  /// Flap quarantine: a connection that lives < flap_lifetime counts as
-  /// a flap; flap_threshold flaps inside flap_window quarantine the
-  /// peer for quarantine_base * 2^episode (capped at quarantine_max),
-  /// during which no ACTIVE attempt (CTM, link, shortcut) targets it.
-  /// Passive accepts stay open so a one-sided quarantine converges.
+  /// Flap quarantine (keepalive.h): a peer whose connections keep dying
+  /// young is quarantined, during which no ACTIVE attempt (CTM, link,
+  /// shortcut) targets it.
   bool quarantine_enabled = true;
-  SimDuration flap_lifetime = 30 * kSecond;
-  SimDuration flap_window = 5 * kMinute;
-  int flap_threshold = 3;
-  SimDuration quarantine_base = 15 * kSecond;
-  SimDuration quarantine_max = 2 * kMinute;
 
   /// Relay fallback: when an active near-link attempt exhausts every
   /// URI (non-hairpin NAT pair, §V-B), tunnel through a mutual
-  /// neighbor; probe for a direct link every relay_probe_interval.
+  /// neighbor (relay_agent.h).
   bool relay_enabled = true;
-  SimDuration relay_probe_interval = 30 * kSecond;
-  /// Per-agent wait for the tunnel handshake before trying the next
-  /// candidate agent.
-  SimDuration relay_request_timeout = 5 * kSecond;
-  /// Candidate agents tried per relay attempt.
-  int relay_max_candidates = 3;
 
   /// How often to re-probe the bootstrap list when no direct connection
   /// points at a bootstrap endpoint.  This is the ring-merge safety net:
@@ -83,16 +61,8 @@ struct NodeConfig {
   /// amount of near/far maintenance inside a fragment can see the other
   /// one.  A fresh leaf link to the well-known bootstrap bridges the
   /// fragments; join CTMs routed across the bridge then pull the rings
-  /// back together.  0 disables re-probing.
+  /// back together.
   SimDuration bootstrap_reprobe_interval = kMinute;
-
-  /// Per-endpoint bootstrap backoff (the PR 4 quarantine shape): after
-  /// each failed probe of an endpoint, that endpoint is skipped for
-  /// base * 2^(failures-1), capped at max, plus a uniform jitter of one
-  /// base so a flash crowd's retries never re-synchronize on a dead
-  /// endpoint.  The rotation moves on to the next endpoint meanwhile.
-  SimDuration bootstrap_backoff_base = 15 * kSecond;
-  SimDuration bootstrap_backoff_max = 2 * kMinute;
 
   /// Cached-peer store (Wolinsky-style bootstrap): the most recently
   /// seen live peers, refreshed from the connection table and from
@@ -101,10 +71,6 @@ struct NodeConfig {
   /// node rejoins through a cached peer without touching any well-known
   /// bootstrap endpoint.  0 disables the cache.
   std::size_t peer_cache_capacity = 8;
-  /// Entries not refreshed within the TTL are evicted.
-  SimDuration peer_cache_ttl = 10 * kMinute;
-  /// How often the cache is refreshed from live connections.
-  SimDuration peer_cache_refresh_interval = 30 * kSecond;
 
   /// Gossip peer-sampling: a join-CTM responder piggybacks up to this
   /// many random table entries on its reply.  Joiners warm their peer
@@ -118,8 +84,6 @@ struct NodeConfig {
   /// the join machinery merges the rings.  Each census costs O(ring
   /// size) frames, so it is opt-in: 0 (the default) disables it.
   SimDuration census_interval = 0;
-  /// Hop bound on a census probe.
-  int census_ttl = 512;
 
   /// Flight-recorder depth: recent protocol events kept per node for
   /// post-mortems (32 B each, always on).  0 disables recording — the
@@ -134,29 +98,6 @@ struct NodeConfig {
   /// stays byte-identical; off is the ablation baseline the byzantine
   /// soak uses to prove the attacks actually land.
   bool defenses_enabled = true;
-  /// Misbehavior score that quarantines the source (weights in
-  /// misbehavior.h) and the quiet window after which a score decays.
-  int misbehavior_threshold = 8;
-  SimDuration misbehavior_window = kMinute;
-  /// Recently-answered CTM (src, token) pairs remembered per node; a
-  /// duplicate inside the window is answered minimally (no link_start,
-  /// no gossip) so replayed joins cannot re-trigger link attempts.
-  int ctm_replay_window = 64;
-  /// Token bucket on inbound CONTROL frames per source endpoint (burst
-  /// capacity / sustained per-second refill).  Data frames never shed.
-  /// Sized for a RING LINK, not a single peer's chatter: one endpoint
-  /// bucket absorbs every multi-hop control frame the neighbor forwards
-  /// — census walks, fast-cadence stabilization announces, CTM relays —
-  /// which peaks around 10-20/s during a ring merge.  A shed anywhere
-  /// along a census walk kills the whole walk, so the sustained rate
-  /// carries ~10x headroom over that peak while still sitting orders of
-  /// magnitude under the floods it sheds.
-  int rate_limit_burst = 256;
-  int rate_limit_per_sec = 128;
-  /// Unverified peer-cache entries accepted per gossip source: a single
-  /// byzantine responder can plant at most this many phantoms in the
-  /// cache, and verified (live-connection) entries always outrank them.
-  std::size_t gossip_per_source_cap = 2;
 
   /// Period of the maintenance tick driving the leaf/near/far overlords
   /// (jittered per node to avoid lockstep).

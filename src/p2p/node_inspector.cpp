@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/stats.h"
+#include "p2p/keepalive.h"
 #include "p2p/node.h"
 #include "p2p/shortcut_overlord.h"
 
@@ -55,7 +56,7 @@ NodeSnapshot NodeInspector::inspect(const Node& node, SimTime now) {
       ++srtt_n;
       s.rto_ms_max = std::max(
           s.rto_ms_max,
-          to_millis(c.rto(cfg.ping_rto_min, cfg.ping_interval / 2)));
+          to_millis(c.rto(kPingRtoMin, cfg.ping_interval / 2)));
     }
     double score = node.shortcut_overlord().score_of(c.addr, now);
     s.best_shortcut_score = std::max(s.best_shortcut_score, score);

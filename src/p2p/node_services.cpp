@@ -185,8 +185,7 @@ void Node::build_services() {
             // bound, and the fixed cooldown stays the ceiling.
             SimDuration hint = keepalive_->peer_rto_hint(a);
             if (hint == 0) return SimDuration{0};
-            return std::clamp(8 * hint, 2 * kSecond,
-                              config_.shortcut.retry_cooldown);
+            return std::clamp(8 * hint, 2 * kSecond, kShortcutRetryCooldown);
           },
       });
 }

@@ -9,7 +9,7 @@ namespace wow::p2p {
 /// Why a connection was removed from the table.  `connections_lost` is
 /// broken down by this cause in NodeStats and the metrics registry.
 enum class DisconnectCause : std::uint8_t {
-  kKeepaliveTimeout = 0,  // ping_retries unanswered probes
+  kKeepaliveTimeout = 0,  // kPingRetries unanswered probes
   kCloseFrame,            // peer sent kClose (graceful stop, or §V-E
                           // stale-ping rejection)
   kLinkError,             // re-link to a held peer exhausted every URI

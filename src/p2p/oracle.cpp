@@ -4,17 +4,18 @@
 #include <map>
 #include <sstream>
 
+#include "p2p/keepalive.h"
+
 namespace wow::p2p {
 
 namespace {
 
 /// Keepalive detection bound: an idle peer is pinged after ping_interval
-/// and dropped after ping_retries unanswered pings, with the sweep
+/// and dropped after kPingRetries unanswered pings, with the sweep
 /// running at half-interval granularity — so (2 + retries) intervals is
 /// a safe "must have noticed by now" grace.
 [[nodiscard]] SimDuration dead_grace(const Node& node) {
-  const NodeConfig& cfg = node.node_config();
-  return cfg.ping_interval * (2 + cfg.ping_retries);
+  return node.node_config().ping_interval * (2 + kPingRetries);
 }
 
 /// 2^159, the boundary routable() uses between a node's clockwise and

@@ -54,7 +54,7 @@ struct OracleReport {
 ///                        live node) and stale pointers (at a dead one).
 ///   3. stale_connection — no table entry references a dead node beyond
 ///                        the keepalive grace period (per-node:
-///                        ping_interval * (2 + ping_retries); within the
+///                        ping_interval * (2 + kPingRetries); within the
 ///                        grace the failure detector is still allowed to
 ///                        be catching up).
 ///   4. greedy_termination — greedy routing (closest_to walk over the

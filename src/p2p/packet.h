@@ -91,6 +91,8 @@ struct RoutedPacket {
   /// Ceiling on the payload a routed frame may carry (a simulated UDP
   /// datagram); serialize() fails loudly above it.
   static constexpr std::size_t kMaxPayloadBytes = 0xffff;
+  /// Hop budget a node stamps on every routed packet it originates.
+  static constexpr std::uint8_t kOriginTtl = 48;
 
   Address src;
   Address dst;

@@ -9,6 +9,13 @@
 
 namespace wow::p2p {
 
+/// Peer-cache entries not refreshed within the TTL are evicted.
+inline constexpr SimDuration kPeerCacheTtl = 10 * kMinute;
+/// Unverified peer-cache entries accepted per gossip source: a single
+/// byzantine responder can plant at most this many phantoms in the
+/// cache, and verified (live-connection) entries always outrank them.
+inline constexpr std::size_t kGossipPerSourceCap = 2;
+
 /// Bounded most-recently-seen peer store — the in-memory analog of the
 /// on-disk peer cache of Wolinsky et al.'s bootstrap work.  Refreshed
 /// from live connections and from gossip samples in CTM join replies;
@@ -38,9 +45,7 @@ class PeerCache {
     Address source;
   };
 
-  PeerCache(std::size_t capacity, SimDuration ttl,
-            std::size_t per_source_cap = 0)
-      : capacity_(capacity), ttl_(ttl), per_source_cap_(per_source_cap) {
+  explicit PeerCache(std::size_t capacity) : capacity_(capacity) {
     entries_.reserve(capacity_);
   }
 
@@ -66,12 +71,12 @@ class PeerCache {
         return true;
       }
     }
-    if (!verified && per_source_cap_ > 0) {
+    if (!verified) {
       std::size_t from_source = 0;
       for (const Entry& e : entries_) {
         if (!e.verified && e.source == source) ++from_source;
       }
-      if (from_source >= per_source_cap_) return false;
+      if (from_source >= kGossipPerSourceCap) return false;
     }
     if (entries_.size() < capacity_) {
       entries_.push_back(Entry{addr, uris, now, verified, source});
@@ -100,10 +105,11 @@ class PeerCache {
     }
   }
 
-  /// Evict entries not refreshed within the TTL.
+  /// Evict entries not refreshed within kPeerCacheTtl.
   void evict_stale(SimTime now) {
-    std::erase_if(entries_,
-                  [&](const Entry& e) { return now - e.last_seen > ttl_; });
+    std::erase_if(entries_, [&](const Entry& e) {
+      return now - e.last_seen > kPeerCacheTtl;
+    });
   }
 
   /// Freshest entry, verified entries first (liveness-probe-before-
@@ -154,9 +160,6 @@ class PeerCache {
  private:
   std::vector<Entry> entries_;
   std::size_t capacity_;
-  SimDuration ttl_;
-  /// Unverified entries allowed per gossip source (0 = uncapped).
-  std::size_t per_source_cap_;
 };
 
 }  // namespace wow::p2p

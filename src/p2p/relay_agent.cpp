@@ -6,6 +6,16 @@
 
 namespace wow::p2p {
 
+namespace {
+
+/// Per-agent wait for the tunnel handshake before trying the next
+/// candidate agent.
+constexpr SimDuration kRelayRequestTimeout = 5 * kSecond;
+/// Candidate agents tried per relay attempt.
+constexpr std::size_t kRelayMaxCandidates = 3;
+
+}  // namespace
+
 void RelayAgent::reject_forged(const Address& claimed,
                                const net::Endpoint& from, const char* reason,
                                bool score) {
@@ -240,10 +250,7 @@ void RelayAgent::start_attempt(const Address& peer) {
   RelayAttempt attempt;
   for (const Connection* c : direct) {
     attempt.candidates.push_back(c->addr);
-    if (static_cast<int>(attempt.candidates.size()) >=
-        config_.relay_max_candidates) {
-      break;
-    }
+    if (attempt.candidates.size() >= kRelayMaxCandidates) break;
   }
   attempt.token = next_relay_token_++;
   attempt.started = timers_.now();
@@ -293,11 +300,11 @@ void RelayAgent::send_request(const Address& peer) {
   // advances to the next candidate.  The request timeout shrinks with a
   // measured agent RTT (the tunnel leg we cannot measure is bounded by
   // the same WAN scale).
-  SimDuration wait = config_.relay_request_timeout;
+  SimDuration wait = kRelayRequestTimeout;
   if (config_.adaptive_timers) {
     SimDuration hint = hooks_.peer_rto_hint(agent);
     if (hint > 0) {
-      wait = std::clamp(4 * hint, kSecond, config_.relay_request_timeout);
+      wait = std::clamp(4 * hint, kSecond, kRelayRequestTimeout);
     }
   }
   attempt.timer =
@@ -336,7 +343,7 @@ void RelayAgent::maintain() {
   });
   for (const Connection* c : due) {
     hooks_.set_next_direct_probe(c->addr,
-                                 now + config_.relay_probe_interval);
+                                 now + kRelayProbeInterval);
     if (tracer_.enabled(TraceClass::kProtocol)) {
       tracer_.event(now, "node", trace_node_, "relay.probe",
                     {{"peer", c->addr.brief()}});
@@ -376,7 +383,7 @@ void RelayAgent::add_relay_connection(
   ++stats_.connections_added;
   ++stats_.relays_established;
   hooks_.set_next_direct_probe(peer,
-                               timers_.now() + config_.relay_probe_interval);
+                               timers_.now() + kRelayProbeInterval);
   if (hooks_.record_flight) {
     hooks_.record_flight(FlightKind::kRelayUp, peer);
   }

@@ -20,6 +20,10 @@
 
 namespace wow::p2p {
 
+/// While a pair converses through a relay tunnel, a direct link is
+/// re-attempted this often (the relay→direct upgrade probe).
+inline constexpr SimDuration kRelayProbeInterval = 30 * kSecond;
+
 /// Relay-tunnel service (§V-B fallback): when two NATed peers cannot
 /// link directly, converse through a mutual neighbor.
 ///

@@ -16,11 +16,6 @@ struct ShortcutConfig {
   /// Practical limit on simultaneous shortcut connections (§IV-E
   /// notes maintenance overhead bounds this).
   int max_shortcuts = 16;
-  /// Minimum spacing between connect attempts to the same node, so a
-  /// lost CTM or slow linking isn't spammed.
-  SimDuration retry_cooldown = 15 * kSecond;
-  /// Scores idle longer than this are dropped from the table.
-  SimDuration entry_expiry = 10 * kMinute;
 };
 
 }  // namespace wow::p2p

@@ -13,7 +13,7 @@ void ShortcutOverlord::on_traffic(const Address& peer, SimTime now) {
   e.last_update = now;
 
   if (!config_.enabled || e.score < config_.threshold) return;
-  SimDuration cooldown = config_.retry_cooldown;
+  SimDuration cooldown = kShortcutRetryCooldown;
   if (hooks_.retry_cooldown_hint) {
     SimDuration hint = hooks_.retry_cooldown_hint(peer);
     if (hint > 0) cooldown = hint;
@@ -33,7 +33,7 @@ void ShortcutOverlord::on_traffic(const Address& peer, SimTime now) {
 void ShortcutOverlord::sweep(SimTime now) {
   std::vector<Address> stale;
   for (const auto& [addr, e] : scores_) {
-    if (now - e.last_update > config_.entry_expiry) stale.push_back(addr);
+    if (now - e.last_update > kShortcutEntryExpiry) stale.push_back(addr);
   }
   for (const Address& a : stale) scores_.erase(a);
 }

@@ -12,6 +12,12 @@
 
 namespace wow::p2p {
 
+/// Minimum spacing between connect attempts to the same node, so a lost
+/// CTM or slow linking isn't spammed; the ceiling of the adaptive hint.
+inline constexpr SimDuration kShortcutRetryCooldown = 15 * kSecond;
+/// Scores idle longer than this are dropped from the table.
+inline constexpr SimDuration kShortcutEntryExpiry = 10 * kMinute;
+
 /// Decentralized adaptive shortcut policy (§IV-E).
 ///
 /// For each remote node the local node exchanges traffic with, keep the
@@ -40,7 +46,7 @@ class ShortcutOverlord {
     /// quarantine lapses).  Optional.
     std::function<bool(const Address&)> is_quarantined;
     /// Adaptive spacing between attempts to this peer (0 = use
-    /// config.retry_cooldown).  Derived from the peer's measured RTT so
+    /// kShortcutRetryCooldown).  Derived from the peer's measured RTT so
     /// a nearby peer retries quickly and a distant one is not spammed.
     /// Optional.
     std::function<SimDuration(const Address&)> retry_cooldown_hint;
@@ -65,7 +71,7 @@ class ShortcutOverlord {
   }
 
   /// Estimated heap bytes of dynamic state (traffic score entries,
-  /// bounded by the sweep's entry_expiry).
+  /// bounded by the sweep's kShortcutEntryExpiry).
   [[nodiscard]] std::size_t state_bytes() const {
     return mem::hash_map_bytes(scores_);
   }

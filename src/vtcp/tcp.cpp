@@ -5,7 +5,27 @@
 namespace wow::vtcp {
 
 namespace {
+
 constexpr std::uint64_t kNoFin = ~std::uint64_t{0};
+/// Send-buffer watermarks driving the writable() callback, so bulk
+/// senders (SCP, ttcp) stream data without buffering whole files.
+constexpr std::size_t kSendHighWater = 256 * 1024;
+constexpr std::size_t kSendLowWater = 64 * 1024;
+constexpr SimDuration kInitialRto = 1 * kSecond;
+constexpr SimDuration kMinRto = 200 * kMillisecond;
+/// Delayed-ACK: acknowledge every second in-order segment, or after
+/// this delay, whichever first.  Out-of-order segments ACK instantly
+/// (dup-ACKs drive fast retransmit).
+constexpr SimDuration kDelayedAck = 100 * kMillisecond;
+/// RTO backoff cap.  Bounded so a connection stalled by a VM migration
+/// outage probes often enough to resume promptly (§V-C).
+constexpr SimDuration kMaxRto = 30 * kSecond;
+/// Consecutive retransmissions of the same segment before giving up.
+/// Generous: TCP must ride out the multi-minute no-routability window
+/// during wide-area VM migration.
+constexpr int kMaxRetransmits = 40;
+constexpr std::uint32_t kInitialCwndSegments = 4;
+
 }  // namespace
 
 // ---------------------------------------------------------------- TcpSocket
@@ -15,9 +35,9 @@ TcpSocket::TcpSocket(TcpStack& stack, net::Ipv4Addr remote_ip,
                      const TcpConfig& config)
     : stack_(stack), config_(config), remote_ip_(remote_ip),
       remote_port_(remote_port), local_port_(local_port) {
-  cwnd_ = static_cast<double>(config_.initial_cwnd_segments * config_.mss);
+  cwnd_ = static_cast<double>(kInitialCwndSegments * config_.mss);
   ssthresh_ = 1e12;
-  rto_ = config_.initial_rto;
+  rto_ = kInitialRto;
   peer_window_ = static_cast<std::uint32_t>(config_.recv_window);
   fin_seq_ = kNoFin;
 }
@@ -48,9 +68,7 @@ void TcpSocket::start_accept(const Segment&) {
 
 std::size_t TcpSocket::send_buffer_room() const {
   std::size_t buffered = send_buf_.size() - send_buf_base_offset();
-  return buffered >= config_.send_high_water
-             ? 0
-             : config_.send_high_water - buffered;
+  return buffered >= kSendHighWater ? 0 : kSendHighWater - buffered;
 }
 
 void TcpSocket::send(Bytes data) {
@@ -171,7 +189,7 @@ void TcpSocket::on_rto() {
   if (snd_una_ >= snd_nxt_) return;  // everything acked meanwhile
   ++stats_.timeouts;
   ++rexmit_count_;
-  if (rexmit_count_ > config_.max_retransmits) {
+  if (rexmit_count_ > kMaxRetransmits) {
     finish(true);
     return;
   }
@@ -180,7 +198,7 @@ void TcpSocket::on_rto() {
   rtt_probe_.reset();
 
   // Multiplicative backoff, capped so post-migration recovery is quick.
-  rto_ = std::min(rto_ * 2, config_.max_rto);
+  rto_ = std::min(rto_ * 2, kMaxRto);
   double inflight = static_cast<double>(snd_nxt_ - snd_una_);
   ssthresh_ = std::max(inflight / 2.0, 2.0 * static_cast<double>(config_.mss));
   cwnd_ = static_cast<double>(config_.mss);
@@ -217,7 +235,7 @@ void TcpSocket::update_rtt(SimDuration sample) {
     rttvar_ = (3 * rttvar_ + err) / 4;
     srtt_ = (7 * srtt_ + sample) / 8;
   }
-  rto_ = std::clamp(srtt_ + 4 * rttvar_, config_.min_rto, config_.max_rto);
+  rto_ = std::clamp(srtt_ + 4 * rttvar_, kMinRto, kMaxRto);
 }
 
 void TcpSocket::on_ack(std::uint64_t ack, std::uint32_t wnd) {
@@ -299,15 +317,15 @@ void TcpSocket::on_ack(std::uint64_t ack, std::uint32_t wnd) {
     stats_.bytes_acked += advance;
     send_buf_consumed_ += static_cast<std::size_t>(advance);
     send_buf_base_ = acked_stream;
-    if (send_buf_consumed_ > config_.send_high_water) {
+    if (send_buf_consumed_ > kSendHighWater) {
       send_buf_.erase(send_buf_.begin(),
                       send_buf_.begin() +
                           static_cast<std::ptrdiff_t>(send_buf_consumed_));
       send_buf_consumed_ = 0;
     }
     std::size_t buffered_now = send_buf_.size() - send_buf_base_offset();
-    if (writable_ && buffered_before > config_.send_low_water &&
-        buffered_now <= config_.send_low_water && !fin_pending_) {
+    if (writable_ && buffered_before > kSendLowWater &&
+        buffered_now <= kSendLowWater && !fin_pending_) {
       writable_();
     }
   }
@@ -389,7 +407,7 @@ void TcpSocket::on_segment(const Segment& seg) {
       } else if (!delack_timer_.valid()) {
         auto weak = weak_from_this();
         delack_timer_ = stack_.timers().schedule(
-            config_.delayed_ack, [weak] {
+            kDelayedAck, [weak] {
               if (auto self = weak.lock()) self->send_pending_ack();
             });
       }

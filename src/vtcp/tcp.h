@@ -13,28 +13,11 @@
 
 namespace wow::vtcp {
 
-/// Tuning knobs of the virtual TCP implementation.
+/// Settings of the virtual TCP implementation; its timers and buffer
+/// watermarks are constants in tcp.cpp.
 struct TcpConfig {
   std::size_t mss = 1400;
   std::size_t recv_window = 256 * 1024;
-  /// Send-buffer watermarks driving the writable() callback, so bulk
-  /// senders (SCP, ttcp) stream data without buffering whole files.
-  std::size_t send_high_water = 256 * 1024;
-  std::size_t send_low_water = 64 * 1024;
-  SimDuration initial_rto = 1 * kSecond;
-  SimDuration min_rto = 200 * kMillisecond;
-  /// Delayed-ACK: acknowledge every second in-order segment, or after
-  /// this delay, whichever first.  Out-of-order segments ACK instantly
-  /// (dup-ACKs drive fast retransmit).
-  SimDuration delayed_ack = 100 * kMillisecond;
-  /// RTO backoff cap.  Bounded so a connection stalled by a VM
-  /// migration outage probes often enough to resume promptly (§V-C).
-  SimDuration max_rto = 30 * kSecond;
-  /// Consecutive retransmissions of the same segment before giving up.
-  /// Generous: TCP must ride out the multi-minute no-routability window
-  /// during wide-area VM migration.
-  int max_retransmits = 40;
-  std::uint32_t initial_cwnd_segments = 4;
 };
 
 class TcpStack;

@@ -17,6 +17,16 @@ constexpr double kUflNcgrid = 9.0;
 constexpr double kUflVims = 10.0;
 constexpr double kUflGru = 2.0;
 
+/// IPOP user-level per-packet processing on VM/compute hosts.
+constexpr SimDuration kVmProcService = 700 * kMicrosecond;
+/// Loaded PlanetLab hosts: deterministic service + exponential extra,
+/// and a small overload drop probability.
+constexpr SimDuration kPlProcService = 3500 * kMicrosecond;
+constexpr SimDuration kPlProcExtra = 3 * kMillisecond;
+constexpr double kPlOverloadDrop = 0.001;
+/// Simultaneous shortcuts per testbed node.
+constexpr int kMaxShortcuts = 40;
+
 [[nodiscard]] net::LinkModel wan(double oneway_ms) {
   // 0.05% per traversal: enough residual WAN loss to exercise
   // retransmission without strangling Reno at 35 ms RTT (the paper's
@@ -60,9 +70,9 @@ Testbed::Testbed(sim::Simulator& simulator, TestbedConfig config)
   for (int h = 0; h < config_.planetlab_hosts; ++h) {
     net::Host::Config hc;
     hc.name = "pl-host" + std::to_string(h);
-    hc.proc_service = config_.pl_proc_service;
-    hc.proc_extra_mean = config_.pl_proc_extra;
-    hc.overload_drop = config_.pl_overload_drop;
+    hc.proc_service = kPlProcService;
+    hc.proc_extra_mean = kPlProcExtra;
+    hc.overload_drop = kPlOverloadDrop;
     // A loaded PlanetLab router's user-level socket buffer: roughly a
     // dozen tunnelled packets of headroom before tail drop.
     hc.proc_queue_limit = 150 * kMillisecond;
@@ -215,11 +225,11 @@ bool Testbed::write_metrics_report(const std::string& path) const {
 p2p::NodeConfig Testbed::base_node_config() const {
   p2p::NodeConfig cfg;
   cfg.far_target = config_.far_target;
-  cfg.link = config_.link;
+  cfg.public_uri_first = config_.public_uri_first;
   cfg.shortcut.enabled = config_.shortcuts_enabled;
   cfg.shortcut.threshold = config_.shortcut_threshold;
   cfg.shortcut.service_rate = config_.shortcut_service_rate;
-  cfg.shortcut.max_shortcuts = config_.max_shortcuts;
+  cfg.shortcut.max_shortcuts = kMaxShortcuts;
   return cfg;
 }
 
@@ -229,7 +239,7 @@ Testbed::ComputeNode Testbed::build_compute(
     net::Ipv4Addr vip) {
   net::Host::Config hc;
   hc.name = name;
-  hc.proc_service = config_.vm_proc_service;
+  hc.proc_service = kVmProcService;
   hc.cpu_speed = cpu_speed;
   net::Host& host = network_->add_host(phys_ip, domain, site, hc);
 

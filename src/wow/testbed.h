@@ -33,21 +33,14 @@ struct TestbedConfig {
   /// links on a ~150-node ring gives the ~3-hop paths the paper saw).
   int far_target = 16;
 
-  /// IPOP user-level per-packet processing on VM/compute hosts.
-  SimDuration vm_proc_service = 700 * kMicrosecond;
-  /// Loaded PlanetLab hosts: deterministic service + exponential extra.
-  SimDuration pl_proc_service = 3500 * kMicrosecond;
-  SimDuration pl_proc_extra = 3 * kMillisecond;
-  double pl_overload_drop = 0.001;
-
   /// Shortcut policy (§IV-E); threshold/service-rate are the ablation
   /// knobs.
   double shortcut_threshold = 25.0;
   double shortcut_service_rate = 0.5;
-  int max_shortcuts = 40;
 
-  /// Linking-protocol timing (footnote 2 defaults live in LinkConfig).
-  p2p::LinkConfig link;
+  /// Linking URI order (NodeConfig::public_uri_first); false is the
+  /// ordering ablation.
+  bool public_uri_first = true;
 };
 
 /// The WOW testbed of Figure 1: 118 P2P router nodes on 20 loaded

@@ -75,7 +75,7 @@ TEST(CensusWire, RejectsCorruptionAndTruncation) {
 
 TEST(PeerCacheUnit, BoundedWithLruEviction) {
   Rng rng(5);
-  PeerCache cache(/*capacity=*/3, /*ttl=*/10 * kMinute);
+  PeerCache cache(/*capacity=*/3);
   std::vector<Address> peers;
   for (int i = 0; i < 4; ++i) peers.push_back(rng.ring_id());
   transport::UriList uris(std::vector<Uri>{
@@ -101,14 +101,15 @@ TEST(PeerCacheUnit, BoundedWithLruEviction) {
 
 TEST(PeerCacheUnit, TtlEvictionRemovalAndDisabled) {
   Rng rng(6);
-  PeerCache cache(/*capacity=*/4, /*ttl=*/kMinute);
+  PeerCache cache(/*capacity=*/4);
   transport::UriList uris(std::vector<Uri>{
       uri_of(net::Ipv4Addr(10, 0, 0, 8), 800)});
   Address a = rng.ring_id();
   Address b = rng.ring_id();
   cache.note(a, uris, 0);
   cache.note(b, uris, 50 * kSecond);
-  cache.evict_stale(70 * kSecond);  // `a` is 70s old: past the TTL
+  // `a` is 10 s past the TTL; `b` is 40 s inside it.
+  cache.evict_stale(kPeerCacheTtl + 10 * kSecond);
   EXPECT_FALSE(cache.contains(a));
   EXPECT_TRUE(cache.contains(b));
   cache.remove(b);
@@ -118,7 +119,7 @@ TEST(PeerCacheUnit, TtlEvictionRemovalAndDisabled) {
   EXPECT_TRUE(cache.empty());
   // A zero-capacity cache (the flyweight profile) stays empty and
   // contributes no protocol state.
-  PeerCache off(/*capacity=*/0, /*ttl=*/kMinute);
+  PeerCache off(/*capacity=*/0);
   off.note(a, uris, 0);
   EXPECT_TRUE(off.empty());
   EXPECT_EQ(off.state_bytes(), 0u);

@@ -89,17 +89,18 @@ TEST(MisbehaviorLedger, RateLimiterShedsControlBurst) {
   const net::Endpoint noisy = ep(3);
   SimTime now = kSecond;
   int admitted = 0;
-  for (int i = 0; i < 100; ++i) {
+  for (int i = 0; i < 2 * p2p::kRateLimitBurst; ++i) {
     if (ledger.admit_control(noisy, now)) ++admitted;
   }
-  EXPECT_EQ(admitted, 64) << "burst capacity is 64 control frames";
-  // Refill is exact integer arithmetic: one second buys rate_per_sec.
+  EXPECT_EQ(admitted, p2p::kRateLimitBurst)
+      << "burst capacity is 256 control frames";
+  // Refill is exact integer arithmetic: one second buys kRateLimitPerSec.
   now += kSecond;
   admitted = 0;
-  for (int i = 0; i < 100; ++i) {
+  for (int i = 0; i < 2 * p2p::kRateLimitBurst; ++i) {
     if (ledger.admit_control(noisy, now)) ++admitted;
   }
-  EXPECT_EQ(admitted, 16);
+  EXPECT_EQ(admitted, p2p::kRateLimitPerSec);
   // A different endpoint is untouched: buckets are per source.
   EXPECT_TRUE(ledger.admit_control(ep(4), now));
 }
@@ -107,7 +108,7 @@ TEST(MisbehaviorLedger, RateLimiterShedsControlBurst) {
 // -------------------------------------------------- peer cache poisoning
 
 TEST(PeerCachePoison, PerSourceCapRefusesFloodOfHearsay) {
-  p2p::PeerCache cache(/*capacity=*/32, /*ttl=*/60 * kMinute, /*per_source_cap=*/4);
+  p2p::PeerCache cache(/*capacity=*/32);
   const p2p::Address liar = addr_of(99);
   transport::UriList uris;
   uris.push_back(transport::Uri{transport::TransportKind::kUdp, ep(9)});
@@ -118,7 +119,8 @@ TEST(PeerCachePoison, PerSourceCapRefusesFloodOfHearsay) {
       ++accepted;
     }
   }
-  EXPECT_EQ(accepted, 4) << "a single gossip source may plant at most 4";
+  EXPECT_EQ(static_cast<std::size_t>(accepted), p2p::kGossipPerSourceCap)
+      << "a single gossip source may plant at most 2";
   // A second source gets its own allowance — the cap is per source, not
   // a global hearsay freeze.
   EXPECT_TRUE(cache.note(addr_of(2000), uris, kSecond, /*verified=*/false,
@@ -126,14 +128,15 @@ TEST(PeerCachePoison, PerSourceCapRefusesFloodOfHearsay) {
 }
 
 TEST(PeerCachePoison, VerifiedEntriesOutrankAndOutliveHearsay) {
-  p2p::PeerCache cache(/*capacity=*/4, /*ttl=*/60 * kMinute, /*per_source_cap=*/0);
+  p2p::PeerCache cache(/*capacity=*/4);
   transport::UriList uris;
   uris.push_back(transport::Uri{transport::TransportKind::kUdp, ep(9)});
-  // One stale first-hand entry, then a flood of fresher hearsay.
+  // One stale first-hand entry, then a flood of fresher hearsay, each
+  // from its own source so the per-source cap admits it.
   cache.note(addr_of(1), uris, kSecond, /*verified=*/true);
   for (std::uint64_t i = 0; i < 8; ++i) {
     cache.note(addr_of(100 + i), uris, 10 * kSecond, /*verified=*/false,
-               addr_of(99));
+               addr_of(200 + i));
   }
   // The rejoin path must still pick the first-hand entry, and the
   // eviction churn must have consumed hearsay, not the verified entry.

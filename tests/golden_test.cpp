@@ -1,4 +1,4 @@
-// Golden digests (DESIGN §7): four seeded scenarios hash their state at
+// Golden digests (DESIGN §7): six seeded scenarios hash their state at
 // every simulated minute and at the end, and the lines must equal the
 // committed tests/golden/<scenario>.digest.  The determinism suite only
 // compares two runs of one binary; these files pin behaviour across
@@ -24,9 +24,12 @@
 #include <utility>
 #include <vector>
 
+#include "apps/bulk_transfer.h"
 #include "net/faults.h"
+#include "p2p/adversary.h"
 #include "test_util.h"
 #include "wow/megascale.h"
+#include "wow/testbed.h"
 
 namespace wow {
 namespace {
@@ -52,13 +55,21 @@ class Hasher {
   std::uint64_t h_ = 0xcbf29ce484222325ull;
 };
 
+/// The nodes of an owning vector, in order.
+std::vector<const p2p::Node*> nodes_of(
+    const std::vector<std::unique_ptr<p2p::Node>>& nodes) {
+  std::vector<const p2p::Node*> out;
+  for (const auto& n : nodes) out.push_back(n.get());
+  return out;
+}
+
 /// Drives a run and samples its digest between run chunks, never from
 /// a simulator timer, so recording cannot change the run.
 class Recorder {
  public:
   Recorder(sim::Simulator& sim, const net::Network& network,
-           const std::vector<std::unique_ptr<p2p::Node>>& nodes)
-      : sim_(sim), network_(network), nodes_(nodes) {}
+           std::vector<const p2p::Node*> nodes)
+      : sim_(sim), network_(network), nodes_(std::move(nodes)) {}
 
   /// Run to `until`, sampling at every simulated minute on the way.
   void run_until(SimTime until) {
@@ -81,7 +92,7 @@ class Recorder {
     Hasher h;
     h.word(sim_.executed_events());
     std::vector<std::pair<p2p::Address, p2p::ConnectionType>> conns;
-    for (const auto& n : nodes_) {
+    for (const p2p::Node* n : nodes_) {
       h.address(n->address());
       conns.clear();
       n->connections().for_each([&](const p2p::Connection& c) {
@@ -116,7 +127,7 @@ class Recorder {
 
   sim::Simulator& sim_;
   const net::Network& network_;
-  const std::vector<std::unique_ptr<p2p::Node>>& nodes_;
+  const std::vector<const p2p::Node*> nodes_;
   std::string text_;
 };
 
@@ -145,7 +156,7 @@ void check_golden(const std::string& name, const std::string& about,
 
 TEST(Golden, PublicOverlayAllPairs) {
   testing::PublicOverlay net(10, /*seed=*/12345);
-  Recorder rec(net.sim, net.network, net.nodes);
+  Recorder rec(net.sim, net.network, nodes_of(net.nodes));
   net.start_all();
   rec.run_until(3 * kMinute);
   for (auto& a : net.nodes) {
@@ -173,7 +184,7 @@ TEST(Golden, ChaosSoakSeed101) {
   }
   auto plan = net::FaultPlan::random(kSeed, params);
 
-  Recorder rec(net.sim, net.network, net.nodes);
+  Recorder rec(net.sim, net.network, nodes_of(net.nodes));
   net.start_all();
   rec.run_until(3 * kMinute);
   net.network.faults().schedule(plan);
@@ -198,7 +209,7 @@ TEST(Golden, FlyweightFlashCrowd) {
   cfg.wellknown_endpoints = 3;
   cfg.join_stagger = 0;
   MegascaleNet net(cfg);
-  Recorder rec(net.sim, net.network, net.nodes);
+  Recorder rec(net.sim, net.network, nodes_of(net.nodes));
   net.start_burst(static_cast<std::size_t>(cfg.nodes));
   rec.run_until(5 * kMinute);
   check_golden("crowd256",
@@ -212,7 +223,7 @@ TEST(Golden, FlyweightRampRandomPool) {
   cfg.seed = 2;
   cfg.nodes = 256;
   MegascaleNet net(cfg);
-  Recorder rec(net.sim, net.network, net.nodes);
+  Recorder rec(net.sim, net.network, nodes_of(net.nodes));
   // MegascaleNet's join ramp, one start per stagger step.
   for (int i = 0; i < cfg.nodes; ++i) {
     rec.run_until(i * cfg.join_stagger);
@@ -222,6 +233,69 @@ TEST(Golden, FlyweightRampRandomPool) {
   check_golden("ramp256",
                "256 flyweight nodes join 20 ms apart off random bootstrap "
                "pools, seed 2",
+               rec.finish());
+}
+
+/// determinism_test's reduced Figure-1 testbed, settled, then one vtcp
+/// bulk transfer between two UFL compute nodes that hold no direct
+/// connection, and a minute for the shortcut it triggers.  UFL's NAT
+/// has no hairpin, so UFL-UFL links fail over from the public URI to
+/// the private one; the digest pins those failovers, the shortcut and
+/// the vtcp timers.
+TEST(Golden, TestbedUflBulkTransfer) {
+  TestbedConfig cfg;
+  cfg.seed = 777;
+  cfg.planetlab_routers = 24;
+  cfg.planetlab_hosts = 8;
+  sim::Simulator sim(cfg.seed);
+  Testbed bed(sim, cfg);
+  std::vector<const p2p::Node*> nodes = nodes_of(bed.routers());
+  for (const auto& c : bed.nodes()) nodes.push_back(&c.ipop->p2p());
+  Recorder rec(sim, bed.network(), std::move(nodes));
+
+  bed.start_routers();
+  rec.run_until(3 * kMinute);
+  bed.start_compute();
+  rec.run_for(3 * kMinute);
+
+  Testbed::ComputeNode& src = bed.node(3);
+  Testbed::ComputeNode& dst = bed.node(2);
+  apps::BulkSource source(sim, *src.tcp, 5001, 2 << 20);
+  apps::BulkSink sink(sim, *dst.tcp);
+  bool done = false;
+  sink.fetch(src.vip(), 5001,
+             [&](const apps::BulkSink::Result&) { done = true; });
+  const SimTime deadline = sim.now() + 30 * kMinute;
+  while (!done && sim.now() < deadline) rec.run_for(10 * kSecond);
+  EXPECT_TRUE(done);
+  EXPECT_EQ(sink.received(), 2u << 20);
+  rec.run_for(kMinute);
+  EXPECT_TRUE(dst.ipop->p2p().has_direct(src.ipop->p2p().address()));
+  check_golden("testbed24",
+               "Figure-1 testbed with 24 PlanetLab routers on 8 hosts, "
+               "seed 777, then a 2 MiB vtcp transfer node003 -> node002 "
+               "and one more minute",
+               rec.finish());
+}
+
+/// byzantine_test's AdversaryFabricIsDeterministic fleet with the
+/// census on: one node runs every attack for five minutes against the
+/// ledger, the rate limiter, the replay window, the gossip cap and the
+/// census TTL.
+TEST(Golden, ByzantineFullMix) {
+  p2p::NodeConfig cfg;
+  cfg.census_interval = kMinute;
+  testing::PublicOverlay net(12, /*seed=*/77, cfg);
+  Recorder rec(net.sim, net.network, nodes_of(net.nodes));
+  net.start_all();
+  rec.run_until(2 * kMinute);
+  p2p::AdversaryAgent agent(*net.nodes[4], net.sim, 909);
+  agent.start();
+  rec.run_for(5 * kMinute);
+  EXPECT_GT(agent.stats().frames_injected, 0u);
+  check_golden("byzantine12",
+               "12-node public overlay, seed 77, census every minute, "
+               "node 4 runs the full adversary mix from 2 to 7 min",
                rec.finish());
 }
 

@@ -160,7 +160,7 @@ TEST(KeepaliveIsolation, UnansweredProbeBudgetDropsConnection) {
   EXPECT_EQ(h.dropped[0].first, p2p::Address{200});
   EXPECT_EQ(h.dropped[0].second, p2p::DisconnectCause::kKeepaliveTimeout);
   EXPECT_EQ(h.stats.pings_sent,
-            static_cast<std::uint64_t>(h.config.ping_retries));
+            static_cast<std::uint64_t>(p2p::kPingRetries));
   // The episode died with the connection: no leak.
   EXPECT_EQ(h.km->ping_state_count(), 0u);
   EXPECT_TRUE(h.table.empty());
@@ -171,17 +171,17 @@ TEST(KeepaliveIsolation, RepeatedFlapsQuarantineThenLapse) {
   p2p::Address peer{300};
   EXPECT_FALSE(h.km->is_quarantined(peer));
 
-  // flap_threshold short-lived losses inside one window begin a
+  // kFlapThreshold short-lived losses inside one window begin a
   // quarantine episode at the base duration.
-  for (int i = 0; i < h.config.flap_threshold; ++i) {
+  for (int i = 0; i < p2p::kFlapThreshold; ++i) {
     h.km->note_flap(peer, kSecond);
   }
   EXPECT_TRUE(h.km->is_quarantined(peer));
-  EXPECT_EQ(h.km->quarantine_until(peer), h.net.now() + h.config.quarantine_base);
+  EXPECT_EQ(h.km->quarantine_until(peer), h.net.now() + p2p::kQuarantineBase);
   EXPECT_EQ(h.stats.quarantines, 1u);
 
   // The episode lapses once the clock passes quarantine_until.
-  h.net.run_for(h.config.quarantine_base + kSecond);
+  h.net.run_for(p2p::kQuarantineBase + kSecond);
   EXPECT_FALSE(h.km->is_quarantined(peer));
 }
 
@@ -263,19 +263,19 @@ TEST(CtmIsolation, SweepRetriesThenExpiresUnansweredRequests) {
   h.ctm->initiate(p2p::Address{500}, p2p::ConnectionType::kShortcut);
   ASSERT_EQ(h.ctm->pending_count(), 1u);
 
-  // Each step advances past any possible timeout (ctm_rto_max is the
+  // Each step advances past any possible timeout (kCtmRtoMax is the
   // ceiling): the retry budget drains, then the request expires.
-  for (int i = 0; i < h.config.ctm_max_retries + 1; ++i) {
-    h.net.run_for(h.config.ctm_rto_max + kSecond);
+  for (int i = 0; i < p2p::kCtmMaxRetries + 1; ++i) {
+    h.net.run_for(p2p::kCtmRtoMax + kSecond);
     h.ctm->sweep();
   }
   EXPECT_EQ(h.stats.ctm_retries,
-            static_cast<std::uint64_t>(h.config.ctm_max_retries));
+            static_cast<std::uint64_t>(p2p::kCtmMaxRetries));
   EXPECT_EQ(h.stats.ctm_timeouts, 1u);
   EXPECT_EQ(h.ctm->pending_count(), 0u);
   // The original send plus every retry went through the route hook.
   EXPECT_EQ(h.routed.size(),
-            static_cast<std::size_t>(1 + h.config.ctm_max_retries));
+            static_cast<std::size_t>(1 + p2p::kCtmMaxRetries));
 }
 
 // --- the transport seam -------------------------------------------------

@@ -420,7 +420,6 @@ TEST(ShortcutOverlord, RespectsMaxShortcutsAndCooldown) {
   ShortcutOverlord::Config cfg;
   cfg.threshold = 1.0;
   cfg.max_shortcuts = 1;
-  cfg.retry_cooldown = 10 * kSecond;
   OverlordHarness h(cfg);
 
   h.shortcut_count = 1;  // at the cap
@@ -434,7 +433,8 @@ TEST(ShortcutOverlord, RespectsMaxShortcutsAndCooldown) {
   // Within the cooldown no second CTM is fired at the same peer.
   h.overlord->on_traffic(Address{1}, 4 * kSecond);
   EXPECT_EQ(h.requested.size(), 1u);
-  h.overlord->on_traffic(Address{1}, 14 * kSecond);
+  h.overlord->on_traffic(Address{1},
+                         3 * kSecond + kShortcutRetryCooldown + kSecond);
   EXPECT_EQ(h.requested.size(), 2u);
 }
 
@@ -449,15 +449,26 @@ TEST(ShortcutOverlord, DisabledNeverRequests) {
 
 TEST(ShortcutOverlord, SweepExpiresIdleEntries) {
   ShortcutOverlord::Config cfg;
-  cfg.entry_expiry = kMinute;
   cfg.threshold = 1e9;
+  cfg.service_rate = 0.0;  // no leak: only the sweep can zero the score
   OverlordHarness h(cfg);
   h.overlord->on_traffic(Address{5}, 0);
-  h.overlord->sweep(2 * kMinute);
-  EXPECT_DOUBLE_EQ(h.overlord->score_of(Address{5}, 2 * kMinute), 0.0);
+  h.overlord->sweep(kShortcutEntryExpiry);
+  EXPECT_DOUBLE_EQ(h.overlord->score_of(Address{5}, kShortcutEntryExpiry),
+                   1.0);
+  const SimTime later = kShortcutEntryExpiry + kMinute;
+  h.overlord->sweep(later);
+  EXPECT_DOUBLE_EQ(h.overlord->score_of(Address{5}, later), 0.0);
 }
 
 // -------------------------------------------------------------- LinkingEngine
+
+/// What a dead URI costs an attempt before it fails over: the first
+/// send plus kLinkMaxRetries retransmissions, the RTO doubling each
+/// time from kLinkInitialRto (2.5 s * 63 = 157.5 s, footnote 2).
+static_assert(kLinkBackoff == 2.0);
+constexpr SimDuration kDeadUriCost =
+    kLinkInitialRto * ((2 << kLinkMaxRetries) - 1);
 
 /// Two public hosts + engines wired together through a real simulated
 /// network, so retries, timeouts and races run for real.  The engines
@@ -491,11 +502,8 @@ struct LinkPair {
   std::unique_ptr<LinkingEngine> make_engine(
       p2p::EdgeFactory& edges, Address self,
       std::vector<Address>& established) {
-    LinkConfig cfg;
-    cfg.initial_rto = 500 * kMillisecond;
-    cfg.max_retries = 2;
     return std::make_unique<LinkingEngine>(
-        sim, sim.rng(), sim.trace(), edges, self, cfg,
+        sim, sim.rng(), sim.trace(), edges, self, /*public_uri_first=*/true,
         LinkingEngine::Callbacks{
             [&established](const Address& peer,
                            const std::vector<transport::Uri>&,
@@ -551,8 +559,7 @@ TEST(LinkingEngine, DeadUriFailsOverToNext) {
                       net::Endpoint{net::Ipv4Addr(128, 9, 9, 9), 1}};
   pair.ea->start(pair.addr_b, ConnectionType::kShortcut,
                  {dead, pair.uri_of(*pair.host_b)});
-  // Dead URI burns initial_rto * (2^(retries+1) - 1) = 0.5 * 7 = 3.5 s.
-  pair.sim.run_for(2 * kSecond);
+  pair.sim.run_for(kDeadUriCost - kSecond);
   EXPECT_TRUE(pair.established_a.empty());
   pair.sim.run_for(10 * kSecond);
   ASSERT_EQ(pair.established_a.size(), 1u);
@@ -563,11 +570,9 @@ TEST(LinkingEngine, AllUrisDeadReportsFailure) {
   LinkPair pair;
   bool failed = false;
   // Rebuild engine a with a failure probe.
-  LinkConfig cfg;
-  cfg.initial_rto = 200 * kMillisecond;
-  cfg.max_retries = 1;
   LinkingEngine engine(
-      pair.sim, pair.sim.rng(), pair.sim.trace(), *pair.ta, pair.addr_a, cfg,
+      pair.sim, pair.sim.rng(), pair.sim.trace(), *pair.ta, pair.addr_a,
+      /*public_uri_first=*/true,
       LinkingEngine::Callbacks{
           [](const Address&, const std::vector<transport::Uri>&,
              const net::Endpoint&, ConnectionType) {},
@@ -582,7 +587,7 @@ TEST(LinkingEngine, AllUrisDeadReportsFailure) {
   transport::Uri dead{transport::TransportKind::kUdp,
                       net::Endpoint{net::Ipv4Addr(10, 9, 9, 9), 1}};
   engine.start(pair.addr_b, ConnectionType::kShortcut, {dead});
-  pair.sim.run_for(kMinute);
+  pair.sim.run_for(kDeadUriCost + kSecond);
   EXPECT_TRUE(failed);
   EXPECT_FALSE(engine.attempting(pair.addr_b));
 }
@@ -607,7 +612,7 @@ TEST(LinkingEngine, PublicUriOrderedFirst) {
   pair.ea->start(pair.addr_b, ConnectionType::kShortcut,
                  {priv, pair.uri_of(*pair.host_b)});
   // If the public URI goes first the handshake completes immediately
-  // (well inside the dead-URI timeout of 3.5 s).
+  // (well inside the 157.5 s dead-URI timeout).
   pair.sim.run_for(kSecond);
   EXPECT_EQ(pair.established_a.size(), 1u);
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Multi-process localhost smoke test: three wowd daemons over real UDP
 # sockets must converge to one ring, answer an IPOP ping across the
-# overlay, and exit cleanly on SIGTERM / the stop command.
+# overlay, refuse an oversize control command, and exit cleanly on
+# SIGTERM / the stop command.  Needs python3 for the oversize client.
 #
 # Usage: tools/wowd_smoke.sh [build-dir]   (default: ./build)
 set -u
@@ -72,6 +73,35 @@ ping=$("$wowctl" --sock="$workdir/wowd1.sock" ping 10.128.0.3) \
   || fail "ping command failed"
 echo "$ping" | grep -q '"replied":true' || fail "no ICMP reply: $ping"
 echo "ok: overlay ping 10.128.0.1 -> 10.128.0.3 ($ping)"
+
+# --- oversize control command -------------------------------------------
+# 64 KiB with no newline: the daemon must answer with an error and drop
+# the client instead of buffering it, and keep serving other clients.
+oversize=$(python3 - "$workdir/wowd2.sock" <<'PY'
+import socket
+import sys
+
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.settimeout(5)  # a daemon that buffers without limit never answers
+s.connect(sys.argv[1])
+try:
+    s.sendall(b"x" * 65536)
+except OSError:
+    pass  # dropped mid-write: the reply is still queued
+reply = b""
+try:
+    while chunk := s.recv(4096):
+        reply += chunk
+except OSError:
+    pass
+print(reply.decode(errors="replace").strip())
+PY
+) || fail "oversize client failed"
+[ "$oversize" = '{"error":"command too long"}' ] \
+  || fail "oversize command got: $oversize"
+"$wowctl" --sock="$workdir/wowd2.sock" status >/dev/null \
+  || fail "status failed after the oversize command"
+echo "ok: 64 KiB command refused, daemon still answers"
 
 # --- graceful shutdown ---------------------------------------------------
 # Node 3 stops by command, 1 and 2 by SIGTERM; all must exit 0 promptly.
