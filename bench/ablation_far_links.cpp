@@ -3,13 +3,11 @@
 // this bench sweeps k and measures mean delivered hop count and ICMP
 // RTT across random compute-node pairs (shortcuts disabled so every
 // packet is routed).
-//
-// Flags: --seed=N, --probes=N pings per k (default 60).
 
 #include <cstdio>
 
-#include "bench_flags.h"
 #include "common/stats.h"
+#include "tools/tool_flags.h"
 #include "wow/testbed.h"
 
 namespace {
@@ -80,10 +78,12 @@ void run_k(int k, std::uint64_t seed, int probes) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  using wow::bench::Flags;
-  Flags flags(argc, argv);
-  auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 43));
-  int probes = static_cast<int>(flags.get_int("probes", 60));
+  std::uint64_t seed = 43;
+  int probes = 60;
+  wow::tools::FlagSet flags("ablation_far_links", "");
+  flags.value("seed", seed, "testbed seed");
+  flags.value("probes", probes, "pings per k");
+  if (!flags.parse(argc, argv)) return flags.help_shown() ? 0 : 2;
 
   std::printf("== Ablation: structured-far link count k vs routing ==\n\n");
   std::printf("%4s | %12s %12s %12s %14s\n", "k", "avg_hops", "rtt_ms",

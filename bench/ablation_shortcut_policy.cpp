@@ -5,15 +5,13 @@
 // sweeps the threshold and the service rate c and reports, for a fixed
 // ping workload between node pairs: how many shortcuts were created,
 // how quickly, and the late-stage latency achieved.
-//
-// Flags: --seed=N, --pairs=N traffic pairs (default 4).
 
 #include <cstdio>
 #include <vector>
 
-#include "bench_flags.h"
 #include "common/stats.h"
 #include "p2p/shortcut_overlord.h"
+#include "tools/tool_flags.h"
 #include "wow/testbed.h"
 
 namespace {
@@ -111,10 +109,12 @@ Outcome run(double threshold, double rate, std::uint64_t seed, int pairs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  using wow::bench::Flags;
-  Flags flags(argc, argv);
-  auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 41));
-  int pairs = static_cast<int>(flags.get_int("pairs", 4));
+  std::uint64_t seed = 41;
+  int pairs = 4;
+  wow::tools::FlagSet flags("ablation_shortcut_policy", "");
+  flags.value("seed", seed, "testbed seed");
+  flags.value("pairs", pairs, "UFL->NWU traffic pairs");
+  if (!flags.parse(argc, argv)) return flags.help_shown() ? 0 : 2;
 
   std::printf("== Ablation: shortcut score threshold and service rate ==\n");
   std::printf("workload: %d UFL->NWU pairs, 1 ping/s for 120 s\n\n", pairs);

@@ -6,14 +6,12 @@
 // reason UFL-UFL shortcuts take ~200 s (Fig. 4).  Flipping the order
 // makes same-domain linking nearly instant while leaving cross-domain
 // behaviour intact.
-//
-// Flags: --trials=N (default 5), --seed=N.
 
 #include <cstdio>
 
-#include "bench_flags.h"
 #include "common/stats.h"
 #include "join_lab.h"
+#include "tools/tool_flags.h"
 
 namespace {
 
@@ -45,9 +43,12 @@ void run_order(bool public_first, std::uint64_t seed, int trials) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
-  int trials = static_cast<int>(flags.get_int("trials", 5));
-  auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 47));
+  int trials = 5;
+  std::uint64_t seed = 47;
+  tools::FlagSet flags("ablation_uri_order", "");
+  flags.value("trials", trials, "join trials per scenario and order");
+  flags.value("seed", seed, "testbed seed of the public-first run");
+  if (!flags.parse(argc, argv)) return flags.help_shown() ? 0 : 2;
 
   std::printf("== Ablation: URI trial order in the linking protocol ==\n\n");
   std::printf("public URI first (the paper's implementation):\n");

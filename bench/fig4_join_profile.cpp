@@ -6,24 +6,24 @@
 // Paper reference points: regime-2 RTT ≈ 146 ms, regime-3 RTT ≈ 38 ms
 // (UFL-NWU); UFL-UFL shortcuts near seq 200 (non-hairpin NAT + linking
 // URI order); NWU-NWU shortcuts near seq 20.
-//
-// Flags: --trials=N (default 10; paper used 100), --icmp=N (default 400),
-//        --seed=N.
 
 #include <cstdio>
 
-#include "bench_flags.h"
 #include "join_lab.h"
+#include "tools/tool_flags.h"
 
 int main(int argc, char** argv) {
   using namespace wow;
   using namespace wow::bench;
-  Flags flags(argc, argv);
-  int trials = static_cast<int>(flags.get_int("trials", 10));
-  int icmp = static_cast<int>(flags.get_int("icmp", 400));
-
+  int trials = 10;
+  int icmp = 400;
   TestbedConfig config;
-  config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
+  config.seed = 7;
+  tools::FlagSet flags("fig4_join_profile", "");
+  flags.value("trials", trials, "trials per scenario; the paper used 100");
+  flags.value("icmp", icmp, "pings per trial");
+  flags.value("seed", config.seed, "testbed seed");
+  if (!flags.parse(argc, argv)) return flags.help_shown() ? 0 : 2;
 
   std::printf("== Figure 4: join profiles (RTT + loss vs ICMP seq) ==\n");
   std::printf("trials per scenario: %d, pings per trial: %d\n\n", trials,

@@ -5,22 +5,22 @@
 //   regime 1: the new node is not routable — ~all packets lost;
 //   regime 2: routable, multi-hop routed — occasional loss, high RTT;
 //   regime 3: shortcut connection formed — ~no loss, low RTT.
-//
-// Flags: --trials=N (default 20), --seed=N.
 
 #include <cstdio>
 
-#include "bench_flags.h"
 #include "join_lab.h"
+#include "tools/tool_flags.h"
 
 int main(int argc, char** argv) {
   using namespace wow;
   using namespace wow::bench;
-  Flags flags(argc, argv);
-  int trials = static_cast<int>(flags.get_int("trials", 20));
-
+  int trials = 20;
   TestbedConfig config;
-  config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 11));
+  config.seed = 11;
+  tools::FlagSet flags("fig5_regimes", "");
+  flags.value("trials", trials, "join trials");
+  flags.value("seed", config.seed, "testbed seed");
+  if (!flags.parse(argc, argv)) return flags.help_shown() ? 0 : 2;
 
   std::printf("== Figure 5: dropped-packet regimes, UFL-NWU, first 50 "
               "ICMP packets ==\n");

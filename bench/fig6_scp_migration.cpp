@@ -6,28 +6,30 @@
 //
 // Paper: 1.36 MB/s before migration, 1.83 MB/s after; the no-routability
 // window was ~8 minutes on their 150-node overlay.
-//
-// Flags: --size_mb=N (default 720), --migrate_at=S (default 200),
-//        --suspend=S VM copy time (default 240), --seed=N.
 
 #include <cstdio>
 #include <vector>
 
 #include "apps/bulk_transfer.h"
-#include "bench_flags.h"
+#include "tools/tool_flags.h"
 #include "wow/testbed.h"
 
 int main(int argc, char** argv) {
   using namespace wow;
-  using wow::bench::Flags;
-  Flags flags(argc, argv);
-  auto size = static_cast<std::uint64_t>(flags.get_int("size_mb", 720)) *
-              1000000ull;
-  SimDuration migrate_at = flags.get_int("migrate_at", 200) * kSecond;
-  SimDuration suspend = flags.get_int("suspend", 240) * kSecond;
-
+  std::uint64_t size_mb = 720;
+  int migrate_at_s = 200;
+  int suspend_s = 240;
   TestbedConfig config;
-  config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 23));
+  config.seed = 23;
+  tools::FlagSet flags("fig6_scp_migration", "");
+  flags.value("size_mb", size_mb, "file size in MB");
+  flags.value("migrate_at", migrate_at_s, "seconds into the transfer");
+  flags.value("suspend", suspend_s, "VM suspend + copy seconds");
+  flags.value("seed", config.seed, "testbed seed");
+  if (!flags.parse(argc, argv)) return flags.help_shown() ? 0 : 2;
+  std::uint64_t size = size_mb * 1000000ull;
+  SimDuration migrate_at = migrate_at_s * kSecond;
+  SimDuration suspend = suspend_s * kSecond;
 
   sim::Simulator sim(config.seed);
   Testbed bed(sim, config);

@@ -6,27 +6,27 @@
 // VM is migrated to an unloaded NWU host — the job "in transit" absorbs
 // the migration latency but completes; subsequent jobs run faster than
 // on the loaded host, with no application reconfiguration.
-//
-// Flags: --jobs=N (default 120), --load_at=J (default 60),
-//        --migrate_at=J (default 88, the paper's job id), --seed=N.
 
 #include <cstdio>
 
-#include "bench_flags.h"
 #include "middleware/nfs.h"
 #include "middleware/pbs.h"
+#include "tools/tool_flags.h"
 #include "wow/testbed.h"
 
 int main(int argc, char** argv) {
   using namespace wow;
-  using wow::bench::Flags;
-  Flags flags(argc, argv);
-  int jobs = static_cast<int>(flags.get_int("jobs", 120));
-  int load_at = static_cast<int>(flags.get_int("load_at", 60));
-  int migrate_at = static_cast<int>(flags.get_int("migrate_at", 88));
-
+  int jobs = 120;
+  int load_at = 60;
+  int migrate_at = 88;
   TestbedConfig config;
-  config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 29));
+  config.seed = 29;
+  tools::FlagSet flags("fig7_pbs_migration", "");
+  flags.value("jobs", jobs, "sequential jobs");
+  flags.value("load_at", load_at, "job id at which host load appears");
+  flags.value("migrate_at", migrate_at, "migration job id; the paper's is 88");
+  flags.value("seed", config.seed, "testbed seed");
+  if (!flags.parse(argc, argv)) return flags.help_shown() ? 0 : 2;
 
   sim::Simulator sim(config.seed);
   Testbed bed(sim, config);

@@ -8,17 +8,15 @@
 //
 // Jobs: ~20 s of unit-speed compute (MEME motif search) plus NFS-staged
 // input/output from the head node, submitted at 1 job/s.
-//
-// Flags: --jobs=N (default 1000; paper used 4000), --seed=N.
 
 #include <cstdio>
 #include <memory>
 #include <vector>
 
-#include "bench_flags.h"
 #include "common/stats.h"
 #include "middleware/nfs.h"
 #include "middleware/pbs.h"
+#include "tools/tool_flags.h"
 #include "wow/testbed.h"
 
 namespace {
@@ -88,10 +86,12 @@ void run_config(bool shortcuts, std::uint64_t seed, int jobs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  using wow::bench::Flags;
-  Flags flags(argc, argv);
-  int jobs = static_cast<int>(flags.get_int("jobs", 1000));
-  auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 31));
+  int jobs = 1000;
+  std::uint64_t seed = 31;
+  wow::tools::FlagSet flags("fig8_meme", "");
+  flags.value("jobs", jobs, "jobs per configuration; the paper ran 4000");
+  flags.value("seed", seed, "testbed seed of the shortcuts-on run");
+  if (!flags.parse(argc, argv)) return flags.help_shown() ? 0 : 2;
 
   std::printf("== Figure 8: PBS/MEME wall-clock distribution and "
               "throughput ==\n");

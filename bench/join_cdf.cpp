@@ -4,32 +4,33 @@
 //
 // Measures, per trial: time from IPOP start until fully routable, and
 // time until a direct shortcut to the traffic peer exists.
-//
-// Flags: --trials=N (default 30; paper used 300), --seed=N,
-//        --trace=FILE (JSONL event trace, feed to tools/trace_report),
-//        --metrics=FILE (final metrics-registry JSON snapshot).
 
 #include <cstdio>
 
-#include "bench_flags.h"
 #include "common/stats.h"
 #include "join_lab.h"
+#include "tools/tool_flags.h"
 
 int main(int argc, char** argv) {
   using namespace wow;
   using namespace wow::bench;
-  Flags flags(argc, argv);
-  int trials = static_cast<int>(flags.get_int("trials", 30));
-
+  int trials = 30;
   TestbedConfig config;
-  config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 13));
+  config.seed = 13;
+  std::string trace_path;
+  std::string metrics_path;
+  tools::FlagSet flags("join_cdf", "");
+  flags.value("trials", trials, "join trials; the paper used 300");
+  flags.value("seed", config.seed, "testbed seed");
+  flags.value("trace", trace_path, "JSONL event trace for trace_report");
+  flags.value("metrics", metrics_path, "final metrics-registry JSON file");
+  if (!flags.parse(argc, argv)) return flags.help_shown() ? 0 : 2;
 
   std::printf("== Join-latency CDF (abstract / §V-B claims) ==\n");
   std::printf("trials: %d (spread across UFL-NWU / UFL-UFL / NWU-NWU)\n\n",
               trials);
 
   JoinLab lab(config);
-  std::string trace_path = flags.get_str("trace", "");
   if (!trace_path.empty() && !lab.testbed().attach_trace(trace_path)) {
     std::fprintf(stderr, "cannot open trace file %s\n", trace_path.c_str());
     return 1;
@@ -66,7 +67,6 @@ int main(int argc, char** argv) {
   std::printf("\npaper: 90%% routable within 10 s; >99%% direct connection "
               "within 200 s (300 trials)\n");
 
-  std::string metrics_path = flags.get_str("metrics", "");
   if (!metrics_path.empty() &&
       !lab.testbed().write_metrics_report(metrics_path)) {
     std::fprintf(stderr, "cannot write metrics file %s\n",

@@ -5,12 +5,6 @@
 // scale, plus an optional bounded-horizon 1M-node memory
 // demonstration.  Emits BENCH_PR7.json.
 //
-//   megascale_bench [--scales=10000,100000] [--rounds=2]
-//                   [--stagger-ms=20] [--settle-min=10]
-//                   [--skip-baseline] [--skip-demo]
-//                   [--demo-nodes=1000000] [--demo-stagger-us=2000]
-//                   [--out=BENCH_PR7.json]
-//
 // Methodology: within a round the two arms run back to back on the
 // same seed (paired), and rounds interleave the arms (A B A B ...) so
 // machine drift lands on both sides evenly — single runs on shared
@@ -19,12 +13,11 @@
 // 1 KiB/node protocol-state budget, so CI can run it as a guard.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "bench/bench_flags.h"
 #include "common/time.h"
+#include "tools/tool_flags.h"
 #include "wow/megascale.h"
 
 namespace wow {
@@ -124,26 +117,29 @@ void print_run(std::FILE* out, const char* key, const RunResult& r,
 
 int main(int argc, char** argv) {
   using namespace wow;
-  bench::Flags flags(argc, argv);
-
-  std::string scales_str = flags.get_str("scales", "10000,100000");
-  int rounds = static_cast<int>(flags.get_int("rounds", 2));
-  SimDuration stagger = flags.get_int("stagger-ms", 20) * kMillisecond;
-  SimDuration settle = flags.get_int("settle-min", 10) * kMinute;
-  bool skip_baseline = flags.has("skip-baseline");
-  bool skip_demo = flags.has("skip-demo");
-  int demo_nodes = static_cast<int>(flags.get_int("demo-nodes", 1000000));
-  SimDuration demo_stagger =
-      flags.get_int("demo-stagger-us", 2000) * kMicrosecond;
-  std::string out_path = flags.get_str("out", "BENCH_PR7.json");
-
-  std::vector<int> scales;
-  for (std::size_t pos = 0; pos < scales_str.size();) {
-    std::size_t comma = scales_str.find(',', pos);
-    if (comma == std::string::npos) comma = scales_str.size();
-    scales.push_back(std::stoi(scales_str.substr(pos, comma - pos)));
-    pos = comma + 1;
-  }
+  std::vector<int> scales = {10000, 100000};
+  int rounds = 2;
+  int stagger_ms = 20;
+  int settle_min = 10;
+  bool skip_baseline = false;
+  bool skip_demo = false;
+  int demo_nodes = 1000000;
+  int demo_stagger_us = 2000;
+  std::string out_path = "BENCH_PR7.json";
+  tools::FlagSet flags("megascale_bench", "");
+  flags.value("scales", scales, "fleet sizes");
+  flags.value("rounds", rounds, "paired rounds per scale");
+  flags.value("stagger-ms", stagger_ms, "join stagger per node");
+  flags.value("settle-min", settle_min, "sim minutes after convergence");
+  flags.flag("skip-baseline", skip_baseline, "run the flyweight arm only");
+  flags.flag("skip-demo", skip_demo, "skip the 1M-node demonstration");
+  flags.value("demo-nodes", demo_nodes, "demonstration fleet size");
+  flags.value("demo-stagger-us", demo_stagger_us, "join stagger per demo node");
+  flags.value("out", out_path, "BENCH JSON output file; empty for stdout");
+  if (!flags.parse(argc, argv)) return flags.help_shown() ? 0 : 2;
+  SimDuration stagger = stagger_ms * kMillisecond;
+  SimDuration settle = settle_min * kMinute;
+  SimDuration demo_stagger = demo_stagger_us * kMicrosecond;
 
   bool guard_failed = false;
 

@@ -4,14 +4,11 @@
 //
 // Sweeps the overlay size and measures, over repeated migrations, the
 // no-routability window: suspend time + rejoin latency.
-//
-// Flags: --trials=N per size (default 5), --suspend=S (default 0 to
-//        isolate rejoin time), --seed=N.
 
 #include <cstdio>
 
-#include "bench_flags.h"
 #include "common/stats.h"
+#include "tools/tool_flags.h"
 #include "wow/testbed.h"
 
 namespace {
@@ -57,11 +54,15 @@ void run_size(int routers, std::uint64_t seed, int trials,
 }  // namespace
 
 int main(int argc, char** argv) {
-  using wow::bench::Flags;
-  Flags flags(argc, argv);
-  int trials = static_cast<int>(flags.get_int("trials", 5));
-  SimDuration suspend = flags.get_int("suspend", 0) * kSecond;
-  auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 53));
+  int trials = 5;
+  int suspend_s = 0;
+  std::uint64_t seed = 53;
+  wow::tools::FlagSet flags("migration_rejoin", "");
+  flags.value("trials", trials, "migrations per overlay size");
+  flags.value("suspend", suspend_s, "suspend seconds; 0 isolates the rejoin");
+  flags.value("seed", seed, "testbed seed of the smallest overlay");
+  if (!flags.parse(argc, argv)) return flags.help_shown() ? 0 : 2;
+  SimDuration suspend = suspend_s * kSecond;
 
   std::printf("== Migration rejoin: no-routability window vs overlay "
               "size ==\n");

@@ -8,10 +8,6 @@
 // small well-known bootstrap set — the wowd deployment shape — and runs
 // until Oracle ring closure.  Emits BENCH_PR10.json.
 //
-//   ring_convergence [--sizes=100,300,1000,3000] [--rounds=3]
-//                    [--wellknown=3] [--check-ms=1000]
-//                    [--out=BENCH_PR10.json]
-//
 // Methodology: per size, `rounds` independent seeds; the per-size line
 // reports the median round plus the per-round spread.  Convergence time
 // is quantized by the check period (default 1 s), which bounds the
@@ -22,8 +18,8 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_flags.h"
 #include "common/time.h"
+#include "tools/tool_flags.h"
 #include "wow/megascale.h"
 
 namespace wow {
@@ -69,30 +65,24 @@ double median(std::vector<double> v) {
   return v.empty() ? 0.0 : v[v.size() / 2];
 }
 
-std::vector<int> parse_sizes(const std::string& text) {
-  std::vector<int> out;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t comma = text.find(',', pos);
-    if (comma == std::string::npos) comma = text.size();
-    out.push_back(std::atoi(text.substr(pos, comma - pos).c_str()));
-    pos = comma + 1;
-  }
-  return out;
-}
-
 }  // namespace
 }  // namespace wow
 
 int main(int argc, char** argv) {
   using namespace wow;
-  bench::Flags flags(argc, argv);
-  std::vector<int> sizes =
-      parse_sizes(flags.get_str("sizes", "100,300,1000,3000"));
-  int rounds = static_cast<int>(flags.get_int("rounds", 3));
-  int wellknown = static_cast<int>(flags.get_int("wellknown", 3));
-  SimDuration check_period = flags.get_int("check-ms", 1000) * kMillisecond;
-  std::string out_path = flags.get_str("out", "BENCH_PR10.json");
+  std::vector<int> sizes = {100, 300, 1000, 3000};
+  int rounds = 3;
+  int wellknown = 3;
+  int check_ms = 1000;
+  std::string out_path = "BENCH_PR10.json";
+  tools::FlagSet flags("ring_convergence", "");
+  flags.value("sizes", sizes, "crowd sizes");
+  flags.value("rounds", rounds, "seeds per size");
+  flags.value("wellknown", wellknown, "well-known bootstrap endpoints");
+  flags.value("check-ms", check_ms, "convergence check period");
+  flags.value("out", out_path, "BENCH JSON output file");
+  if (!flags.parse(argc, argv)) return flags.help_shown() ? 0 : 2;
+  SimDuration check_period = check_ms * kMillisecond;
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {

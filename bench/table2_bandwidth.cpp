@@ -5,17 +5,14 @@
 // Paper: shortcuts enabled  — UFL-UFL 1614±93 KB/s, UFL-NWU 1250±203;
 //        shortcuts disabled — UFL-UFL 84±3 KB/s,    UFL-NWU 85±2.3
 // (12 transfers of 695/50/8 MB files).
-//
-// Flags: --transfers=N per size (default 2), --scale=D size multiplier
-//        (default 1.0; use 0.1 for a quick pass), --seed=N.
 
 #include <cstdio>
 #include <memory>
 #include <vector>
 
 #include "apps/bulk_transfer.h"
-#include "bench_flags.h"
 #include "common/stats.h"
+#include "tools/tool_flags.h"
 #include "wow/testbed.h"
 
 namespace {
@@ -108,11 +105,14 @@ void run_config(bool shortcuts, std::uint64_t seed, int transfers,
 }  // namespace
 
 int main(int argc, char** argv) {
-  using wow::bench::Flags;
-  Flags flags(argc, argv);
-  int transfers = static_cast<int>(flags.get_int("transfers", 2));
-  double scale = flags.get_double("scale", 1.0);
-  auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 17));
+  int transfers = 2;
+  double scale = 1.0;
+  std::uint64_t seed = 17;
+  wow::tools::FlagSet flags("table2_bandwidth", "");
+  flags.value("transfers", transfers, "transfers per file size");
+  flags.value("scale", scale, "file size multiplier; 0.1 for a quick pass");
+  flags.value("seed", seed, "testbed seed of the shortcuts-on run");
+  if (!flags.parse(argc, argv)) return flags.help_shown() ? 0 : 2;
 
   std::printf("== Table II: ttcp bandwidth with/without shortcuts ==\n");
   std::printf("file sizes: %.0f / %.0f / %.0f MB, %d transfers each\n\n",

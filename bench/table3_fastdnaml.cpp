@@ -10,15 +10,13 @@
 //
 // The workload is a round-synchronized master-worker task pool with the
 // same total sequential work and comp/comm shape (§V-D.2).
-//
-// Flags: --seed=N, --task_s=X per-task seconds (default 10.4).
 
 #include <cstdio>
 #include <memory>
 #include <vector>
 
-#include "bench_flags.h"
 #include "middleware/pvm.h"
+#include "tools/tool_flags.h"
 #include "wow/testbed.h"
 
 namespace {
@@ -71,10 +69,12 @@ double run_parallel(bool shortcuts, std::uint64_t seed, int first_worker,
 }  // namespace
 
 int main(int argc, char** argv) {
-  using wow::bench::Flags;
-  Flags flags(argc, argv);
-  auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 37));
-  double task_s = flags.get_double("task_s", 10.35);
+  std::uint64_t seed = 37;
+  double task_s = 10.35;
+  wow::tools::FlagSet flags("table3_fastdnaml", "");
+  flags.value("seed", seed, "testbed seed of the first row");
+  flags.value("task_s", task_s, "unit-speed seconds per task");
+  if (!flags.parse(argc, argv)) return flags.help_shown() ? 0 : 2;
 
   mw::PvmWorkload w = workload_for(task_s);
   double seq_node2 = w.sequential_seconds() / 1.0;

@@ -17,11 +17,7 @@
 // single runs vary tens of percent on shared hosts, so only paired
 // interleaved medians give honest ratios).  The bounded profile's
 // median overhead must stay within --budget percent or the binary
-// exits 1.
-//
-// Usage (Release build):
-//   telemetry_overhead [--rounds=N] [--nodes=N] [--rate=R]
-//                      [--budget=PCT] [--json]
+// exits 1.  Run it from a Release build.
 //
 // Exit status: 0 within budget, 1 over budget, 2 bad flags.
 
@@ -31,13 +27,13 @@
 #include <string>
 #include <vector>
 
-#include "bench_flags.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "net/network.h"
 #include "p2p/node.h"
 #include "p2p/node_inspector.h"
 #include "sim/simulator.h"
+#include "tools/tool_flags.h"
 #include "wow/fleet.h"
 
 namespace {
@@ -154,16 +150,22 @@ double median(std::vector<double> v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  wow::bench::Flags flags(argc, argv);
-  const int rounds = static_cast<int>(flags.get_int("rounds", 7));
-  const int nodes = static_cast<int>(flags.get_int("nodes", 16));
-  const double rate = flags.get_double("rate", 0.01);
+  int rounds = 7;
+  int nodes = 16;
+  double rate = 0.01;
   // ~10% measured at 48 nodes / 1% sampling / 30s-equivalent cadence on
   // a quiet host; 15% default leaves headroom for noisy CI runners
   // while still catching a real regression (the pre-optimization
   // snapshot path measured 22%+).
-  const double budget_pct = flags.get_double("budget", 15.0);
-  const bool json = flags.has("json");
+  double budget_pct = 15.0;
+  bool json = false;
+  wow::tools::FlagSet flags("telemetry_overhead", "");
+  flags.value("rounds", rounds, "interleaved off/bounded/full rounds");
+  flags.value("nodes", nodes, "overlay size");
+  flags.value("rate", rate, "packet-class trace sampling rate");
+  flags.value("budget", budget_pct, "bounded-profile overhead budget, %");
+  flags.flag("json", json, "print the result as JSON");
+  if (!flags.parse(argc, argv)) return flags.help_shown() ? 0 : 2;
   if (rounds < 3 || nodes < 4 || rate < 0.0 || rate > 1.0) {
     std::fprintf(stderr,
                  "telemetry_overhead: need --rounds>=3 --nodes>=4 "

@@ -15,11 +15,7 @@
 // vary tens of percent on shared hosts, so only paired interleaved
 // medians give honest ratios).  The defenses-on median must stay
 // within --budget percent of the defenses-off median or the binary
-// exits 1.
-//
-// Usage (Release build):
-//   validation_overhead [--rounds=N] [--nodes=N] [--bursts=N]
-//                       [--budget=PCT] [--json]
+// exits 1.  Run it from a Release build.
 //
 // Exit status: 0 within budget, 1 over budget, 2 bad flags.
 
@@ -29,10 +25,10 @@
 #include <string>
 #include <vector>
 
-#include "bench_flags.h"
 #include "net/network.h"
 #include "p2p/node.h"
 #include "sim/simulator.h"
+#include "tools/tool_flags.h"
 #include "wow/fleet.h"
 
 namespace {
@@ -114,17 +110,23 @@ double median(std::vector<double> v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  wow::bench::Flags flags(argc, argv);
-  const int rounds = static_cast<int>(flags.get_int("rounds", 7));
-  const int nodes = static_cast<int>(flags.get_int("nodes", 32));
-  const int bursts = static_cast<int>(flags.get_int("bursts", 24));
+  int rounds = 7;
+  int nodes = 32;
+  int bursts = 24;
   // The defense code on the forwarded path is one kind-byte comparison
   // plus (for control frames only) a hash lookup + integer bucket
   // update; measured low single digits on a quiet host.  15% leaves
   // headroom for noisy CI runners while still catching a real
   // regression, and matches the PR 6 telemetry guard's budget shape.
-  const double budget_pct = flags.get_double("budget", 15.0);
-  const bool json = flags.has("json");
+  double budget_pct = 15.0;
+  bool json = false;
+  wow::tools::FlagSet flags("validation_overhead", "");
+  flags.value("rounds", rounds, "interleaved off/on rounds");
+  flags.value("nodes", nodes, "overlay size");
+  flags.value("bursts", bursts, "traffic bursts per round");
+  flags.value("budget", budget_pct, "defenses-on overhead budget, %");
+  flags.flag("json", json, "print the result as JSON");
+  if (!flags.parse(argc, argv)) return flags.help_shown() ? 0 : 2;
   if (rounds < 3 || nodes < 8 || bursts < 1) {
     std::fprintf(stderr,
                  "validation_overhead: need --rounds>=3 --nodes>=8 "

@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -61,7 +60,7 @@ struct Options {
   std::string status_sock;            // empty = no status socket
   LogLevel log_level = LogLevel::kWarn;
   std::uint64_t seed = 0;             // 0 = derive from pid
-  SimDuration maintenance = 0;        // 0 = stack default
+  int maintenance_ms = 0;             // 0 = stack default
 };
 
 /// `--config=FILE`: one flag per line, without the leading dashes
@@ -90,13 +89,7 @@ struct Options {
 [[nodiscard]] bool parse_options(int argc, char** argv, Options& opt,
                                  bool& help) {
   tools::FlagSet flags("wowd", "");
-  flags.on_value("port", "PORT", "UDP port to bind (default 17001)",
-                 [&](std::string_view v) {
-                   int p = std::atoi(std::string(v).c_str());
-                   if (p < 0 || p > 65535) return false;
-                   opt.port = static_cast<std::uint16_t>(p);
-                   return true;
-                 });
+  flags.value("port", opt.port, "UDP port to bind, 1-65535");
   flags.on_value("ip", "ADDR", "address advertised to peers",
                  [&](std::string_view v) {
                    auto ip = net::Ipv4Addr::parse(v);
@@ -125,11 +118,8 @@ struct Options {
                    }
                    return true;
                  });
-  flags.on_value("status-sock", "PATH", "unix socket for wowctl",
-                 [&](std::string_view v) {
-                   opt.status_sock = std::string(v);
-                   return true;
-                 });
+  flags.value("status-sock", opt.status_sock,
+              "unix socket for wowctl; empty for none");
   flags.on_value("log-level", "LVL", "trace|debug|info|warn|error",
                  [&](std::string_view v) {
                    if (v == "trace") opt.log_level = LogLevel::kTrace;
@@ -140,18 +130,12 @@ struct Options {
                    else return false;
                    return true;
                  });
-  flags.on_value("seed", "N", "RNG seed (default: pid)",
-                 [&](std::string_view v) {
-                   opt.seed = std::strtoull(std::string(v).c_str(), nullptr, 10);
-                   return true;
-                 });
+  flags.value("seed", opt.seed, "RNG seed; 0 derives one from the pid");
   flags.on_value("maintenance-ms", "MS",
                  "overlord maintenance period (default: stack's)",
                  [&](std::string_view v) {
-                   int ms = std::atoi(std::string(v).c_str());
-                   if (ms <= 0) return false;
-                   opt.maintenance = ms * kMillisecond;
-                   return true;
+                   return tools::parse_value(v, opt.maintenance_ms) &&
+                          opt.maintenance_ms > 0;
                  });
   flags.on_value("config", "FILE", "flag file, one name=value per line",
                  [&](std::string_view) { return true; });  // handled below
@@ -169,13 +153,10 @@ struct Options {
   std::vector<char*> synth;
   synth.push_back(argv[0]);
   for (std::string& a : args) synth.push_back(a.data());
-  std::vector<std::string> positional;
-  bool ok = flags.parse(static_cast<int>(synth.size()), synth.data(),
-                        positional);
+  bool ok = flags.parse(static_cast<int>(synth.size()), synth.data());
   help = flags.help_shown();
-  if (ok && !positional.empty()) {
-    std::fprintf(stderr, "wowd: unexpected argument %s\n",
-                 positional[0].c_str());
+  if (ok && opt.port == 0) {
+    std::fprintf(stderr, "wowd: --port must be 1-65535\n");
     return false;
   }
   return ok;
@@ -454,7 +435,9 @@ int run(int argc, char** argv) {
   config.vip = opt.vip;
   config.p2p.port = opt.port;
   config.p2p.bootstrap = opt.bootstrap;
-  if (opt.maintenance > 0) config.p2p.maintenance_period = opt.maintenance;
+  if (opt.maintenance_ms > 0) {
+    config.p2p.maintenance_period = opt.maintenance_ms * kMillisecond;
+  }
 
   ipop::IpopNode node(std::move(deps), config);
   ipop::IcmpService icmp(node);

@@ -50,12 +50,10 @@ PbsServer::PbsServer(sim::Simulator& simulator, vtcp::TcpStack& stack,
     : sim_(simulator), nfs_(nfs) {
   stack.listen(kPort, [this](std::shared_ptr<vtcp::TcpSocket> socket) {
     auto channel = MessageChannel::wrap(std::move(socket));
-    auto* key = channel.get();
+    std::uint64_t key = next_worker_++;
     workers_[key] = Worker{"", channel, std::nullopt};
-    channel->set_message_handler([this, key](const Bytes& message) {
-      auto it = workers_.find(key);
-      if (it != workers_.end()) on_message(it->second.channel, message);
-    });
+    channel->set_message_handler(
+        [this, key](const Bytes& message) { on_message(key, message); });
     channel->set_closed_handler([this, key](bool) {
       // Worker connection lost: requeue its job, drop the slot.
       auto it = workers_.find(key);
@@ -97,12 +95,11 @@ void PbsServer::dispatch() {
   }
 }
 
-void PbsServer::on_message(const std::shared_ptr<MessageChannel>& channel,
-                           const Bytes& message) {
+void PbsServer::on_message(std::uint64_t key, const Bytes& message) {
   ByteReader r(message);
   auto type = r.u8();
   if (!type) return;
-  auto it = workers_.find(channel.get());
+  auto it = workers_.find(key);
   if (it == workers_.end()) return;
   Worker& worker = it->second;
 

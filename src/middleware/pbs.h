@@ -77,14 +77,16 @@ class PbsServer {
     std::optional<JobRecord> running;
   };
 
-  void on_message(const std::shared_ptr<MessageChannel>& channel,
-                  const Bytes& message);
+  void on_message(std::uint64_t key, const Bytes& message);
   void dispatch();
 
   sim::Simulator& sim_;
   NfsServer& nfs_;
   std::deque<JobRecord> queue_;
-  std::map<const MessageChannel*, Worker> workers_;
+  /// Keyed by accept order, so dispatch order never follows heap
+  /// addresses.
+  std::map<std::uint64_t, Worker> workers_;
+  std::uint64_t next_worker_ = 0;
   std::vector<JobRecord> completed_;
   std::function<void(const JobRecord&)> on_complete_;
   std::optional<SimTime> first_submit_;

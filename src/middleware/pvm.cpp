@@ -37,7 +37,7 @@ PvmMaster::PvmMaster(sim::Simulator& simulator, vtcp::TcpStack& stack,
     : sim_(simulator), workload_(workload) {
   stack.listen(kPort, [this](std::shared_ptr<vtcp::TcpSocket> socket) {
     auto channel = MessageChannel::wrap(std::move(socket));
-    auto* key = channel.get();
+    std::uint64_t key = next_worker_++;
     workers_[key] = Worker{channel, false, false};
     channel->set_message_handler([this, key](const Bytes& message) {
       on_message(key, message);
@@ -85,7 +85,7 @@ void PvmMaster::dispatch() {
   }
 }
 
-void PvmMaster::on_message(const MessageChannel* key, const Bytes& message) {
+void PvmMaster::on_message(std::uint64_t key, const Bytes& message) {
   ByteReader r(message);
   auto type = r.u8();
   if (!type) return;

@@ -64,7 +64,7 @@ class PvmMaster {
     bool registered = false;
   };
 
-  void on_message(const MessageChannel* key, const Bytes& message);
+  void on_message(std::uint64_t key, const Bytes& message);
   void maybe_begin();
   void begin_round();
   void dispatch();
@@ -72,7 +72,10 @@ class PvmMaster {
 
   sim::Simulator& sim_;
   PvmWorkload workload_;
-  std::map<const MessageChannel*, Worker> workers_;
+  /// Keyed by accept order, so dispatch order never follows heap
+  /// addresses.
+  std::map<std::uint64_t, Worker> workers_;
+  std::uint64_t next_worker_ = 0;
   int expected_workers_ = 0;
   std::function<void(double)> done_;
   bool running_ = false;

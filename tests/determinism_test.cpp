@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 
 #include "ipop/icmp_service.h"
+#include "middleware/nfs.h"
+#include "middleware/pbs.h"
+#include "middleware/pvm.h"
 #include "test_util.h"
 #include "wow/testbed.h"
 
@@ -215,6 +219,70 @@ TEST(Determinism, TestbedCountersReproduce) {
     return out.str();
   };
   EXPECT_EQ(run(777), run(777));
+}
+
+/// PBS and PVM hand work to idle workers in the order the workers
+/// connected, never in the order of their channels' heap addresses: a
+/// rerun made while an assortment of heap blocks is held assigns every
+/// job to the same worker at the same time.
+TEST(Determinism, MiddlewareDispatchIgnoresHeapLayout) {
+  auto run = [] {
+    std::ostringstream out;
+    testing::IpopOverlay net(5);
+    net.start_all();
+    net.sim.run_until(kMinute);
+    vtcp::TcpStack head(net.sim, *net.nodes[0]);
+    mw::NfsServer nfs(net.sim, head);
+    mw::PbsServer pbs(net.sim, head, nfs);
+    mw::PvmWorkload workload;
+    workload.rounds = 3;
+    workload.tasks_per_round = 2;  // fewer tasks than workers
+    workload.task_seconds = 4.0;
+    mw::PvmMaster master(net.sim, head, workload);
+    std::vector<std::unique_ptr<vtcp::TcpStack>> stacks;
+    std::vector<std::unique_ptr<mw::CpuExecutor>> cpus;
+    std::vector<std::unique_ptr<mw::PbsWorker>> pbs_workers;
+    std::vector<std::unique_ptr<mw::PvmWorker>> pvm_workers;
+    for (int i = 1; i <= 4; ++i) {
+      auto& node = *net.nodes[static_cast<std::size_t>(i)];
+      stacks.push_back(std::make_unique<vtcp::TcpStack>(net.sim, node));
+      cpus.push_back(std::make_unique<mw::CpuExecutor>(net.sim, 0.25 * i));
+      pbs_workers.push_back(std::make_unique<mw::PbsWorker>(
+          net.sim, *stacks.back(), *cpus.back(), net.vip(0),
+          "w" + std::to_string(i)));
+      pbs_workers.back()->start();
+    }
+    net.sim.run_for(30 * kSecond);
+    for (std::uint64_t j = 0; j < 6; ++j) {
+      pbs.qsub(mw::JobSpec{j, 5.0, 10000, 1000});
+    }
+    net.sim.run_for(3 * kMinute);
+    for (const mw::JobRecord& r : pbs.completed()) {
+      out << r.spec.id << '@' << r.worker << ':' << r.started << '-'
+          << r.finished << ';';
+    }
+    for (std::size_t i = 0; i < stacks.size(); ++i) {
+      pvm_workers.push_back(std::make_unique<mw::PvmWorker>(
+          net.sim, *stacks[i], *cpus[i], net.vip(0)));
+      pvm_workers.back()->start();
+    }
+    double makespan = -1.0;
+    master.run(4, [&](double s) { makespan = s; });
+    net.sim.run_for(5 * kMinute);
+    out << "|pvm " << makespan;
+    for (const auto& cpu : cpus) out << ' ' << cpu->completed();
+    return out.str();
+  };
+  std::string first = run();
+  ASSERT_NE(first.find("5@"), std::string::npos) << first;
+  // Free every other block of an assortment of sizes and hold the
+  // rest: the rerun's allocations then land in scattered holes.
+  std::vector<std::unique_ptr<char[]>> held;
+  for (std::size_t i = 0; i < 4096; ++i) {
+    held.push_back(std::make_unique<char[]>(16 + (i * 40) % 640));
+  }
+  for (std::size_t i = 0; i < held.size(); i += 2) held[i].reset();
+  EXPECT_EQ(first, run());
 }
 
 }  // namespace

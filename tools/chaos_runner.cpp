@@ -7,15 +7,6 @@
 // Exit status: 0 oracle green, 1 oracle violation (the reproducer line
 // is printed), 2 usage/parse error.
 //
-// Usage:
-//   chaos_runner [--seed=N] [--schedule="kind@ms+ms:args;..."]
-//                [--nodes=N] [--events=N] [--trace=out.jsonl]
-//                [--profile=random|composite|flashcrowd|byzantine]
-//                [--adversary-fraction=F] [--no-defenses]
-//                [--sample-rate=R] [--snapshots=out.jsonl]
-//                [--series=out.csv] [--snapshot-period=SEC]
-//                [--inject-violation] [--flyweight]
-//
 // Telemetry plane: --sample-rate thins kPacket-class trace events by a
 // deterministic hash (faults/oracle/lifecycle stay always-on), so a
 // multi-thousand-node soak traces at ~1% cost.  --snapshots captures a
@@ -56,8 +47,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -101,7 +90,7 @@ struct Options {
   double sample_rate = 1.0;
   std::string snapshots_path;  // fleet snapshot JSONL (empty: off)
   std::string series_path;     // metric time series (.csv or .jsonl)
-  SimDuration snapshot_period = 30 * kSecond;
+  long snapshot_period_s = 30;
   /// Protocol-only node profile (NodeConfig::flyweight): required for
   /// fleets past kMaxDefaultNodes, where the full-service per-node
   /// footprint (relay ledgers, shortcut scores, per-node metrics,
@@ -372,7 +361,7 @@ int run(const Options& opt) {
     snaps.sample(now, all_nodes, soak.sim.executed_events(),
                  soak.sim.pending_events());
     series.sample(now);
-    next_sample = now + opt.snapshot_period;
+    next_sample = now + opt.snapshot_period_s * kSecond;
     last_sampled = now;
   };
 
@@ -387,7 +376,8 @@ int run(const Options& opt) {
   if (opt.flashcrowd) soak.network.faults().schedule(plan);
   while (soak.sim.now() < 3 * kMinute) {
     soak.sim.run_for(
-        std::min<SimDuration>(opt.snapshot_period, 3 * kMinute - soak.sim.now()));
+        std::min<SimDuration>(opt.snapshot_period_s * kSecond,
+                              3 * kMinute - soak.sim.now()));
     maybe_sample();
   }
   if (!opt.flashcrowd) soak.network.faults().schedule(plan);
@@ -522,32 +512,13 @@ int run(const Options& opt) {
 int main(int argc, char** argv) {
   Options opt;
   wow::tools::FlagSet flags("chaos_runner", "");
-  flags.on_value("seed", "N", "fault-schedule RNG seed",
-                 [&](std::string_view v) {
-                   opt.seed = std::strtoull(std::string(v).c_str(), nullptr, 10);
-                   return true;
-                 });
-  flags.on_value("schedule", "\"...\"", "replay an explicit fault schedule",
-                 [&](std::string_view v) {
-                   opt.schedule = std::string(v);
-                   return true;
-                 });
-  flags.on_value("nodes", "N",
-                 "overlay size (4..8192; up to 1048576 with --flyweight)",
-                 [&](std::string_view v) {
-                   opt.nodes = std::atoi(std::string(v).c_str());
-                   return true;
-                 });
-  flags.on_value("events", "N", "number of fault events",
-                 [&](std::string_view v) {
-                   opt.events = std::atoi(std::string(v).c_str());
-                   return true;
-                 });
-  flags.on_value("trace", "out.jsonl", "write the overlay trace here",
-                 [&](std::string_view v) {
-                   opt.trace_path = std::string(v);
-                   return true;
-                 });
+  flags.value("seed", opt.seed, "fault-schedule RNG seed");
+  flags.value("schedule", opt.schedule,
+              "replay an explicit fault schedule \"kind@ms+ms:args;...\"");
+  flags.value("nodes", opt.nodes,
+              "overlay size (4..8192; up to 1048576 with --flyweight)");
+  flags.value("events", opt.events, "number of fault events, >= 1");
+  flags.value("trace", opt.trace_path, "overlay trace JSONL file");
   flags.on_value("profile", "random|composite|flashcrowd|byzantine",
                  "fault mix",
                  [&](std::string_view v) {
@@ -557,57 +528,29 @@ int main(int argc, char** argv) {
                    return opt.composite || opt.flashcrowd || opt.byzantine ||
                           v == "random";
                  });
-  flags.on_value("adversary-fraction", "F",
-                 "byzantine node fraction (0..0.5, default 0.10)",
-                 [&](std::string_view v) {
-                   opt.adversary_fraction =
-                       std::strtod(std::string(v).c_str(), nullptr);
-                   return opt.adversary_fraction > 0.0 &&
-                          opt.adversary_fraction <= 0.5;
-                 });
-  flags.on_flag("no-defenses",
-                "disable protocol self-defense fleet-wide (calibration: "
-                "the byzantine fabric must then trip the oracle)",
-                [&] { opt.no_defenses = true; });
-  flags.on_value("sample-rate", "R", "packet-class trace sampling (0..1)",
-                 [&](std::string_view v) {
-                   opt.sample_rate =
-                       std::strtod(std::string(v).c_str(), nullptr);
-                   return opt.sample_rate >= 0.0 && opt.sample_rate <= 1.0;
-                 });
-  flags.on_value("snapshots", "out.jsonl",
-                 "periodic fleet health snapshots (for fleet_report)",
-                 [&](std::string_view v) {
-                   opt.snapshots_path = std::string(v);
-                   return true;
-                 });
-  flags.on_value("series", "out.csv",
-                 "windowed metric time series (.csv or .jsonl)",
-                 [&](std::string_view v) {
-                   opt.series_path = std::string(v);
-                   return true;
-                 });
-  flags.on_value("snapshot-period", "SEC", "snapshot/series cadence",
-                 [&](std::string_view v) {
-                   long sec = std::atol(std::string(v).c_str());
-                   if (sec < 1) return false;
-                   opt.snapshot_period = static_cast<SimDuration>(sec) * kSecond;
-                   return true;
-                 });
-  flags.on_flag("inject-violation",
-                "kill a node pre-sweep to exercise the postmortem path",
-                [&] { opt.inject_violation = true; });
-  flags.on_flag("flyweight",
-                "protocol-only node profile (megascale fleets)",
-                [&] { opt.flyweight = true; });
-  std::vector<std::string> positional;
-  if (!flags.parse(argc, argv, positional) || !positional.empty()) {
-    if (!positional.empty()) flags.print_usage(stderr);
-    return flags.help_shown() ? 0 : 2;
-  }
+  flags.value("adversary-fraction", opt.adversary_fraction,
+              "byzantine node fraction, in (0, 0.5]");
+  flags.flag("no-defenses", opt.no_defenses,
+             "disable protocol self-defense fleet-wide (calibration: "
+             "the byzantine fabric must then trip the oracle)");
+  flags.value("sample-rate", opt.sample_rate,
+              "packet-class trace sampling, in [0, 1]");
+  flags.value("snapshots", opt.snapshots_path,
+              "periodic fleet health snapshot JSONL (for fleet_report)");
+  flags.value("series", opt.series_path,
+              "windowed metric time series (.csv or .jsonl)");
+  flags.value("snapshot-period", opt.snapshot_period_s,
+              "snapshot/series cadence in seconds, >= 1");
+  flags.flag("inject-violation", opt.inject_violation,
+             "kill a node pre-sweep to exercise the postmortem path");
+  flags.flag("flyweight", opt.flyweight,
+             "protocol-only node profile (megascale fleets)");
+  if (!flags.parse(argc, argv)) return flags.help_shown() ? 0 : 2;
   const int max_nodes = opt.flyweight ? kMaxFlyweightNodes : kMaxDefaultNodes;
-  if (opt.nodes < 4 || opt.events < 1) {
-    std::fprintf(stderr, "chaos_runner: implausible --nodes/--events\n");
+  if (opt.nodes < 4 || opt.events < 1 || opt.snapshot_period_s < 1 ||
+      !(opt.adversary_fraction > 0.0 && opt.adversary_fraction <= 0.5) ||
+      !(opt.sample_rate >= 0.0 && opt.sample_rate <= 1.0)) {
+    std::fprintf(stderr, "chaos_runner: a flag is out of range; see --help\n");
     return 2;
   }
   if (opt.nodes > max_nodes) {

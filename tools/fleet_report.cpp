@@ -9,13 +9,9 @@
 // deterministic key order, so targeted key scans suffice.
 //
 // Exit status: 0 report printed, 2 usage or unreadable input.
-//
-// Usage:
-//   fleet_report snapshots.jsonl [--slo=PCT] [--no-curve]
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -81,20 +77,16 @@ double sustained_from(const std::vector<FleetRow>& rows, double pct) {
 
 int main(int argc, char** argv) {
   double slo = 99.0;
-  bool curve = true;
+  bool no_curve = false;
   wow::tools::FlagSet flags("fleet_report", "snapshots.jsonl");
-  flags.on_value("slo", "PCT", "convergence SLO threshold (default 99)",
-                 [&](std::string_view v) {
-                   slo = std::strtod(std::string(v).c_str(), nullptr);
-                   return slo > 0.0 && slo <= 100.0;
-                 });
-  flags.on_flag("no-curve", "suppress the per-window convergence table",
-                [&] { curve = false; });
+  flags.value("slo", slo, "convergence SLO threshold in percent, (0, 100]");
+  flags.flag("no-curve", no_curve,
+             "suppress the per-window convergence table");
   std::vector<std::string> positional;
   if (!flags.parse(argc, argv, positional)) {
     return flags.help_shown() ? 0 : 2;
   }
-  if (positional.size() != 1) {
+  if (positional.size() != 1 || !(slo > 0.0 && slo <= 100.0)) {
     flags.print_usage(stderr);
     return 2;
   }
@@ -154,7 +146,7 @@ int main(int argc, char** argv) {
   std::printf("fleet_report: %zu snapshots, %g nodes, t=[%.0fs .. %.0fs]\n",
               rows.size(), last.nodes, first.t, last.t);
 
-  if (curve) {
+  if (!no_curve) {
     std::printf(
         "\n       t  running routable  conv%%  conns_p50 conns_p95    eps\n");
     for (const FleetRow& r : rows) {

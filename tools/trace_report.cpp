@@ -26,8 +26,6 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -87,26 +85,18 @@ int main(int argc, char** argv) {
   flags.on_value("path", "<pkt>",
                  "print every record touching packet id <pkt>",
                  [&](std::string_view v) {
-                   follow_pkt =
-                       std::strtoull(std::string(v).c_str(), nullptr, 10);
-                   return true;
+                   return wow::tools::parse_value(v, follow_pkt.emplace());
                  });
-  flags.on_flag("faults",
-                "fault timeline + detection/relink latency view",
-                [&] { faults_view = true; });
-  flags.on_flag("health",
-                "adaptive-maintenance view (SRTT, quarantine, relays)",
-                [&] { health_view = true; });
-  flags.on_value("cdf-bins", "N", "histogram bins (default 20)",
-                 [&](std::string_view v) {
-                   cdf_bins = std::strtoul(std::string(v).c_str(), nullptr, 10);
-                   return cdf_bins > 0;
-                 });
+  flags.flag("faults", faults_view,
+             "fault timeline + detection/relink latency view");
+  flags.flag("health", health_view,
+             "adaptive-maintenance view (SRTT, quarantine, relays)");
+  flags.value("cdf-bins", cdf_bins, "histogram bins, > 0");
   std::vector<std::string> positional;
   if (!flags.parse(argc, argv, positional)) {
     return flags.help_shown() ? 0 : 2;
   }
-  if (positional.size() != 1) {
+  if (positional.size() != 1 || cdf_bins == 0) {
     flags.print_usage(stderr);
     return 2;
   }

@@ -77,11 +77,7 @@ int main(int argc, char** argv) {
   std::string sock = "/tmp/wowd.sock";
   wow::tools::FlagSet flags(
       "wowctl", "status|peers|metrics|flight|ping <vip>|stop");
-  flags.on_value("sock", "PATH", "daemon status socket (/tmp/wowd.sock)",
-                 [&](std::string_view v) {
-                   sock = std::string(v);
-                   return true;
-                 });
+  flags.value("sock", sock, "daemon status socket");
   std::vector<std::string> positional;
   if (!flags.parse(argc, argv, positional)) return flags.help_shown() ? 0 : 2;
   if (positional.empty()) {
