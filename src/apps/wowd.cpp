@@ -173,9 +173,11 @@ constexpr std::size_t kMaxCommandBytes = 1024;
 class StatusServer {
  public:
   StatusServer(transport::RealtimeEventLoop& loop, ipop::IpopNode& node,
-               ipop::IcmpService& icmp, MetricsRegistry& metrics,
-               const Options& opt)
-      : loop_(loop), node_(node), icmp_(icmp), metrics_(metrics), opt_(opt) {
+               ipop::IcmpService& icmp,
+               const transport::UdpEdgeFactory& udp,
+               MetricsRegistry& metrics, const Options& opt)
+      : loop_(loop), node_(node), icmp_(icmp), udp_(udp), metrics_(metrics),
+        opt_(opt) {
     icmp_.set_reply_handler([this](net::Ipv4Addr from, std::uint16_t ident,
                                    std::uint16_t, SimDuration rtt) {
       on_icmp_reply(from, ident, rtt);
@@ -306,7 +308,18 @@ class StatusServer {
         << ",\"relay\":" << counts.relay << "}"
         << ",\"data_sent\":" << stats.data_sent
         << ",\"data_delivered\":" << stats.data_delivered
-        << ",\"data_forwarded\":" << stats.data_forwarded << "}";
+        << ",\"data_forwarded\":" << stats.data_forwarded;
+    const transport::UdpEdgeFactory::Stats& udp = udp_.stats();
+    out << ",\"udp\":{\"datagrams_sent\":" << udp.datagrams_sent
+        << ",\"datagrams_received\":" << udp.datagrams_received
+        << ",\"send_batches\":" << udp.send_batches
+        << ",\"recv_batches\":" << udp.recv_batches
+        << ",\"send_errors\":" << udp.send_errors
+        << ",\"icmp_errors\":" << udp.icmp_errors
+        << ",\"dropped_oversize\":" << udp.dropped_oversize
+        << ",\"dropped_backlog\":" << udp.dropped_backlog
+        << ",\"coalesced_sends\":" << udp.coalesced_sends
+        << ",\"coalesced_receives\":" << udp.coalesced_receives << "}}";
     return out.str();
   }
 
@@ -387,6 +400,7 @@ class StatusServer {
   transport::RealtimeEventLoop& loop_;
   ipop::IpopNode& node_;
   ipop::IcmpService& icmp_;
+  const transport::UdpEdgeFactory& udp_;
   MetricsRegistry& metrics_;
   const Options& opt_;
   int listen_fd_ = -1;
@@ -442,7 +456,7 @@ int run(int argc, char** argv) {
   ipop::IpopNode node(std::move(deps), config);
   ipop::IcmpService icmp(node);
 
-  StatusServer status(loop, node, icmp, metrics, opt);
+  StatusServer status(loop, node, icmp, *factory, metrics, opt);
   if (!opt.status_sock.empty() && !status.listen(opt.status_sock)) {
     std::fprintf(stderr, "wowd: cannot listen on %s\n",
                  opt.status_sock.c_str());

@@ -12,6 +12,7 @@ enum class PbsMsg : std::uint8_t {
 
 [[nodiscard]] Bytes encode_register(const std::string& name) {
   ByteWriter w;
+  w.reserve(3 + name.size());  // type, u16 length, name
   w.u8(static_cast<std::uint8_t>(PbsMsg::kRegister));
   w.str(name);
   return std::move(w).take();

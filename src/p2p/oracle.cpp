@@ -135,7 +135,7 @@ OracleReport Oracle::check(const std::vector<Node*>& live, SimTime now,
           std::size_t listed = 0;
           for (const Address& a : config.adversary_addresses) {
             if (listed++ >= 3) break;
-            detail += " " + a.brief();
+            detail.append(" ").append(a.brief());
             who.push_back(a.brief());
           }
         }
@@ -184,7 +184,7 @@ OracleReport Oracle::check(const std::vector<Node*>& live, SimTime now,
       std::string detail = std::to_string(sizes.size()) +
                            " ring components (sizes";
       for (const auto& [root, count] : sizes) {
-        detail += " " + std::to_string(count);
+        detail.append(" ").append(std::to_string(count));
         if (reps.size() < 4) reps.push_back(live[root]->address().brief());
       }
       detail += ") — the overlay has not merged into a single ring";

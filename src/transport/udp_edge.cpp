@@ -4,6 +4,7 @@
 #include <linux/errqueue.h>
 #include <sys/epoll.h>
 #include <netinet/in.h>
+#include <netinet/udp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -27,6 +28,33 @@ namespace {
 [[nodiscard]] net::Endpoint from_sockaddr(const sockaddr_in& sa) {
   return net::Endpoint{net::Ipv4Addr{ntohl(sa.sin_addr.s_addr)},
                        ntohs(sa.sin_port)};
+}
+
+/// Largest UDP payload of one IPv4 datagram (the 16-bit total length
+/// minus the IP and UDP headers).  A GSO run is one datagram to the
+/// kernel until it is cut apart, so this caps a run's bytes.
+constexpr std::size_t kMaxRunBytes = 0xffff - 20 - 8;
+/// Datagrams per GSO run: UDP_MAX_SEGMENTS on older kernels.
+constexpr std::size_t kMaxRunSegments = 64;
+
+/// Control space for one UDP_SEGMENT (u16) or UDP_GRO (int) message.
+union SegmentControl {
+  char buf[CMSG_SPACE(sizeof(int))];
+  cmsghdr align;
+};
+
+/// The segment size of a UDP_GRO buffer, or 0 if the kernel did not
+/// coalesce it.
+[[nodiscard]] std::size_t gro_segment_size(msghdr& hdr) {
+  for (cmsghdr* cm = CMSG_FIRSTHDR(&hdr); cm != nullptr;
+       cm = CMSG_NXTHDR(&hdr, cm)) {
+    if (cm->cmsg_level == SOL_UDP && cm->cmsg_type == UDP_GRO) {
+      int size = 0;
+      std::memcpy(&size, CMSG_DATA(cm), sizeof size);
+      return size > 0 ? static_cast<std::size_t>(size) : 0;
+    }
+  }
+  return 0;
 }
 
 }  // namespace
@@ -85,6 +113,18 @@ void UdpEdgeFactory::bind(std::uint16_t port) {
   // Route ICMP unreachables back through the error queue instead of
   // failing some later unrelated send with a stale errno.
   setsockopt(fd_, IPPROTO_IP, IP_RECVERR, &on, sizeof on);
+  // Receive runs of datagrams as one buffer.  Where this fails (an old
+  // kernel) every buffer is one datagram, through the same split loop.
+  setsockopt(fd_, SOL_UDP, UDP_GRO, &on, sizeof on);
+  // Coalesce sends only where the kernel knows UDP_SEGMENT (Linux 4.18
+  // on): an older one ignores the control message without an error and
+  // sends a whole run as one datagram.
+  int segment = 0;
+  socklen_t segment_len = sizeof segment;
+  gso_refused_size_ =
+      getsockopt(fd_, SOL_UDP, UDP_SEGMENT, &segment, &segment_len) == 0
+          ? kMaxDatagram + 1
+          : 0;
 
   sockaddr_in sa{};
   sa.sin_family = AF_INET;
@@ -100,7 +140,10 @@ void UdpEdgeFactory::bind(std::uint16_t port) {
   getsockname(fd_, reinterpret_cast<sockaddr*>(&sa), &len);
   port_ = ntohs(sa.sin_port);
 
-  recv_bufs_.assign(kRecvBatch, Bytes(kMaxDatagram));
+  if (!recv_ring_) {
+    recv_ring_ = std::make_unique_for_overwrite<std::uint8_t[]>(
+        kRecvSlots * kRecvSlotBytes);
+  }
   loop_.watch_fd(fd_, [this](std::uint32_t events) { on_ready(events); });
   flusher_token_ = loop_.add_flusher([this] { flush(); });
 }
@@ -116,7 +159,6 @@ void UdpEdgeFactory::close() {
   ::close(fd_);
   fd_ = -1;
   pending_.clear();
-  recv_bufs_.clear();
 }
 
 void UdpEdgeFactory::send_to(const net::Endpoint& dst, SharedBytes payload) {
@@ -129,45 +171,116 @@ void UdpEdgeFactory::send_to(const net::Endpoint& dst, SharedBytes payload) {
   if (pending_.size() >= kSendBatch) flush();
 }
 
+std::size_t UdpEdgeFactory::run_length(std::size_t first,
+                                       std::size_t cap) const {
+  const auto& [dst, head] = pending_[first];
+  std::size_t segment = head.size();
+  if (segment == 0 || segment >= gso_refused_size_) return 1;
+  cap = std::min({cap, kMaxRunSegments, pending_.size() - first});
+  std::size_t n = 1;
+  std::size_t bytes = segment;
+  while (n < cap) {
+    const auto& [next_dst, next] = pending_[first + n];
+    if (next_dst != dst || next.empty() || next.size() > segment ||
+        bytes + next.size() > kMaxRunBytes) {
+      break;
+    }
+    bytes += next.size();
+    ++n;
+    if (next.size() < segment) break;  // only the last may be shorter
+  }
+  return n;
+}
+
 void UdpEdgeFactory::flush() {
   if (fd_ < 0 || pending_.empty()) return;
   std::size_t done = 0;
   bool blocked = false;
+  // Synchronous refusals are reported only once the queue is compacted:
+  // a handler may close this factory or queue (and so flush) more.
+  std::vector<std::pair<net::Endpoint, int>> refused;
+  // A run the kernel refused as one message leaves one datagram at a
+  // time up to here; `probe` is its segment size until the first of
+  // those singles shows whether GSO or the destination was at fault.
+  std::size_t singles_end = 0;
+  std::size_t probe = 0;
 
   while (done < pending_.size() && !blocked) {
-    std::size_t n = std::min(kSendBatch, pending_.size() - done);
     sockaddr_in addrs[kSendBatch];
     iovec iovs[kSendBatch];
     mmsghdr msgs[kSendBatch];
-    std::memset(msgs, 0, n * sizeof(mmsghdr));
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto& [dst, payload] = pending_[done + i];
-      addrs[i] = to_sockaddr(dst);
-      // sendmmsg only reads the buffer; the const_cast never mutates.
-      iovs[i] = {const_cast<std::uint8_t*>(payload.data()), payload.size()};
-      msgs[i].msg_hdr.msg_name = &addrs[i];
-      msgs[i].msg_hdr.msg_namelen = sizeof addrs[i];
-      msgs[i].msg_hdr.msg_iov = &iovs[i];
-      msgs[i].msg_hdr.msg_iovlen = 1;
+    SegmentControl controls[kSendBatch];
+    std::size_t counts[kSendBatch];
+    std::size_t n_msgs = 0;
+    std::size_t n_iovs = 0;
+    while (done + n_iovs < pending_.size() && n_iovs < kSendBatch) {
+      std::size_t first = done + n_iovs;
+      std::size_t count =
+          first < singles_end ? 1 : run_length(first, kSendBatch - n_iovs);
+      msgs[n_msgs] = {};
+      msghdr& hdr = msgs[n_msgs].msg_hdr;
+      addrs[n_msgs] = to_sockaddr(pending_[first].first);
+      hdr.msg_name = &addrs[n_msgs];
+      hdr.msg_namelen = sizeof addrs[n_msgs];
+      hdr.msg_iov = &iovs[n_iovs];
+      hdr.msg_iovlen = count;
+      for (std::size_t k = 0; k < count; ++k) {
+        const SharedBytes& payload = pending_[first + k].second;
+        // sendmmsg only reads the buffer; the const_cast never mutates.
+        iovs[n_iovs + k] = {const_cast<std::uint8_t*>(payload.data()),
+                            payload.size()};
+      }
+      if (count > 1) {
+        hdr.msg_control = controls[n_msgs].buf;
+        hdr.msg_controllen = CMSG_SPACE(sizeof(std::uint16_t));
+        cmsghdr* cm = CMSG_FIRSTHDR(&hdr);
+        cm->cmsg_level = SOL_UDP;
+        cm->cmsg_type = UDP_SEGMENT;
+        cm->cmsg_len = CMSG_LEN(sizeof(std::uint16_t));
+        auto segment =
+            static_cast<std::uint16_t>(pending_[first].second.size());
+        std::memcpy(CMSG_DATA(cm), &segment, sizeof segment);
+      }
+      counts[n_msgs++] = count;
+      n_iovs += count;
     }
-    int sent = sendmmsg(fd_, msgs, static_cast<unsigned>(n), 0);
+
+    int sent = sendmmsg(fd_, msgs, static_cast<unsigned>(n_msgs), 0);
     if (sent < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      int err = errno;
+      if (err == EINTR) continue;
+      if (err == EAGAIN || err == EWOULDBLOCK) {
         blocked = true;
         break;
       }
-      // sendmmsg fails on the FIRST datagram: report it, drop it, keep
-      // the rest of the batch moving.
+      // The kernel refuses GSO with EINVAL (segment over the path MTU,
+      // SO_NO_CHECK) or EIO (no checksum offload): send the run again
+      // one datagram at a time.
+      if (counts[0] > 1 && (err == EINVAL || err == EIO)) {
+        singles_end = done + counts[0];
+        probe = pending_[done].second.size();
+        continue;
+      }
+      // sendmmsg fails on its FIRST message: drop that message's first
+      // datagram, keep the rest moving, and report it below.
       ++stats_.send_errors;
-      handle_socket_error(pending_[done].first, errno);
+      refused.emplace_back(pending_[done].first, err);
       ++done;
+      probe = 0;  // the destination, not GSO, refused it
       continue;
     }
+    if (probe != 0) {
+      gso_refused_size_ = std::min(gso_refused_size_, probe);
+      probe = 0;
+    }
     ++stats_.send_batches;
-    stats_.datagrams_sent += static_cast<std::uint64_t>(sent);
-    done += static_cast<std::size_t>(sent);
-    if (static_cast<std::size_t>(sent) < n) blocked = true;  // buffer full
+    for (int m = 0; m < sent; ++m) {
+      stats_.datagrams_sent += counts[m];
+      if (counts[m] > 1) ++stats_.coalesced_sends;
+      done += counts[m];
+    }
+    // A short count means a later message hit an error or a full
+    // buffer; the next call reports which.
   }
 
   pending_.erase(pending_.begin(),
@@ -177,6 +290,10 @@ void UdpEdgeFactory::flush() {
       retry_timer_ = {};
       flush();
     });
+  }
+  for (const auto& [remote, err] : refused) {
+    if (fd_ < 0) return;  // a handler closed us
+    handle_socket_error(remote, err);
   }
 }
 
@@ -189,46 +306,63 @@ void UdpEdgeFactory::on_ready(std::uint32_t events) {
 
 void UdpEdgeFactory::drain_socket() {
   for (;;) {
-    sockaddr_in addrs[kRecvBatch];
-    iovec iovs[kRecvBatch];
-    mmsghdr msgs[kRecvBatch];
+    sockaddr_in addrs[kRecvSlots];
+    iovec iovs[kRecvSlots];
+    mmsghdr msgs[kRecvSlots];
+    SegmentControl controls[kRecvSlots];
     std::memset(msgs, 0, sizeof msgs);
-    for (std::size_t i = 0; i < kRecvBatch; ++i) {
-      iovs[i] = {recv_bufs_[i].data(), kMaxDatagram};
+    for (std::size_t i = 0; i < kRecvSlots; ++i) {
+      iovs[i] = {recv_ring_.get() + i * kRecvSlotBytes, kRecvSlotBytes};
       msgs[i].msg_hdr.msg_name = &addrs[i];
       msgs[i].msg_hdr.msg_namelen = sizeof addrs[i];
       msgs[i].msg_hdr.msg_iov = &iovs[i];
       msgs[i].msg_hdr.msg_iovlen = 1;
+      msgs[i].msg_hdr.msg_control = controls[i].buf;
+      msgs[i].msg_hdr.msg_controllen = sizeof controls[i].buf;
     }
-    int n = recvmmsg(fd_, msgs, kRecvBatch, 0, nullptr);
+    int n = recvmmsg(fd_, msgs, kRecvSlots, 0, nullptr);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       return;  // EAGAIN: drained
     }
     ++stats_.recv_batches;
     for (int i = 0; i < n; ++i) {
-      if ((msgs[i].msg_hdr.msg_flags & MSG_TRUNC) != 0) {
+      msghdr& hdr = msgs[i].msg_hdr;
+      if ((hdr.msg_flags & (MSG_TRUNC | MSG_CTRUNC)) != 0) {
         ++stats_.dropped_oversize;
         continue;
       }
-      net::Endpoint src = from_sockaddr(addrs[i]);
-      // Zero-copy handoff: the preposted buffer becomes the frame and
-      // the slot re-arms with a fresh one.
-      Bytes buf = std::move(recv_bufs_[i]);
-      buf.resize(msgs[i].msg_len);
-      recv_bufs_[i] = Bytes(kMaxDatagram);
-      SharedBytes frame{std::move(buf)};
-      ++stats_.datagrams_received;
-
-      auto it = edges_.find(src);
-      if (it != edges_.end() && it->second->receiver_) {
-        it->second->receiver_(std::move(frame));
-      } else {
-        deliver(src, std::move(frame));
+      std::size_t len = msgs[i].msg_len;
+      std::size_t segment = gro_segment_size(hdr);
+      if (segment == 0 || segment > len) segment = len;
+      if (segment == 0) {  // an empty datagram
+        ++stats_.dropped_oversize;
+        continue;
       }
-      if (fd_ < 0) return;  // a handler closed us mid-batch
+      if (segment < len) ++stats_.coalesced_receives;
+      net::Endpoint src = from_sockaddr(addrs[i]);
+      const std::uint8_t* base =
+          recv_ring_.get() + static_cast<std::size_t>(i) * kRecvSlotBytes;
+      for (std::size_t off = 0; off < len; off += segment) {
+        std::size_t size = std::min(segment, len - off);
+        if (size > kMaxDatagram) {
+          ++stats_.dropped_oversize;
+          continue;
+        }
+        // Copied out, so Node's in-place header rewrite owns its buffer.
+        SharedBytes frame{Bytes(base + off, base + off + size)};
+        ++stats_.datagrams_received;
+
+        auto it = edges_.find(src);
+        if (it != edges_.end() && it->second->receiver_) {
+          it->second->receiver_(std::move(frame));
+        } else {
+          deliver(src, std::move(frame));
+        }
+        if (fd_ < 0) return;  // a handler closed us mid-batch
+      }
     }
-    if (n < static_cast<int>(kRecvBatch)) return;
+    if (n < static_cast<int>(kRecvSlots)) return;
   }
 }
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Multi-process localhost smoke test: three wowd daemons over real UDP
-# sockets must converge to one ring, answer an IPOP ping across the
-# overlay, refuse an oversize control command, and exit cleanly on
-# SIGTERM / the stop command.  Needs python3 for the oversize client.
+# sockets must converge to one ring, report their UDP edge counters,
+# answer an IPOP ping across the overlay, refuse an oversize control
+# command, and exit cleanly on SIGTERM / the stop command.  Needs
+# python3 for the oversize client.
 #
 # Usage: tools/wowd_smoke.sh [build-dir]   (default: ./build)
 set -u
@@ -67,6 +68,20 @@ for i in 1 2 3; do
   [ "$count" -ge 2 ] || fail "node $i sees $count peers, want >= 2"
 done
 echo "ok: peer tables consistent"
+
+# --- UDP edge counters ---------------------------------------------------
+# Once the ring has formed every daemon has sent and received datagrams.
+for i in 1 2 3; do
+  status=$("$wowctl" --sock="$workdir/wowd$i.sock" status) \
+    || fail "status command failed on node $i"
+  udp=$(echo "$status" | grep -o '"udp":{[^}]*}') \
+    || fail "node $i status has no udp object: $status"
+  echo "$udp" | grep -q '"datagrams_sent":[1-9]' \
+    || fail "node $i sent no datagrams: $udp"
+  echo "$udp" | grep -q '"datagrams_received":[1-9]' \
+    || fail "node $i received no datagrams: $udp"
+done
+echo "ok: edge counters in status ($udp)"
 
 # --- IPOP ping across the overlay ---------------------------------------
 ping=$("$wowctl" --sock="$workdir/wowd1.sock" ping 10.128.0.3) \
