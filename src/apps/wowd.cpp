@@ -187,14 +187,27 @@ class StatusServer {
   ~StatusServer() { close_all(); }
 
   [[nodiscard]] bool listen(const std::string& path) {
-    ::unlink(path.c_str());
-    listen_fd_ = socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                        0);
-    if (listen_fd_ < 0) return false;
     sockaddr_un sa{};
     sa.sun_family = AF_UNIX;
     if (path.size() >= sizeof sa.sun_path) return false;
     std::strncpy(sa.sun_path, path.c_str(), sizeof sa.sun_path - 1);
+    // Only a stale path is replaced.  If a daemon answers there (the
+    // connect succeeds, or finds the backlog full), taking the path over
+    // would cut that daemon off from wowctl.
+    int probe = socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+    bool live = ::connect(probe, reinterpret_cast<sockaddr*>(&sa),
+                          sizeof sa) == 0 ||
+                errno == EAGAIN;
+    ::close(probe);
+    if (live) {
+      std::fprintf(stderr, "wowd: %s is in use by a running daemon\n",
+                   path.c_str());
+      return false;
+    }
+    ::unlink(path.c_str());
+    listen_fd_ = socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
+                        0);
+    if (listen_fd_ < 0) return false;
     if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&sa), sizeof sa) != 0 ||
         ::listen(listen_fd_, 8) != 0) {
       std::perror("wowd: status socket");
@@ -238,19 +251,22 @@ class StatusServer {
       }
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
       if (n < 0 && errno == EINTR) continue;
-      // EOF with no newline: treat whatever arrived as the command.
-      if (n == 0 && !clients_[fd].inbuf.empty() &&
-          clients_[fd].inbuf.find('\n') == std::string::npos) {
-        clients_[fd].inbuf += '\n';
+      // EOF: whatever arrived is the command, newline or not.  A client
+      // with nothing left to run is dropped: its fd stays readable at
+      // EOF, and kept in the loop it would spin it.
+      if (n == 0 && !clients_[fd].inbuf.empty()) {
+        if (clients_[fd].inbuf.find('\n') == std::string::npos) {
+          clients_[fd].inbuf += '\n';
+        }
         break;
       }
-      if (n == 0) break;
       drop_client(fd);
       return;
     }
     std::size_t nl = clients_[fd].inbuf.find('\n');
     if (nl == std::string::npos) return;
     std::string line = clients_[fd].inbuf.substr(0, nl);
+    clients_[fd].inbuf.erase(0, nl + 1);
     if (!line.empty() && line.back() == '\r') line.pop_back();
     handle_command(fd, line);
   }
@@ -464,6 +480,10 @@ int run(int argc, char** argv) {
   }
 
   node.start();
+  if (!factory->is_open()) {
+    std::fprintf(stderr, "wowd: cannot bind UDP port %u\n", opt.port);
+    return 1;
+  }
   std::fprintf(stderr, "wowd: vip %s addr %s port %u (%zu bootstrap)\n",
                opt.vip.to_string().c_str(),
                node.p2p().address().brief().c_str(), opt.port,

@@ -23,9 +23,9 @@ namespace wow::ipop {
 ///
 /// The guest side registers per-protocol handlers (the tap "wire"); the
 /// overlay side is a p2p::Node built from whatever NodeDeps bundle the
-/// host environment provides — the simulated WAN (NodeDeps::sim), the
-/// in-process loopback harness, or the real UDP backend the wowd daemon
-/// wires up.  Nothing in this layer knows which one it got.
+/// host environment provides — the simulated WAN (NodeDeps::sim) or
+/// the real UDP backend the wowd daemon wires up.  Nothing in this
+/// layer knows which one it got.
 /// stop()/restart() model killing and restarting the user-level
 /// IPOP process, the paper's mechanism for surviving VM migration: the
 /// virtual IP — and hence the ring address — is preserved, only the

@@ -24,7 +24,8 @@ class HandlerRegistry {
   using Handler = std::function<void(Args...)>;
 
   /// `kinds` is the table size: valid kinds are [0, kinds).
-  explicit HandlerRegistry(std::size_t kinds) : handlers_(kinds) {}
+  explicit HandlerRegistry(std::size_t kinds)
+      : handlers_(kinds), kinds_(static_cast<std::uint32_t>(kinds)) {}
 
   /// Estimated object + heap bytes (bytes/node accounting; the
   /// handler functions themselves are small capturing lambdas within
@@ -38,7 +39,7 @@ class HandlerRegistry {
   /// two services silently fighting over a frame kind is a wiring bug
   /// the composition root must surface, not resolve by last-wins.
   bool add(std::uint8_t kind, Handler handler) {
-    if (kind >= handlers_.size() || handlers_[kind] || !handler) {
+    if (kind >= kinds_ || handlers_[kind] || !handler) {
       return false;
     }
     handlers_[kind] = std::move(handler);
@@ -48,7 +49,7 @@ class HandlerRegistry {
 
   /// Remove the handler for `kind`; false if none was registered.
   bool remove(std::uint8_t kind) {
-    if (kind >= handlers_.size() || !handlers_[kind]) return false;
+    if (kind >= kinds_ || !handlers_[kind]) return false;
     handlers_[kind] = nullptr;
     --registered_;
     return true;
@@ -58,19 +59,24 @@ class HandlerRegistry {
   /// registered (unknown or unregistered kind) — the caller counts the
   /// reject and drops the frame.
   bool dispatch(std::uint8_t kind, Args... args) const {
-    if (kind >= handlers_.size() || !handlers_[kind]) return false;
+    if (kind >= kinds_ || !handlers_[kind]) return false;
     handlers_[kind](std::forward<Args>(args)...);
     return true;
   }
 
   [[nodiscard]] bool contains(std::uint8_t kind) const {
-    return kind < handlers_.size() && bool(handlers_[kind]);
+    return kind < kinds_ && bool(handlers_[kind]);
   }
   [[nodiscard]] std::size_t size() const { return registered_; }
 
  private:
   std::vector<Handler> handlers_;
-  std::size_t registered_ = 0;
+  /// handlers_.size(), kept apart: once add() or dispatch() is inlined
+  /// at a call site with a constant out-of-range kind, GCC loses a
+  /// bound read back through the vector and warns (-Warray-bounds) on
+  /// the access the bound check already rules out.
+  std::uint32_t kinds_;
+  std::uint32_t registered_ = 0;
 };
 
 }  // namespace wow::p2p

@@ -29,7 +29,8 @@ namespace wow::p2p {
 /// The references are non-owning and must outlive the node; the edge
 /// factory is owned (it is the node's transport identity).  `sim()`
 /// builds the canonical simulator-backed bundle; a non-simulator
-/// backend (e.g. transport::LoopbackNet) fills the fields directly.
+/// backend (wowd's RealtimeEventLoop + UdpEdgeFactory) fills the
+/// fields directly.
 struct NodeDeps {
   sim::TimerService* timers = nullptr;
   Rng* rng = nullptr;

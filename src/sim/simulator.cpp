@@ -1,18 +1,15 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
-#include <utility>
-
 namespace wow::sim {
 
 Simulator::Simulator(std::uint64_t seed, LogLevel log_level)
     : rng_(seed), logger_(log_level) {
   MetricLabels labels{"", "sim"};
   metrics_.add_gauge("sim_pending_events", labels, [this] {
-    return static_cast<double>(live_);
+    return static_cast<double>(queue_.live());
   });
   metrics_.add_gauge("sim_queue_tombstones", labels, [this] {
-    return static_cast<double>(tombstones_);
+    return static_cast<double>(queue_.tombstones());
   });
   metrics_.add_gauge("sim_executed_events", labels, [this] {
     return static_cast<double>(executed_);
@@ -24,205 +21,22 @@ Simulator::Simulator(std::uint64_t seed, LogLevel log_level)
   });
 }
 
-Simulator::~Simulator() {
-  // Chunks are raw storage, so no Slot destructor runs on its own.  The
-  // only callables still alive are the armed ones, and the heap knows
-  // exactly where they are.
-  for (const HeapEntry& e : heap_) {
-    Slot& slot = slot_ref(e.slot);
-    if (slot.armed) slot.fn.reset();
-  }
-}
-
-TimerHandle Simulator::schedule_at(SimTime when, EventFn&& fn) {
-  if (when < now_) when = now_;
-  if (next_seq_ == 0xffffffffu) renumber_seqs();
-  std::uint32_t s;
-  if (free_head_ != kNil) {
-    s = free_head_;
-    Slot& slot = slot_ref(s);
-    free_head_ = slot.next_free;
-    ++slot.generation;
-    slot.fn = std::move(fn);
-  } else {
-    if ((allocated_ >> kChunkShift) == chunks_.size()) {
-      chunks_.push_back(std::make_unique_for_overwrite<std::byte[]>(
-          (kChunkMask + 1) * sizeof(Slot)));
-    }
-    s = allocated_++;
-    // Birth of a slot: its chunk memory is uninitialized, so write
-    // every field instead of reading any.
-    Slot& slot = slot_ref(s);
-    slot.generation = 1;
-    slot.next_free = kNil;
-    ::new (static_cast<void*>(&slot.fn)) EventFn(std::move(fn));
-  }
-  Slot& slot = slot_ref(s);
-  slot.armed = true;
-  ++live_;
-  heap_.push_back(HeapEntry{when, next_seq_++, s});
-  sift_up(heap_.size() - 1);
-  return TimerHandle{(static_cast<std::uint64_t>(slot.generation) << 32) |
-                     (s + 1)};
-}
-
-bool Simulator::cancel(TimerHandle handle) {
-  if (!handle.valid()) return false;
-  std::uint32_t low = static_cast<std::uint32_t>(handle.id & 0xffffffffu);
-  if (low == 0 || low > allocated_) return false;
-  std::uint32_t s = low - 1;
-  Slot& slot = slot_ref(s);
-  if (!slot.armed ||
-      slot.generation != static_cast<std::uint32_t>(handle.id >> 32)) {
-    return false;
-  }
-  // O(1): disarm the slot and leave its heap entry behind as a tombstone.
-  // The slot is recycled when the tombstone surfaces at the heap top (or
-  // at the next compaction) — not before, since the heap still points at
-  // it.
-  slot.fn.reset();
-  slot.armed = false;
-  --live_;
-  ++tombstones_;
-  if (tombstones_ >= kCompactionFloor && tombstones_ > live_) compact();
-  return true;
-}
-
-// The heap is 4-ary: half the levels of a binary heap, so a pop's
-// sift_down touches half as many (usually cache-missing) rows of a
-// large queue at the cost of a couple extra in-cache comparisons per
-// level — a consistent win once the heap outgrows L2.
-
-void Simulator::sift_up(std::size_t i) {
-  HeapEntry moving = heap_[i];
-  while (i > 0) {
-    std::size_t parent = (i - 1) / 4;
-    if (!before(moving, heap_[parent])) break;
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = moving;
-}
-
-void Simulator::sift_down(std::size_t i) {
-  HeapEntry moving = heap_[i];
-  const std::size_t n = heap_.size();
-  for (;;) {
-    std::size_t first = 4 * i + 1;
-    if (first >= n) break;
-    std::size_t best = first;
-    const std::size_t last = std::min(first + 4, n);
-    // Conditional select, not an if: which child is smallest is
-    // data-random, and a mispredict here costs more than the compare.
-    for (std::size_t c = first + 1; c < last; ++c) {
-      best = before(heap_[c], heap_[best]) ? c : best;
-    }
-    if (!before(heap_[best], moving)) break;
-    heap_[i] = heap_[best];
-    i = best;
-  }
-  heap_[i] = moving;
-}
-
-void Simulator::renumber_seqs() {
-  // Sorting by the current (when, seq) key and handing out dense fresh
-  // seqs preserves the total order bit-for-bit; a sorted array is a
-  // valid heap, so no rebuild is needed.  Runs once per ~4.3 billion
-  // schedules.
-  std::sort(heap_.begin(), heap_.end(),
-            [](const HeapEntry& a, const HeapEntry& b) { return before(a, b); });
-  std::uint32_t seq = 1;
-  for (HeapEntry& e : heap_) e.seq = seq++;
-  next_seq_ = seq;
-}
-
-void Simulator::pop_heap_top() {
-  HeapEntry displaced = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
-  if (n == 0) return;
-  // Bottom-up extraction: walk the hole left by the root down to a leaf
-  // by promoting the smallest child — no "is the displaced element
-  // smaller?" test per level, because the displaced element (the
-  // youngest leaf) nearly always belongs at the bottom anyway — then
-  // drop it in and let sift_up fix the rare exception.
-  std::size_t i = 0;
-  for (;;) {
-    std::size_t first = 4 * i + 1;
-    if (first >= n) break;
-    std::size_t best = first;
-    const std::size_t last = std::min(first + 4, n);
-    for (std::size_t c = first + 1; c < last; ++c) {
-      best = before(heap_[c], heap_[best]) ? c : best;
-    }
-    heap_[i] = heap_[best];
-    i = best;
-  }
-  heap_[i] = displaced;
-  sift_up(i);
-}
-
-void Simulator::free_slot(std::uint32_t s) {
-  Slot& slot = slot_ref(s);
-  slot.next_free = free_head_;
-  free_head_ = s;
-}
-
-std::uint32_t Simulator::live_top() {
-  // With no tombstones outstanding every heap entry is armed, so the
-  // common case skips the dependent (random-index, usually cache-cold)
-  // slot load entirely.
-  if (tombstones_ == 0) return heap_.empty() ? kNil : heap_[0].slot;
-  while (!heap_.empty()) {
-    std::uint32_t s = heap_[0].slot;
-    if (slot_ref(s).armed) return s;
-    // Each tombstone is popped exactly once, here: both step() and
-    // run_until() reach the heap through this single drain point.
-    pop_heap_top();
-    free_slot(s);
-    --tombstones_;
-  }
-  return kNil;
-}
-
-void Simulator::fire_top(std::uint32_t s) {
-  Slot& slot = slot_ref(s);
-  // The slot index comes off the heap in (when, seq) order — effectively
-  // a random walk over the arena, so this line is usually cold.  Start
-  // the fetch now and do the heap sift (a few hundred cycles of mostly
-  // in-cache work) while it is in flight.
-  __builtin_prefetch(&slot, 1);
-  __builtin_prefetch(reinterpret_cast<const char*>(&slot) + 64, 1);
-  now_ = heap_[0].when;
-  pop_heap_top();
-  // Also start fetching the NEXT event's slot: by the time the next
-  // fire_top needs it — after this callback plus a whole heap pop — it
-  // has had the full memory round-trip to arrive, so steady-state
-  // draining pipelines the slot misses instead of serializing them.
-  if (!heap_.empty()) __builtin_prefetch(&slot_ref(heap_[0].slot), 1);
-  ++executed_;
-  slot.armed = false;
-  --live_;
-  // The callback runs in place: chunked slot storage never relocates,
-  // and `s` is not returned to the free list until afterwards, so
-  // anything the callback schedules lands in other slots and a stale
-  // cancel() of this slot sees armed == false.
-  slot.fn();
-  slot.fn.reset();
-  free_slot(s);
-}
-
 bool Simulator::step() {
-  std::uint32_t s = live_top();
-  if (s == kNil) return false;
-  fire_top(s);
+  SimTime when = queue_.next_deadline();
+  if (when == EventQueue::kNever) return false;
+  now_ = when;
+  ++executed_;
+  queue_.fire_next();
   return true;
 }
 
 void Simulator::run_until(SimTime deadline) {
-  for (std::uint32_t s;
-       (s = live_top()) != kNil && heap_[0].when <= deadline;) {
-    fire_top(s);
+  for (SimTime when;
+       (when = queue_.next_deadline()) <= deadline &&
+       when != EventQueue::kNever;) {
+    now_ = when;
+    ++executed_;
+    queue_.fire_next();
   }
   if (now_ < deadline) now_ = deadline;
 }
@@ -230,23 +44,6 @@ void Simulator::run_until(SimTime deadline) {
 void Simulator::run() {
   while (step()) {
   }
-}
-
-void Simulator::compact() {
-  // One O(n) pass: keep only armed slots, recycle the dead ones, and
-  // rebuild the heap bottom-up.  Ordering is unaffected — the (when, seq)
-  // key is a total order, so any valid heap pops identically.
-  std::size_t keep = 0;
-  for (const HeapEntry& e : heap_) {
-    if (slot_ref(e.slot).armed) {
-      heap_[keep++] = e;
-    } else {
-      free_slot(e.slot);
-    }
-  }
-  heap_.resize(keep);
-  tombstones_ = 0;
-  for (std::size_t i = keep / 2; i-- > 0;) sift_down(i);
 }
 
 }  // namespace wow::sim

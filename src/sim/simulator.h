@@ -2,8 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
+#include <utility>
 
 #include "common/log.h"
 #include "common/metrics.h"
@@ -11,6 +10,7 @@
 #include "common/time.h"
 #include "common/trace.h"
 #include "sim/event_fn.h"
+#include "sim/event_queue.h"
 #include "sim/timer_service.h"
 
 namespace wow::sim {
@@ -24,15 +24,8 @@ namespace wow::sim {
 /// as the host can drain the queue.
 ///
 /// Events scheduled for the same timestamp fire in scheduling order
-/// (FIFO), which keeps protocol traces stable across runs.
-///
-/// The queue is an indexed 4-ary min-heap over a slot arena: each slot
-/// stores its callback inline (EventFn small-buffer storage), so the
-/// steady state schedules and fires events with zero heap allocation.
-/// cancel() is O(1): it disarms the slot and leaves the heap entry
-/// behind as a tombstone, which is dropped the one time it surfaces at
-/// the top — or earlier, when tombstones outnumber live events and the
-/// heap is compacted in one O(n) pass.
+/// (FIFO), which keeps protocol traces stable across runs.  The queue
+/// itself is sim::EventQueue, shared with the realtime backend.
 class Simulator final : public TimerService {
  public:
   explicit Simulator(std::uint64_t seed = 1,
@@ -40,8 +33,6 @@ class Simulator final : public TimerService {
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  ~Simulator() override;
 
   [[nodiscard]] SimTime now() const override { return now_; }
   [[nodiscard]] Rng& rng() { return rng_; }
@@ -71,11 +62,14 @@ class Simulator final : public TimerService {
   /// Schedule at an absolute simulated time (>= now).  Takes the event
   /// by rvalue so a lambda converts straight into the queue slot with a
   /// single move of its (size-bounded) captures.
-  TimerHandle schedule_at(SimTime when, EventFn&& fn);
+  TimerHandle schedule_at(SimTime when, EventFn&& fn) {
+    if (when < now_) when = now_;
+    return queue_.push(when, std::move(fn));
+  }
 
   /// Cancel a pending event.  Cancelling an already-fired or invalid
   /// handle is a no-op; returns whether something was cancelled.
-  bool cancel(TimerHandle handle) override;
+  bool cancel(TimerHandle handle) override { return queue_.cancel(handle); }
 
   /// Run one event.  Returns false when the queue is empty.
   bool step();
@@ -92,105 +86,27 @@ class Simulator final : public TimerService {
   /// Advance the clock by `delta` running all events in between.
   void run_for(SimDuration delta) { run_until(now_ + delta); }
 
-  [[nodiscard]] std::size_t pending_events() const { return live_; }
+  [[nodiscard]] std::size_t pending_events() const { return queue_.live(); }
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
 
   /// Cancelled-event tombstones still sitting in the heap (the O(1)
   /// cancel trade-off); queue memory is pending_events + this.  Bounded:
   /// compaction runs once tombstones outnumber live events (and exceed a
   /// floor that keeps tiny queues from compacting constantly).
-  [[nodiscard]] std::size_t tombstone_slack() const { return tombstones_; }
+  [[nodiscard]] std::size_t tombstone_slack() const {
+    return queue_.tombstones();
+  }
 
  private:
-  static constexpr std::uint32_t kNil = 0xffffffffu;
-  /// Compaction floor: below this many tombstones the O(n) rebuild is
-  /// not worth running regardless of the live/dead ratio.
-  static constexpr std::size_t kCompactionFloor = 64;
-
-  struct Slot {
-    std::uint32_t generation;  // bumped on every (re)allocation
-    std::uint32_t next_free;
-    bool armed;  // callback pending (not fired/cancelled)
-    EventFn fn;
-  };
-
-  /// Slots per arena chunk.  Chunked (rather than one growable vector)
-  /// for two reasons: growing never relocates live slots (EventFn moves
-  /// are indirect calls, and 100k-slot growth would do ~2n of them),
-  /// and each chunk is small enough that the allocator recycles it from
-  /// its ordinary bins — a fresh Simulator reuses warm pages instead of
-  /// faulting in megabytes of zero pages.
-  ///
-  /// Chunks are raw uninitialized storage: slots are only ever born via
-  /// the fresh-allocation path in schedule_at(), which writes every
-  /// field (placement-new for fn), so default-constructing ~100 bytes
-  /// per slot up front would be a second full pass over the arena for
-  /// nothing.  Only slots below allocated_ are ever read.  The
-  /// destructor walks the heap and resets the armed slots' callbacks;
-  /// everything else has already been reset by fire/cancel.
-  static constexpr std::uint32_t kChunkShift = 9;  // 512 slots (~48 KiB)
-  static constexpr std::uint32_t kChunkMask = (1u << kChunkShift) - 1;
-
-  /// Heap entries carry the full sort key so sifting stays inside the
-  /// contiguous heap array: comparisons during sift_up/sift_down never
-  /// chase the slot index into the (much larger, cache-hostile) arena.
-  /// The slot is only touched at push, pop, and fire.
-  ///
-  /// 16 bytes, deliberately: pop cost on a large queue is bound by cache
-  /// misses walking the heap, so entry size is the constant that
-  /// matters.  The FIFO tiebreak therefore uses a 32-bit sequence
-  /// number; when it would wrap (every ~4.3 billion schedules) the heap
-  /// is renumbered in one sort pass that preserves the (when, seq)
-  /// total order exactly.
-  struct HeapEntry {
-    SimTime when = 0;
-    std::uint32_t seq = 0;  // FIFO tiebreak: lower = scheduled earlier
-    std::uint32_t slot = 0;
-  };
-
-  /// Written branch-free on purpose: which of two pending events fires
-  /// first is close to a coin flip, so a branchy compare mispredicts
-  /// constantly inside the sift loops — the single biggest cost of an
-  /// in-cache pop.  This form compiles to flag arithmetic + cmov.
-  [[nodiscard]] static bool before(const HeapEntry& a, const HeapEntry& b) {
-    const bool lt = a.when < b.when;
-    const bool eq = a.when == b.when;
-    const bool sq = a.seq < b.seq;
-    return lt | (eq & sq);
-  }
-
-  [[nodiscard]] Slot& slot_ref(std::uint32_t s) {
-    return reinterpret_cast<Slot*>(
-        chunks_[s >> kChunkShift].get())[s & kChunkMask];
-  }
-
-  void sift_up(std::size_t i);
-  void sift_down(std::size_t i);
-  void pop_heap_top();
-  void free_slot(std::uint32_t s);
-  /// Reassign dense sequence numbers (ahead of 32-bit wrap) without
-  /// disturbing the (when, seq) total order.
-  void renumber_seqs();
-  /// Pop tombstones off the heap top; returns the live top slot or kNil.
-  [[nodiscard]] std::uint32_t live_top();
-  /// Fire the heap-top slot `s` (must be armed): advances the clock,
-  /// releases the slot, runs the callback.
-  void fire_top(std::uint32_t s);
-  void compact();
-
   SimTime now_ = 0;
-  std::uint32_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
-  std::vector<std::unique_ptr<std::byte[]>> chunks_;
-  std::uint32_t allocated_ = 0;  // slots ever handed out (high-water mark)
-  std::vector<HeapEntry> heap_;  // min-heap ordered by (when, seq)
-  std::uint32_t free_head_ = kNil;
-  std::size_t live_ = 0;        // armed events
-  std::size_t tombstones_ = 0;  // heap entries whose slot was cancelled
   Rng rng_;
   Logger logger_;
   MetricsRegistry metrics_;
   Tracer trace_;
+  // Last, so pending callbacks (and whatever their captures own) are
+  // destroyed before the rest of the simulator.
+  EventQueue queue_;
 };
 
 }  // namespace wow::sim

@@ -10,14 +10,15 @@ namespace wow::sim {
 /// Identifies a scheduled event so it can be cancelled.  Value 0 is the
 /// null handle (never issued).
 ///
-/// With the simulator backend the id packs the event's queue slot (low
-/// 32 bits, offset by one so a valid handle is never 0) and the slot's
-/// generation at scheduling time (high 32 bits).  Slots are recycled;
-/// the generation check makes a stale handle — kept across its event
-/// firing and the slot's reuse — a guaranteed no-op instead of
-/// cancelling an unrelated event.  Other TimerService backends only
-/// need to honor the "0 is null, ids are never reused for a live
-/// event" contract.
+/// Both backends keep their timers in a sim::EventQueue, whose ids pack
+/// the event's queue slot (low 32 bits, offset by one so a valid handle
+/// is never 0) and the slot's generation at scheduling time (high 32
+/// bits).  Slots are recycled; the generation check makes a stale
+/// handle — kept across its event firing and the slot's reuse — a no-op
+/// instead of a cancel of an unrelated event (it could only match again
+/// after 2^32 reuses of its slot).  A TimerService backend only needs to
+/// honor the "0 is null, ids are never reused for a live event"
+/// contract.
 struct TimerHandle {
   std::uint64_t id = 0;
   [[nodiscard]] bool valid() const { return id != 0; }
@@ -34,8 +35,8 @@ class Clock {
 ///
 /// Protocol components (Node, LinkingEngine, the protocol services)
 /// schedule against this interface instead of sim::Simulator directly,
-/// so the same code runs under the discrete-event simulator, the
-/// in-process loopback harness, or — eventually — a real event loop.
+/// so the same code runs under the discrete-event simulator and under
+/// wowd's real epoll loop (transport::RealtimeEventLoop).
 /// sim::Simulator is the canonical implementation.
 class TimerService : public Clock {
  public:

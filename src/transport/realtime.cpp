@@ -53,19 +53,11 @@ SimTime RealtimeEventLoop::now() const {
 sim::TimerHandle RealtimeEventLoop::schedule(SimDuration delay,
                                              sim::EventFn fn) {
   if (delay < 0) delay = 0;
-  std::uint64_t seq = next_seq_++;
-  EventKey key{now() + delay, seq};
-  queue_.emplace(key, std::move(fn));
-  handles_.emplace(seq, key);
-  return sim::TimerHandle{seq};
+  return queue_.push(now() + delay, std::move(fn));
 }
 
 bool RealtimeEventLoop::cancel(sim::TimerHandle handle) {
-  auto it = handles_.find(handle.id);
-  if (it == handles_.end()) return false;
-  queue_.erase(it->second);
-  handles_.erase(it);
-  return true;
+  return queue_.cancel(handle);
 }
 
 void RealtimeEventLoop::watch_fd(int fd, FdHandler on_ready) {
@@ -112,13 +104,7 @@ void RealtimeEventLoop::dispatch_due() {
   // cached_now_ and execute in this same batch, matching the
   // simulator's same-timestamp FIFO semantics.
   dispatching_ = true;
-  while (!queue_.empty() && queue_.begin()->first.first <= cached_now_) {
-    auto it = queue_.begin();
-    sim::EventFn fn = std::move(it->second);
-    handles_.erase(it->first.second);
-    queue_.erase(it);
-    fn();
-  }
+  while (queue_.next_deadline() <= cached_now_) queue_.fire_next();
   dispatching_ = false;
 }
 
@@ -137,7 +123,7 @@ void RealtimeEventLoop::run_until(SimTime deadline) {
     run_flushers();
     if (stop_flag_.load(std::memory_order_relaxed)) break;
 
-    SimTime next = queue_.empty() ? kNever : queue_.begin()->first.first;
+    SimTime next = queue_.next_deadline();
     if (deadline != kNever && deadline < next) next = deadline;
     arm_timerfd(next);
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/time.h"
+#include "sim/event_queue.h"
 #include "sim/timer_service.h"
 
 namespace wow::transport {
@@ -26,10 +27,11 @@ namespace wow::transport {
 /// fire in schedule order (FIFO), exactly like the simulator — which is
 /// what lets one contract test cover every backend.
 ///
-/// The pending-event bookkeeping deliberately mirrors LoopbackNet: an
-/// ordered (deadline, seq) -> EventFn map plus a live-handle index, so
-/// cancel() is a lookup and handle ids are never reused for a live
-/// event.
+/// Pending events live in a sim::EventQueue, the simulator's own queue:
+/// scheduling reuses a slot without allocating, cancel() is O(1), and
+/// handles are generation-checked slot ids.  That matters here because
+/// vtcp re-arms its retransmit timer on every ACK, so almost every
+/// timer this loop schedules is cancelled before it fires.
 class RealtimeEventLoop final : public sim::TimerService {
  public:
   /// Readiness callback for a watched fd; `events` is the raw epoll
@@ -74,19 +76,16 @@ class RealtimeEventLoop final : public sim::TimerService {
   /// thread: an atomic flag plus an eventfd write.
   void stop();
 
-  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
-  [[nodiscard]] std::size_t watched_fds() const { return fds_.size(); }
+  [[nodiscard]] std::size_t pending_events() const { return queue_.live(); }
 
  private:
-  using EventKey = std::pair<SimTime, std::uint64_t>;
-
   [[nodiscard]] SimTime real_now() const;
   /// Arm the timerfd for absolute SimTime `when`; kNever disarms.
   void arm_timerfd(SimTime when);
   void dispatch_due();
   void run_flushers();
 
-  static constexpr SimTime kNever = INT64_MAX;
+  static constexpr SimTime kNever = sim::EventQueue::kNever;
 
   int epoll_fd_ = -1;
   int timer_fd_ = -1;
@@ -96,9 +95,7 @@ class RealtimeEventLoop final : public sim::TimerService {
   bool dispatching_ = false;
   std::atomic<bool> stop_flag_{false};
 
-  std::uint64_t next_seq_ = 1;
-  std::map<EventKey, sim::EventFn> queue_;
-  std::map<std::uint64_t, EventKey> handles_;
+  sim::EventQueue queue_;
   std::map<int, FdHandler> fds_;
   std::vector<std::pair<std::uint64_t, std::function<void()>>> flushers_;
   std::uint64_t next_flusher_ = 1;

@@ -108,8 +108,11 @@ void UdpEdgeFactory::bind(std::uint16_t port) {
     std::perror("wow: udp socket");
     return;
   }
+  // No SO_REUSEADDR: on Linux it lets every UDP socket that sets it
+  // bind the same port, and unicast then reaches only one of them.  A
+  // second daemon on a taken port must fail here instead.  UDP has no
+  // TIME_WAIT, so rebinding after close() needs no such option.
   int on = 1;
-  setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &on, sizeof on);
   // Route ICMP unreachables back through the error queue instead of
   // failing some later unrelated send with a stale errno.
   setsockopt(fd_, IPPROTO_IP, IP_RECVERR, &on, sizeof on);

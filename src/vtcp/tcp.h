@@ -190,10 +190,9 @@ class TcpStack {
  public:
   using AcceptHandler = std::function<void(std::shared_ptr<TcpSocket>)>;
 
-  /// `timers` is the backend timer seam; every existing call site
-  /// passes the Simulator (which IS a TimerService), but the stack — like
-  /// everything above the p2p layer — runs unchanged over the loopback
-  /// harness or the wowd daemon's realtime loop.
+  /// `timers` is the backend timer seam: the Simulator in simulated
+  /// runs, a RealtimeEventLoop over real sockets.  The stack — like
+  /// everything above the p2p layer — runs unchanged over either.
   TcpStack(sim::TimerService& timers, ipop::IpopNode& node,
            TcpConfig config = {});
 

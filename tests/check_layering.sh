@@ -19,7 +19,7 @@ fail=0
 # Hard bans: backend implementation headers.  (sim/simulator.h and
 # net/network.h are the two the refactor evicted; the rest keep the
 # door shut.)
-banned='sim/simulator\.h|net/network\.h|net/host\.h|net/nat\.h|net/faults\.h|net/sim_edge\.h|transport/realtime\.h|transport/udp_edge\.h|transport/loopback\.h'
+banned='sim/simulator\.h|net/network\.h|net/host\.h|net/nat\.h|net/faults\.h|net/sim_edge\.h|transport/realtime\.h|transport/udp_edge\.h'
 # src/apps/wowd.cpp is exempt: the daemon MAIN is a composition root —
 # precisely the place that wires a concrete backend (like testbed and
 # the tests are for the sim backend).  It must never be library code;

@@ -1,7 +1,9 @@
-// The layered protocol-service stack (PR 5): the dispatch registries,
-// the protocol services exercised in isolation behind their hooks, and
-// the pluggable Edge transport — a node pair running over the loopback
-// backend with no simulator anywhere in sight.
+// The layered protocol-service stack: the dispatch registries and the
+// protocol services exercised in isolation behind their hooks, with a
+// bare clock and no Node or network behind them.  That the whole Node
+// runs over a backend other than the simulator is checked over real
+// sockets by RealtimeBackend.NodePairLinksOverRealUdp
+// (realtime_udp_test.cpp).
 
 #include <gtest/gtest.h>
 
@@ -11,15 +13,14 @@
 #include <vector>
 
 #include "common/log.h"
-#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/trace.h"
 #include "p2p/ctm_overlord.h"
 #include "p2p/dispatch.h"
 #include "p2p/keepalive.h"
 #include "p2p/node.h"
+#include "sim/simulator.h"
 #include "test_util.h"
-#include "transport/loopback.h"
 
 namespace wow {
 namespace {
@@ -76,14 +77,14 @@ TEST(Dispatch, UnknownFrameKindIsCountedAndDropped) {
 
 // --- KeepaliveManager in isolation --------------------------------------
 
-// The keepalive service against a bare connection table and the
-// loopback clock: no Node, no network.  The hooks record what the
+// The keepalive service against a bare connection table and a bare
+// simulator clock: no Node, no network.  The hooks record what the
 // service asked its owner to do.
 struct KeepaliveHarness {
   KeepaliveHarness() {
     config.ping_interval = 2 * kSecond;
     km = std::make_unique<p2p::KeepaliveManager>(
-        net, tracer, logger, config, table, stats, trace_node, log_component,
+        sim, tracer, logger, config, table, stats, trace_node, log_component,
         p2p::KeepaliveManager::Hooks{
             [this](const p2p::Connection&, const p2p::LinkFrame& frame) {
               sent.push_back(frame);
@@ -106,7 +107,7 @@ struct KeepaliveHarness {
     table.add(std::move(c));
   }
 
-  transport::LoopbackNet net;
+  sim::Simulator sim;
   Tracer tracer;
   Logger logger;
   p2p::NodeConfig config;
@@ -126,7 +127,7 @@ TEST(KeepaliveIsolation, PingsIdleConnectionAndPongFeedsEstimator) {
 
   // Sweeps at t=1s (not yet idle) and t=2s (idle == ping_interval):
   // exactly one probe by t=2.5s.
-  h.net.run_for(2 * kSecond + 500 * kMillisecond);
+  h.sim.run_for(2 * kSecond + 500 * kMillisecond);
   ASSERT_EQ(h.sent.size(), 1u);
   EXPECT_EQ(h.sent[0].type, p2p::LinkType::kPing);
   EXPECT_EQ(h.sent[0].sender, p2p::Address{100});
@@ -155,7 +156,7 @@ TEST(KeepaliveIsolation, UnansweredProbeBudgetDropsConnection) {
   h.add_peer(200);
   h.km->start(kSecond);
 
-  h.net.run_for(10 * kSecond);
+  h.sim.run_for(10 * kSecond);
   ASSERT_EQ(h.dropped.size(), 1u);
   EXPECT_EQ(h.dropped[0].first, p2p::Address{200});
   EXPECT_EQ(h.dropped[0].second, p2p::DisconnectCause::kKeepaliveTimeout);
@@ -177,11 +178,11 @@ TEST(KeepaliveIsolation, RepeatedFlapsQuarantineThenLapse) {
     h.km->note_flap(peer, kSecond);
   }
   EXPECT_TRUE(h.km->is_quarantined(peer));
-  EXPECT_EQ(h.km->quarantine_until(peer), h.net.now() + p2p::kQuarantineBase);
+  EXPECT_EQ(h.km->quarantine_until(peer), h.sim.now() + p2p::kQuarantineBase);
   EXPECT_EQ(h.stats.quarantines, 1u);
 
   // The episode lapses once the clock passes quarantine_until.
-  h.net.run_for(p2p::kQuarantineBase + kSecond);
+  h.sim.run_for(p2p::kQuarantineBase + kSecond);
   EXPECT_FALSE(h.km->is_quarantined(peer));
 }
 
@@ -192,7 +193,7 @@ TEST(KeepaliveIsolation, RepeatedFlapsQuarantineThenLapse) {
 struct CtmHarness {
   CtmHarness() {
     ctm = std::make_unique<p2p::CtmOverlord>(
-        net, rng, tracer, config, table, stats, trace_node,
+        sim, rng, tracer, config, table, stats, trace_node,
         p2p::CtmOverlord::Hooks{
             [] { return true; },   // running
             [] { return false; },  // routable
@@ -223,7 +224,7 @@ struct CtmHarness {
     table.add(std::move(c));
   }
 
-  transport::LoopbackNet net;
+  sim::Simulator sim;
   Rng rng{7};
   Tracer tracer;
   p2p::NodeConfig config;
@@ -266,7 +267,7 @@ TEST(CtmIsolation, SweepRetriesThenExpiresUnansweredRequests) {
   // Each step advances past any possible timeout (kCtmRtoMax is the
   // ceiling): the retry budget drains, then the request expires.
   for (int i = 0; i < p2p::kCtmMaxRetries + 1; ++i) {
-    h.net.run_for(p2p::kCtmRtoMax + kSecond);
+    h.sim.run_for(p2p::kCtmRtoMax + kSecond);
     h.ctm->sweep();
   }
   EXPECT_EQ(h.stats.ctm_retries,
@@ -276,60 +277,6 @@ TEST(CtmIsolation, SweepRetriesThenExpiresUnansweredRequests) {
   // The original send plus every retry went through the route hook.
   EXPECT_EQ(h.routed.size(),
             static_cast<std::size_t>(1 + p2p::kCtmMaxRetries));
-}
-
-// --- the transport seam -------------------------------------------------
-
-// The acceptance test for the pluggable Edge backend: two nodes link
-// and exchange data over transport::LoopbackNet — the simulator, the
-// fault model and net::Network are nowhere in this test's harness.
-TEST(LoopbackBackend, NodePairLinksAndDeliversData) {
-  transport::LoopbackNet net(5 * kMillisecond);
-  Rng rng(99);
-  Logger logger;
-  MetricsRegistry metrics;
-  Tracer tracer;
-
-  auto deps = [&](net::Ipv4Addr ip) {
-    p2p::NodeDeps d;
-    d.timers = &net;
-    d.rng = &rng;
-    d.logger = &logger;
-    d.metrics = &metrics;
-    d.tracer = &tracer;
-    d.edges = net.endpoint(ip);
-    return d;
-  };
-
-  net::Ipv4Addr ip_a(10, 0, 0, 1);
-  net::Ipv4Addr ip_b(10, 0, 0, 2);
-  p2p::NodeConfig ca;
-  ca.port = 17000;
-  p2p::NodeConfig cb;
-  cb.port = 17000;
-  cb.bootstrap = {transport::Uri{transport::TransportKind::kUdp,
-                                 net::Endpoint{ip_a, 17000}}};
-
-  p2p::Node a(deps(ip_a), ca);
-  p2p::Node b(deps(ip_b), cb);
-  a.start();
-  b.start();
-  net.run_for(kMinute);
-
-  EXPECT_TRUE(a.has_direct(b.address()));
-  EXPECT_TRUE(b.has_direct(a.address()));
-
-  std::vector<Bytes> got;
-  a.set_data_handler([&](const p2p::Address&, BytesView payload) {
-    got.emplace_back(payload.begin(), payload.end());
-  });
-  b.send_data(a.address(), Bytes{1, 2, 3});
-  net.run_for(kSecond);
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0], (Bytes{1, 2, 3}));
-
-  a.stop();
-  b.stop();
 }
 
 }  // namespace

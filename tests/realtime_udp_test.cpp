@@ -80,6 +80,28 @@ TEST(UdpEdgeFactory, DatagramsFlowBothWays) {
   EXPECT_GE(b.stats().datagrams_received, 1u);
 }
 
+TEST(UdpEdgeFactory, TakenPortIsNotShared) {
+  // A second socket on a bound port must fail to bind rather than
+  // silently split the port's unicast traffic with the first.
+  transport::RealtimeEventLoop loop;
+  transport::UdpEdgeFactory a(loop, kLocalhost);
+  a.bind(0);
+  ASSERT_TRUE(a.is_open());
+  const std::uint16_t port = a.local_uri().endpoint.port;
+
+  transport::UdpEdgeFactory b(loop, kLocalhost);
+  b.bind(port);
+  EXPECT_FALSE(b.is_open());
+
+  // The first socket still owns the port and hears its traffic.
+  transport::UdpEdgeFactory c(loop, kLocalhost);
+  c.bind(0);
+  std::size_t got = 0;
+  a.set_receiver([&](const net::Endpoint&, SharedBytes) { ++got; });
+  c.send_to(net::Endpoint{kLocalhost, port}, Bytes{7});
+  EXPECT_TRUE(drive_until(loop, [&] { return got == 1; }));
+}
+
 TEST(UdpEdgeFactory, SendBatchLeavesInOneSyscall) {
   transport::RealtimeEventLoop loop;
   transport::UdpEdgeFactory a(loop, kLocalhost);

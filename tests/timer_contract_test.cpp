@@ -1,8 +1,8 @@
 // The TimerService/Clock contract, run against every backend: the
-// discrete-event Simulator, the in-process LoopbackNet, and the
-// real-clock RealtimeEventLoop.  Any future backend joins by adding a
-// driver; the protocol stack is only portable because all three pass
-// the same suite (DESIGN §17).
+// discrete-event Simulator and the real-clock RealtimeEventLoop, which
+// both keep their timers in one sim::EventQueue.  Any future backend
+// joins by adding a driver; the protocol stack is only portable because
+// every backend passes the same suite (DESIGN §17).
 //
 // The realtime backend really sleeps, so delays here are a few
 // milliseconds — long enough to order reliably, short enough that the
@@ -16,7 +16,6 @@
 
 #include "sim/simulator.h"
 #include "sim/timer_service.h"
-#include "transport/loopback.h"
 #include "transport/realtime.h"
 
 namespace wow {
@@ -35,12 +34,6 @@ struct SimulatorBackend final : Backend {
   sim::Simulator sim;
   sim::TimerService& timers() override { return sim; }
   void drive(SimDuration d) override { sim.run_until(sim.now() + d); }
-};
-
-struct LoopbackBackend final : Backend {
-  transport::LoopbackNet net;
-  sim::TimerService& timers() override { return net; }
-  void drive(SimDuration d) override { net.run_until(net.now() + d); }
 };
 
 struct RealtimeBackend final : Backend {
@@ -141,6 +134,68 @@ TEST_P(TimerContractTest, CancelIsIdempotent) {
   EXPECT_FALSE(fired);
 }
 
+TEST_P(TimerContractTest, StaleHandleAfterReuseIsNoop) {
+  // The first event fires and frees its queue slot, which the next
+  // schedule takes over.  The kept handle must cancel nothing.
+  bool first_fired = false;
+  auto stale = timers().schedule(kMillisecond, [&] { first_fired = true; });
+  drive(10 * kMillisecond);
+  ASSERT_TRUE(first_fired);
+  bool second_fired = false;
+  auto fresh = timers().schedule(kMillisecond, [&] { second_fired = true; });
+  EXPECT_NE(fresh.id, stale.id);
+  EXPECT_FALSE(timers().cancel(stale));
+  drive(10 * kMillisecond);
+  EXPECT_TRUE(second_fired);
+}
+
+TEST_P(TimerContractTest, SelfCancelFromCallbackIsNoop) {
+  // A firing event is no longer pending: cancelling its own handle from
+  // inside the callback reports false and disturbs no sibling at the
+  // same deadline.
+  sim::TimerHandle self{};
+  int self_runs = 0;
+  bool self_cancelled = true;
+  bool sibling_fired = false;
+  timers().schedule(0, [&] {
+    self = timers().schedule(4 * kMillisecond, [&] {
+      ++self_runs;
+      self_cancelled = timers().cancel(self);
+    });
+    timers().schedule(4 * kMillisecond, [&] { sibling_fired = true; });
+  });
+  drive(20 * kMillisecond);
+  EXPECT_EQ(self_runs, 1);
+  EXPECT_FALSE(self_cancelled);
+  EXPECT_TRUE(sibling_fired);
+}
+
+TEST_P(TimerContractTest, RearmChurnFiresOnlyTheLastTimer) {
+  // vtcp's retransmit timer: every ACK cancels the pending timeout and
+  // arms a fresh one.  10,000 re-arms inside one callback leave one
+  // pending event, and it fires exactly once.
+  constexpr int kRearms = 10'000;
+  int cancelled = 0;
+  int fires = 0;
+  int fired_arm = -1;
+  timers().schedule(0, [&] {
+    sim::TimerHandle rto{};
+    for (int i = 0; i < kRearms; ++i) {
+      if (timers().cancel(rto)) ++cancelled;
+      rto = timers().schedule(4 * kMillisecond, [&fires, &fired_arm, i] {
+        ++fires;
+        fired_arm = i;
+      });
+    }
+  });
+  drive(20 * kMillisecond);
+  EXPECT_EQ(cancelled, kRearms - 1);
+  EXPECT_EQ(fires, 1);
+  EXPECT_EQ(fired_arm, kRearms - 1);
+  drive(20 * kMillisecond);
+  EXPECT_EQ(fires, 1);
+}
+
 TEST_P(TimerContractTest, InBatchCancelOfLaterSibling) {
   // canceller scheduled BEFORE victim at the same deadline: canceller
   // runs first (FIFO) and the victim must not fire.
@@ -192,9 +247,6 @@ TEST_P(TimerContractTest, ZeroDelayChainRunsToCompletion) {
 std::unique_ptr<Backend> make_simulator() {
   return std::make_unique<SimulatorBackend>();
 }
-std::unique_ptr<Backend> make_loopback() {
-  return std::make_unique<LoopbackBackend>();
-}
 std::unique_ptr<Backend> make_realtime() {
   return std::make_unique<RealtimeBackend>();
 }
@@ -202,13 +254,11 @@ std::unique_ptr<Backend> make_realtime() {
 std::string backend_name(
     const ::testing::TestParamInfo<BackendFactory>& info) {
   if (info.param == make_simulator) return "Simulator";
-  if (info.param == make_loopback) return "Loopback";
   return "Realtime";
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, TimerContractTest,
-                         ::testing::Values(&make_simulator, &make_loopback,
-                                           &make_realtime),
+                         ::testing::Values(&make_simulator, &make_realtime),
                          backend_name);
 
 }  // namespace

@@ -2,8 +2,9 @@
 # Multi-process localhost smoke test: three wowd daemons over real UDP
 # sockets must converge to one ring, report their UDP edge counters,
 # answer an IPOP ping across the overlay, refuse an oversize control
-# command, and exit cleanly on SIGTERM / the stop command.  Needs
-# python3 for the oversize client.
+# command, drop control clients that hang up, keep a second daemon off a
+# running one's UDP port and status socket, and exit cleanly on SIGTERM
+# / the stop command.  Needs python3 for the raw socket clients.
 #
 # Usage: tools/wowd_smoke.sh [build-dir]   (default: ./build)
 set -u
@@ -117,6 +118,47 @@ PY
 "$wowctl" --sock="$workdir/wowd2.sock" status >/dev/null \
   || fail "status failed after the oversize command"
 echo "ok: 64 KiB command refused, daemon still answers"
+
+# --- clients that hang up -----------------------------------------------
+# A client that closes with no command, or right after one, is dropped:
+# kept, its fd would stay readable at EOF and spin the daemon's loop.
+fds_before=$(ls "/proc/${pids[2]}/fd" | wc -l)
+python3 - "$workdir/wowd2.sock" <<'PY' || fail "hang-up client failed"
+import socket
+import sys
+
+for command in (b"", b"ping 10.128.0.3\n"):
+    s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    s.connect(sys.argv[1])
+    s.sendall(command)
+    s.close()
+PY
+sleep 0.5
+fds_after=$(ls "/proc/${pids[2]}/fd" | wc -l)
+[ "$fds_after" = "$fds_before" ] \
+  || fail "node 2 holds $((fds_after - fds_before)) hung-up clients"
+echo "ok: hung-up control clients dropped"
+
+# --- no takeover of a running daemon ------------------------------------
+# A second wowd on node 1's UDP port, and one on node 1's status socket,
+# must each exit 1 within 2 s; node 1 must still answer afterwards.
+timeout 2 "$wowd" --port=$base_port --vip=10.128.0.9 --ip=127.0.0.1 \
+        --status-sock="$workdir/extra.sock" --seed=9 \
+        >"$workdir/extra.log" 2>&1
+rc=$?
+[ "$rc" = 1 ] || fail "wowd on a taken port exited $rc, want 1:
+$(cat "$workdir/extra.log")"
+timeout 2 "$wowd" --port=$((base_port + 9)) --vip=10.128.0.10 \
+        --ip=127.0.0.1 --status-sock="$workdir/wowd1.sock" --seed=10 \
+        >"$workdir/extra.log" 2>&1
+rc=$?
+[ "$rc" = 1 ] || fail "wowd on a live status socket exited $rc, want 1:
+$(cat "$workdir/extra.log")"
+status=$("$wowctl" --sock="$workdir/wowd1.sock" status) \
+  || fail "node 1 stopped answering after the takeover attempts"
+echo "$status" | grep -q '"vip":"10.128.0.1"' \
+  || fail "node 1's status socket answers for another daemon: $status"
+echo "ok: port and status socket of a running daemon refused"
 
 # --- graceful shutdown ---------------------------------------------------
 # Node 3 stops by command, 1 and 2 by SIGTERM; all must exit 0 promptly.
