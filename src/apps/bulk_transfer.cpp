@@ -11,7 +11,6 @@ BulkSource::BulkSource(sim::TimerService&, vtcp::TcpStack& stack,
 }
 
 void BulkSource::serve(std::shared_ptr<vtcp::TcpSocket> socket) {
-  ++started_;
   // Feed the socket in send-buffer-sized slices so arbitrarily large
   // files never sit in memory; writable() pulls the next slice.  The
   // handlers hold the socket weakly: they are stored in the socket, so
@@ -43,7 +42,6 @@ void BulkSink::fetch(net::Ipv4Addr src, std::uint16_t port, Done done) {
   socket_ = stack_.connect(src, port);
   socket_->set_data_handler([this](const Bytes& data) {
     received_ += data.size();
-    if (progress_) progress_(received_, clock_.now());
   });
   socket_->set_closed_handler(
       [this, done = std::move(done)](bool) {

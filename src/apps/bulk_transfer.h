@@ -20,18 +20,15 @@ class BulkSource {
              std::uint16_t port, std::uint64_t bytes);
 
   void set_size(std::uint64_t bytes) { bytes_ = bytes; }
-  [[nodiscard]] std::uint64_t transfers_started() const { return started_; }
 
  private:
   void serve(std::shared_ptr<vtcp::TcpSocket> socket);
 
   std::uint64_t bytes_;
-  std::uint64_t started_ = 0;
 };
 
-/// Receiving side: connect, count bytes until EOF, report progress and
-/// completion.  Progress samples give the Figure 6 "file size vs time"
-/// curve.
+/// Receiving side: connect, count bytes until EOF, report completion.
+/// Sampling received() gives the Figure 6 "file size vs time" curve.
 class BulkSink {
  public:
   struct Result {
@@ -47,7 +44,6 @@ class BulkSink {
     }
   };
 
-  using Progress = std::function<void(std::uint64_t bytes, SimTime now)>;
   using Done = std::function<void(const Result&)>;
 
   BulkSink(sim::TimerService& timers, vtcp::TcpStack& stack);
@@ -55,9 +51,6 @@ class BulkSink {
   /// Begin a transfer from `src:port`.
   void fetch(net::Ipv4Addr src, std::uint16_t port, Done done);
 
-  void set_progress_handler(Progress progress) {
-    progress_ = std::move(progress);
-  }
   [[nodiscard]] std::uint64_t received() const { return received_; }
   /// The transfer's socket (diagnostics; may be null before fetch()).
   [[nodiscard]] const std::shared_ptr<vtcp::TcpSocket>& socket() const {
@@ -68,7 +61,6 @@ class BulkSink {
   sim::Clock& clock_;
   vtcp::TcpStack& stack_;
   std::shared_ptr<vtcp::TcpSocket> socket_;
-  Progress progress_;
   std::uint64_t received_ = 0;
   SimTime started_ = 0;
 };

@@ -11,8 +11,9 @@
 //        --status-sock=/tmp/wowd.sock           (one command line)
 //
 // A unix status socket answers one-line commands (status / peers /
-// metrics / flight / ping <vip> / stop) with JSON — tools/wowctl is the
-// matching client.  SIGINT/SIGTERM stop gracefully: close frames go
+// metrics / flight / ping <vip> / stop) with JSON, and `metrics prom`
+// with the Prometheus text exposition — tools/wowctl is the matching
+// client.  SIGINT/SIGTERM stop gracefully: close frames go
 // out to every held peer before the process exits.
 
 #include <signal.h>
@@ -280,7 +281,10 @@ class StatusServer {
     } else if (cmd == "peers") {
       reply(fd, peers_json());
     } else if (cmd == "metrics") {
-      reply(fd, metrics_.to_json());
+      std::string format;
+      in >> format;
+      reply(fd, format == "prom" ? metrics_.to_prometheus()
+                                 : metrics_.to_json());
     } else if (cmd == "flight") {
       std::string out = "{\"flight\":";
       append_escaped(out, node_.p2p().flight().dump(node_.p2p().brief()));
@@ -301,15 +305,14 @@ class StatusServer {
       loop_.stop();
     } else {
       reply(fd, "{\"error\":\"unknown command\",\"commands\":"
-                "[\"status\",\"peers\",\"metrics\",\"flight\","
-                "\"ping <vip>\",\"stop\"]}");
+                "[\"status\",\"peers\",\"metrics\",\"metrics prom\","
+                "\"flight\",\"ping <vip>\",\"stop\"]}");
     }
   }
 
   [[nodiscard]] std::string status_json() const {
     const p2p::Node& node = node_.p2p();
     auto counts = node.connections().count_by_type();
-    const p2p::NodeStats& stats = node.stats();
     std::ostringstream out;
     out << "{\"vip\":\"" << node_.vip().to_string() << "\""
         << ",\"address\":\"" << node.address().to_hex() << "\""
@@ -321,21 +324,19 @@ class StatusServer {
         << ",\"far\":" << counts.far
         << ",\"shortcut\":" << counts.shortcut
         << ",\"leaf\":" << counts.leaf
-        << ",\"relay\":" << counts.relay << "}"
-        << ",\"data_sent\":" << stats.data_sent
-        << ",\"data_delivered\":" << stats.data_delivered
-        << ",\"data_forwarded\":" << stats.data_forwarded;
-    const transport::UdpEdgeFactory::Stats& udp = udp_.stats();
-    out << ",\"udp\":{\"datagrams_sent\":" << udp.datagrams_sent
-        << ",\"datagrams_received\":" << udp.datagrams_received
-        << ",\"send_batches\":" << udp.send_batches
-        << ",\"recv_batches\":" << udp.recv_batches
-        << ",\"send_errors\":" << udp.send_errors
-        << ",\"icmp_errors\":" << udp.icmp_errors
-        << ",\"dropped_oversize\":" << udp.dropped_oversize
-        << ",\"dropped_backlog\":" << udp.dropped_backlog
-        << ",\"coalesced_sends\":" << udp.coalesced_sends
-        << ",\"coalesced_receives\":" << udp.coalesced_receives << "}}";
+        << ",\"relay\":" << counts.relay << "}";
+    p2p::NodeStats::for_each_counter(
+        [&](const char* field, std::uint64_t p2p::NodeStats::*member) {
+          out << ",\"" << field << "\":" << node.stats().*member;
+        });
+    using UdpStats = transport::UdpEdgeFactory::Stats;
+    const char* sep = ",\"udp\":{";
+    UdpStats::for_each_counter(
+        [&](const char* field, std::uint64_t UdpStats::*member) {
+          out << sep << "\"" << field << "\":" << udp_.stats().*member;
+          sep = ",";
+        });
+    out << "}}";
     return out.str();
   }
 
@@ -454,12 +455,22 @@ int run(int argc, char** argv) {
   deps.tracer = &tracer;
   deps.edges = std::make_unique<transport::UdpEdgeFactory>(loop, opt.ip);
   auto* factory = static_cast<transport::UdpEdgeFactory*>(deps.edges.get());
-  factory->set_error_handler([&metrics](const net::Endpoint& remote,
-                                        p2p::DisconnectCause cause, int err) {
-    metrics.counter("udp.socket_error", MetricLabels{"", "wowd"}).inc();
+  factory->set_error_handler([](const net::Endpoint& remote,
+                                p2p::DisconnectCause cause, int err) {
     std::fprintf(stderr, "wowd: %s unreachable (%s, errno %d)\n",
                  remote.to_string().c_str(), p2p::to_string(cause), err);
   });
+  // The edge's counters as udp_<field>.  The factory lives inside the
+  // node, which dies before the registry; nothing reads the registry
+  // after the node is gone.
+  using UdpStats = transport::UdpEdgeFactory::Stats;
+  UdpStats::for_each_counter(
+      [&](const char* field, std::uint64_t UdpStats::*member) {
+        metrics.add_callback(
+            MetricKind::kCounter, std::string("udp_") + field,
+            MetricLabels{"", "wowd"},
+            [factory, member] { return double(factory->stats().*member); });
+      });
 
   ipop::IpopNode::Config config;
   config.vip = opt.vip;

@@ -26,7 +26,6 @@ class Logger {
   explicit Logger(LogLevel level = LogLevel::kWarn, std::FILE* out = stderr)
       : level_(level), out_(out) {}
 
-  void set_level(LogLevel level) { level_ = level; }
   [[nodiscard]] LogLevel level() const { return level_; }
 
   /// Override the level for one component subtree ("linking",

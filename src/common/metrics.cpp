@@ -1,5 +1,6 @@
 #include "common/metrics.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/trace.h"
@@ -30,12 +31,11 @@ void append_number(std::string& out, double v) {
 
 }  // namespace
 
-MetricsRegistry::Entry& MetricsRegistry::find_or_add(
-    Sample::Kind kind, std::string_view name, const MetricLabels& labels) {
+MetricId MetricsRegistry::find_or_add(Sample::Kind kind,
+                                      std::string_view name,
+                                      const MetricLabels& labels) {
   auto key = std::make_tuple(std::string(name), labels);
-  if (auto it = index_.find(key); it != index_.end()) {
-    return entries_[it->second];
-  }
+  if (auto it = index_.find(key); it != index_.end()) return it->second;
   Entry entry;
   entry.kind = kind;
   entry.name = std::string(name);
@@ -43,54 +43,36 @@ MetricsRegistry::Entry& MetricsRegistry::find_or_add(
   entries_.push_back(std::move(entry));
   index_.emplace(std::move(key), entries_.size() - 1);
   ++live_;
-  return entries_.back();
+  return entries_.size() - 1;
 }
 
 MetricCounter& MetricsRegistry::counter(std::string_view name,
                                         const MetricLabels& labels) {
-  return find_or_add(Sample::Kind::kCounter, name, labels).counter;
+  return entries_[find_or_add(Sample::Kind::kCounter, name, labels)].counter;
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name,
                                       const MetricLabels& labels, double lo,
                                       double hi, std::size_t bins) {
-  Entry& entry = find_or_add(Sample::Kind::kHistogram, name, labels);
+  Entry& entry = entries_[find_or_add(Sample::Kind::kHistogram, name, labels)];
   if (!entry.hist) entry.hist.emplace(lo, hi, bins);
   return *entry.hist;
 }
 
-MetricId MetricsRegistry::add_gauge(std::string_view name,
-                                    const MetricLabels& labels,
-                                    std::function<double()> fn) {
-  // Gauges are always fresh registrations: a component re-registering
-  // the same name (e.g. a rebuilt node) replaces the old callback.
-  auto key = std::make_tuple(std::string(name), labels);
-  if (auto it = index_.find(key); it != index_.end()) {
-    Entry& entry = entries_[it->second];
-    if (entry.dead) {
-      entry.dead = false;
-      ++live_;
-    }
-    entry.gauge = std::move(fn);
-    return it->second;
-  }
-  Entry& entry = find_or_add(Sample::Kind::kGauge, name, labels);
-  entry.gauge = std::move(fn);
-  return entries_.size() - 1;
-}
-
-std::optional<MetricId> MetricsRegistry::id_of(
-    std::string_view name, const MetricLabels& labels) const {
-  auto it = index_.find(std::make_tuple(std::string(name), labels));
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
+MetricId MetricsRegistry::add_callback(MetricKind kind, std::string_view name,
+                                       const MetricLabels& labels,
+                                       std::function<double()> fn) {
+  MetricId id = find_or_add(kind, name, labels);
+  entries_[id].kind = kind;
+  entries_[id].read = std::move(fn);
+  return id;
 }
 
 void MetricsRegistry::remove(MetricId id) {
   if (id >= entries_.size() || entries_[id].dead) return;
   Entry& entry = entries_[id];
   entry.dead = true;
-  entry.gauge = nullptr;
+  entry.read = nullptr;
   index_.erase(std::make_tuple(entry.name, entry.labels));
   --live_;
 }
@@ -98,26 +80,11 @@ void MetricsRegistry::remove(MetricId id) {
 std::vector<MetricsRegistry::Sample> MetricsRegistry::snapshot() const {
   std::vector<Sample> out;
   out.reserve(live_);
-  for (const Entry& entry : entries_) {
-    if (entry.dead) continue;
-    Sample s;
-    s.kind = entry.kind;
-    s.name = entry.name;
-    s.labels = entry.labels;
-    switch (entry.kind) {
-      case Sample::Kind::kCounter:
-        s.value = static_cast<double>(entry.counter.value());
-        break;
-      case Sample::Kind::kGauge:
-        s.value = entry.gauge ? entry.gauge() : 0.0;
-        break;
-      case Sample::Kind::kHistogram:
-        s.value = entry.hist ? static_cast<double>(entry.hist->total()) : 0.0;
-        s.hist = entry.hist ? &*entry.hist : nullptr;
-        break;
-    }
-    out.push_back(std::move(s));
-  }
+  for_each([&](MetricId, Sample::Kind kind, std::string_view name,
+               const MetricLabels& labels, double value,
+               const Histogram* hist) {
+    out.push_back(Sample{kind, std::string(name), labels, value, hist});
+  });
   return out;
 }
 
@@ -128,19 +95,14 @@ void MetricsRegistry::for_each(
   for (MetricId id = 0; id < entries_.size(); ++id) {
     const Entry& entry = entries_[id];
     if (entry.dead) continue;
+    const Histogram* hist = entry.hist ? &*entry.hist : nullptr;
     double value = 0.0;
-    const Histogram* hist = nullptr;
-    switch (entry.kind) {
-      case Sample::Kind::kCounter:
-        value = static_cast<double>(entry.counter.value());
-        break;
-      case Sample::Kind::kGauge:
-        value = entry.gauge ? entry.gauge() : 0.0;
-        break;
-      case Sample::Kind::kHistogram:
-        value = entry.hist ? static_cast<double>(entry.hist->total()) : 0.0;
-        hist = entry.hist ? &*entry.hist : nullptr;
-        break;
+    if (entry.read) {
+      value = entry.read();
+    } else if (hist != nullptr) {
+      value = static_cast<double>(hist->total());
+    } else {
+      value = static_cast<double>(entry.counter.value());
     }
     fn(id, entry.kind, entry.name, entry.labels, value, hist);
   }
@@ -303,15 +265,27 @@ std::string MetricsTimeSeries::to_jsonl() const {
 }
 
 std::string MetricsRegistry::to_prometheus() const {
+  // The text format wants one TYPE line per family with the family's
+  // samples grouped after it; the stable sort groups them and keeps
+  // registration order inside each family.
+  std::vector<Sample> samples = snapshot();
+  std::stable_sort(samples.begin(), samples.end(),
+                   [](const Sample& a, const Sample& b) {
+                     return a.name < b.name;
+                   });
   std::string out;
   auto labels_of = [](const MetricLabels& l) {
     std::string s = "{node=\"" + l.node + "\",component=\"" + l.component +
                     "\"}";
     return s;
   };
-  for (const Sample& s : snapshot()) {
+  const std::string* family = nullptr;
+  for (const Sample& s : samples) {
     std::string name = "wow_" + s.name;
-    out += "# TYPE " + name + ' ' + kind_name(s.kind) + '\n';
+    if (family == nullptr || *family != s.name) {
+      out += "# TYPE " + name + ' ' + kind_name(s.kind) + '\n';
+      family = &s.name;
+    }
     if (s.kind == Sample::Kind::kHistogram && s.hist != nullptr) {
       std::size_t cumulative = 0;
       for (std::size_t b = 0; b < s.hist->bins(); ++b) {

@@ -27,6 +27,10 @@ struct MetricLabels {
   [[nodiscard]] auto operator<=>(const MetricLabels&) const = default;
 };
 
+/// How a metric exports: a monotonic count (time series record window
+/// deltas), a level (time series record the value), or a histogram.
+enum class MetricKind { kCounter, kGauge, kHistogram };
+
 /// Monotonic event count.
 class MetricCounter {
  public:
@@ -40,9 +44,10 @@ class MetricCounter {
 using MetricId = std::size_t;
 
 /// Registry of named counters, gauges and histograms, each labelled with
-/// {node, component}.  Snapshotable mid-run: gauges are callbacks
-/// evaluated at export time, so registrants expose live state without
-/// copying it on every update.
+/// {node, component}.  Snapshotable mid-run: a counter or gauge may be
+/// a callback evaluated at export time, so registrants expose live
+/// state (a `Stats` field, a table size) without copying it on every
+/// update.
 ///
 /// Like the tracer, the registry is a pure observer: nothing here
 /// consults the RNG or the event queue, so metrics collection cannot
@@ -50,10 +55,10 @@ using MetricId = std::size_t;
 /// making exports themselves reproducible.
 ///
 /// Lifetimes: counter()/histogram() return references that stay valid
-/// for the registry's life (entries are never reallocated).  Gauge
-/// callbacks must be removed (remove()) before their captured state
-/// dies — components with a shorter life than the registry unregister
-/// in their destructor.
+/// for the registry's life (entries are never reallocated).  Callbacks
+/// must be removed (remove()) before their captured state dies —
+/// components with a shorter life than the registry unregister in their
+/// destructor.
 class MetricsRegistry {
  public:
   /// Get-or-create a counter.  The same (name, labels) always returns
@@ -66,23 +71,20 @@ class MetricsRegistry {
   Histogram& histogram(std::string_view name, const MetricLabels& labels,
                        double lo, double hi, std::size_t bins);
 
-  /// Register a gauge callback; returns an id for remove().
-  MetricId add_gauge(std::string_view name, const MetricLabels& labels,
-                     std::function<double()> fn);
+  /// Register a counter or gauge (`kind`; never kHistogram) whose value
+  /// is `fn()` at export time; returns an id for remove().  Registering
+  /// a live name again replaces its callback (e.g. a rebuilt node).
+  MetricId add_callback(MetricKind kind, std::string_view name,
+                        const MetricLabels& labels,
+                        std::function<double()> fn);
 
   /// Unregister a metric.  References/callbacks for it become dead; the
   /// id must have come from this registry.
   void remove(MetricId id);
 
-  /// Id of a live metric by identity (nullopt if absent).  Lets counter
-  /// and histogram registrants unregister on destruction the way gauge
-  /// registrants do with the id add_gauge returns.
-  [[nodiscard]] std::optional<MetricId> id_of(
-      std::string_view name, const MetricLabels& labels) const;
-
-  /// One exported value (gauges evaluated at snapshot time).
+  /// One exported value (callbacks evaluated at snapshot time).
   struct Sample {
-    enum class Kind { kCounter, kGauge, kHistogram };
+    using Kind = MetricKind;
     Kind kind;
     std::string name;
     MetricLabels labels;
@@ -94,8 +96,8 @@ class MetricsRegistry {
   [[nodiscard]] std::vector<Sample> snapshot() const;
 
   /// Zero-copy visitation of every live metric in registration order:
-  /// fn(id, kind, name, labels, value, hist), gauges evaluated at visit
-  /// time.  The allocation-free path under MetricsTimeSeries, which
+  /// fn(id, kind, name, labels, value, hist), callbacks evaluated at
+  /// visit time.  The allocation-free path under MetricsTimeSeries, which
   /// samples hundreds of metrics per window — snapshot() would copy
   /// every name and label pair each time.  Ids are never re-bound to a
   /// different identity (a removed metric's id stays dead), so callers
@@ -110,7 +112,10 @@ class MetricsRegistry {
   [[nodiscard]] std::string to_json() const;
 
   /// Prometheus text exposition format (histograms as cumulative
-  /// _bucket/_count series).  Metric names get a "wow_" prefix.
+  /// _bucket/_count series).  Metric names get a "wow_" prefix.  Each
+  /// family (one name) gets one TYPE line followed by all its samples;
+  /// families are sorted by name, samples within one keep registration
+  /// order.
   [[nodiscard]] std::string to_prometheus() const;
 
   [[nodiscard]] std::size_t size() const { return live_; }
@@ -121,13 +126,13 @@ class MetricsRegistry {
     std::string name;
     MetricLabels labels;
     MetricCounter counter;
-    std::function<double()> gauge;
+    std::function<double()> read;  // set: the value is read(), not counter
     std::optional<Histogram> hist;
     bool dead = false;
   };
 
-  Entry& find_or_add(Sample::Kind kind, std::string_view name,
-                     const MetricLabels& labels);
+  MetricId find_or_add(Sample::Kind kind, std::string_view name,
+                       const MetricLabels& labels);
 
   /// Deque: stable addresses for counter/histogram references.
   std::deque<Entry> entries_;

@@ -140,7 +140,7 @@ enum class TraceClass : std::uint8_t {
 /// the hash is never computed and the output is byte-identical to an
 /// unsampled trace.  Suppressed records are counted
 /// (dropped_by_sampling), exported by the simulator as the
-/// trace_dropped_by_sampling gauge.  Whole classes can be switched off
+/// trace_dropped_by_sampling counter.  Whole classes can be switched off
 /// (set_class_enabled) for megascale runs that only need lifecycle +
 /// fault forensics.  All of this is observer state: it can change what
 /// is written, never what the simulation does.

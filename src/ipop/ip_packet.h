@@ -26,9 +26,6 @@ struct IpPacket {
   std::uint16_t id = 0;
   Bytes payload;
 
-  /// Bytes on the wire including our 14-byte header.
-  [[nodiscard]] std::size_t wire_size() const { return payload.size() + 14; }
-
   [[nodiscard]] Bytes serialize() const;
   [[nodiscard]] static std::optional<IpPacket> parse(
       std::span<const std::uint8_t> data);

@@ -27,7 +27,6 @@ class CpuExecutor {
   /// 1 = one other CPU-bound process → we run at half speed).  Applies
   /// to work started after the call.
   void set_background_load(double load) { background_load_ = load; }
-  [[nodiscard]] double background_load() const { return background_load_; }
 
   /// Set the relative CPU speed (changes when a VM migrates to a
   /// different physical host).  Applies to work started after the call.
@@ -44,7 +43,6 @@ class CpuExecutor {
   [[nodiscard]] bool busy() const { return busy_; }
   [[nodiscard]] std::size_t queued() const { return queue_.size(); }
   [[nodiscard]] std::uint64_t completed() const { return completed_; }
-  [[nodiscard]] double busy_seconds() const { return busy_seconds_; }
 
  private:
   struct Task {
@@ -61,7 +59,6 @@ class CpuExecutor {
     Task task = std::move(queue_.front());
     queue_.pop_front();
     double runtime = task.work / speed_ * (1.0 + background_load_);
-    busy_seconds_ += runtime;
     sim_.schedule(from_seconds(runtime),
                   [this, done = std::move(task.done)] {
                     ++completed_;
@@ -76,7 +73,6 @@ class CpuExecutor {
   bool busy_ = false;
   std::deque<Task> queue_;
   std::uint64_t completed_ = 0;
-  double busy_seconds_ = 0.0;
 };
 
 }  // namespace wow::mw

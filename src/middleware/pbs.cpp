@@ -191,13 +191,11 @@ void PbsWorker::run_job(const JobSpec& spec) {
                              nfs_->write_file(
                                  output_file(spec.id), spec.output_bytes,
                                  [this, spec](bool) {
-                                   ++jobs_run_;
                                    channel_->send(encode_done(spec.id));
                                  });
                            });
                            return;
                          }
-                         ++jobs_run_;
                          channel_->send(encode_done(spec.id));
                        });
     });

@@ -55,7 +55,6 @@ class PbsServer {
   /// Submit a job (qsub).  Input file is registered with the NFS server.
   void qsub(JobSpec spec);
 
-  [[nodiscard]] std::size_t queued_jobs() const { return queue_.size(); }
   [[nodiscard]] std::size_t registered_workers() const {
     return workers_.size();
   }
@@ -103,7 +102,6 @@ class PbsWorker {
   void start();
 
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] std::uint64_t jobs_run() const { return jobs_run_; }
 
  private:
   void on_message(const Bytes& message);
@@ -116,7 +114,6 @@ class PbsWorker {
   std::string name_;
   std::shared_ptr<MessageChannel> channel_;
   std::unique_ptr<NfsClient> nfs_;
-  std::uint64_t jobs_run_ = 0;
 };
 
 }  // namespace wow::mw

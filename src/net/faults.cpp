@@ -359,16 +359,12 @@ FaultPlan FaultPlan::random(std::uint64_t seed, const RandomParams& params) {
 FaultInjector::FaultInjector(sim::Simulator& simulator, Network& network)
     : sim_(simulator), network_(network) {
   MetricLabels labels{"", "fault"};
-  MetricsRegistry& reg = sim_.metrics();
-  auto make = [&](const char* name) {
-    MetricCounter& c = reg.counter(name, labels);
-    if (auto id = reg.id_of(name, labels)) metric_ids_.push_back(*id);
-    return &c;
-  };
-  faults_begun_metric_ = make("fault_events");
-  dup_metric_ = make("fault_duplicated");
-  reorder_metric_ = make("fault_reordered");
-  corrupt_metric_ = make("fault_corrupted");
+  Stats::for_each_counter(
+      [&](const char* field, std::uint64_t Stats::*member) {
+        metric_ids_.push_back(sim_.metrics().add_callback(
+            MetricKind::kCounter, std::string("fault_") + field, labels,
+            [this, member] { return static_cast<double>(stats_.*member); }));
+      });
 }
 
 FaultInjector::~FaultInjector() {
@@ -403,7 +399,6 @@ void FaultInjector::trace_fault(const char* event,
 
 void FaultInjector::begin(const FaultSpec& spec, std::uint64_t token) {
   ++stats_.faults_begun;
-  faults_begun_metric_->inc();
   trace_fault("fault.begin", spec);
 
   switch (spec.kind) {
@@ -507,7 +502,6 @@ bool FaultInjector::roll_duplicate() {
   if (dup_rate_ <= 0.0) return false;
   if (!sim_.rng().bernoulli(dup_rate_)) return false;
   ++stats_.duplicated;
-  dup_metric_->inc();
   return true;
 }
 
@@ -515,14 +509,12 @@ SimDuration FaultInjector::roll_reorder_delay() {
   if (reorder_rate_ <= 0.0) return 0;
   if (!sim_.rng().bernoulli(reorder_rate_)) return 0;
   ++stats_.reordered;
-  reorder_metric_->inc();
   return sim_.rng().jitter(std::max<SimDuration>(reorder_max_, 1));
 }
 
 FaultInjector::CorruptAction FaultInjector::roll_corruption() {
   if (corrupt_rate_ <= 0.0) return CorruptAction::kNone;
   if (!sim_.rng().bernoulli(corrupt_rate_)) return CorruptAction::kNone;
-  corrupt_metric_->inc();
   if (sim_.rng().bernoulli(kChecksumCatch)) {
     ++stats_.corrupted_dropped;
     return CorruptAction::kDrop;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/counters.h"
 #include "common/metrics.h"
 #include "common/time.h"
 #include "net/host.h"
@@ -113,14 +114,21 @@ struct FaultPlan {
 /// seed and the plan.
 class FaultInjector {
  public:
+  /// Fault counters, one `X(field)` each (common/counters.h), each
+  /// registered as a `fault_<field>` counter.
+#define WOW_FAULT_COUNTERS(X)         \
+  X(faults_begun)                     \
+  X(faults_healed)                    \
+  X(duplicated)                       \
+  X(reordered)                        \
+  /* Killed by the UDP checksum. */   \
+  X(corrupted_dropped)                \
+  /* Reached the parser corrupted. */ \
+  X(corrupted_delivered)
   struct Stats {
-    std::uint64_t faults_begun = 0;
-    std::uint64_t faults_healed = 0;
-    std::uint64_t duplicated = 0;
-    std::uint64_t reordered = 0;
-    std::uint64_t corrupted_dropped = 0;    // killed by the UDP checksum
-    std::uint64_t corrupted_delivered = 0;  // reached the parser corrupted
+    WOW_COUNTERS(Stats, WOW_FAULT_COUNTERS)
   };
+#undef WOW_FAULT_COUNTERS
 
   /// Hook for kCrashHost: `down=true` at window start (kill the overlay
   /// process), false at window end (restart it).  Without a handler a
@@ -217,10 +225,6 @@ class FaultInjector {
   SimDuration reorder_max_ = 0;
   double corrupt_rate_ = 0.0;
 
-  MetricCounter* faults_begun_metric_ = nullptr;
-  MetricCounter* dup_metric_ = nullptr;
-  MetricCounter* reorder_metric_ = nullptr;
-  MetricCounter* corrupt_metric_ = nullptr;
   std::vector<MetricId> metric_ids_;
 };
 

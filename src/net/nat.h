@@ -74,10 +74,6 @@ class NatBox {
   [[nodiscard]] std::optional<std::uint16_t> public_port_of(
       const Endpoint& internal_src, const Endpoint& remote) const;
 
-  [[nodiscard]] std::size_t active_mappings() const {
-    return by_public_port_.size();
-  }
-
  private:
   struct Mapping {
     Endpoint internal;

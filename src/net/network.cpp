@@ -13,18 +13,19 @@ Network::Network(sim::Simulator& simulator)
   domains_.push_back(std::move(internet));
 
   MetricLabels labels{"", "net"};
-  auto gauge = [&](const std::string& name, const std::uint64_t& field) {
-    metric_ids_.push_back(sim_.metrics().add_gauge(
-        name, labels, [&field] { return static_cast<double>(field); }));
+  auto counter = [&](const std::string& name, const std::uint64_t& field) {
+    metric_ids_.push_back(sim_.metrics().add_callback(
+        MetricKind::kCounter, name, labels,
+        [&field] { return static_cast<double>(field); }));
   };
-  gauge("net_datagrams_sent", stats_.sent);
-  gauge("net_datagrams_delivered", stats_.delivered);
-  // One gauge per drop reason, named after its label; looping over the
+  counter("net_datagrams_sent", stats_.sent);
+  counter("net_datagrams_delivered", stats_.delivered);
+  // One counter per drop reason, named after its label; looping over the
   // enum keeps the metric set in lockstep with DropReason.
   for (std::size_t i = 0; i < kDropReasonCount; ++i) {
-    gauge(std::string("net_dropped_") +
-              to_string(static_cast<DropReason>(i)),
-          stats_.dropped[i]);
+    counter(std::string("net_dropped_") +
+                to_string(static_cast<DropReason>(i)),
+            stats_.dropped[i]);
   }
 }
 
@@ -54,7 +55,6 @@ void Network::record_drop(DropReason reason, const Endpoint& src,
                           const Endpoint& dst) {
   ++stats_.dropped[static_cast<std::size_t>(reason)];
   ++drop_seq_;
-  if (drop_hook_) drop_hook_(reason, src, dst);
   // Keyed by the drop ordinal: each drop draws an independent sampling
   // verdict (there is no packet trace id at this layer).
   if (sim_.trace().sample(TraceClass::kPacket, drop_seq_)) {
@@ -251,7 +251,7 @@ void Network::send(Host& from, std::uint16_t src_port, const Endpoint& dst,
         record_drop(DropReason::kNatFiltered, cur_src, cur_dst);
         return;
       }
-      t += nat_hop_;
+      t += kNatHop;
       cur_dst = *inside;
       cur_domain = it->second;
       continue;
@@ -265,7 +265,7 @@ void Network::send(Host& from, std::uint16_t src_port, const Endpoint& dst,
       }
       NatBox& nat = *dom.nat;
       cur_src = nat.translate_outbound(cur_src, cur_dst);
-      t += nat_hop_;
+      t += kNatHop;
       ascended.insert(&nat);
       cur_domain = dom.parent;
       continue;

@@ -48,9 +48,11 @@ class Network {
  public:
   static constexpr DomainId kInternet = 0;
   static constexpr int kMaxRouteSteps = 16;
+  /// Latency added per NAT box traversal.
+  static constexpr SimDuration kNatHop = 100 * kMicrosecond;
 
   /// Reasons a datagram can die inside the fabric.  Every value has a
-  /// to_string label, a Stats counter and a `net_dropped_<label>` gauge
+  /// to_string label, a Stats counter and a `net_dropped_<label>` counter
   /// (registered in a loop over the enum, so the three can't drift).
   enum class DropReason {
     kLoss,
@@ -96,8 +98,6 @@ class Network {
   void set_default_wan(LinkModel model) { default_wan_ = model; }
   /// Model for hops inside one private domain (LAN).
   void set_lan(LinkModel model) { lan_ = model; }
-  /// Latency added per NAT box traversal.
-  void set_nat_hop(SimDuration d) { nat_hop_ = d; }
 
   /// Create a private domain behind a new NAT box.  The NAT's WAN
   /// interface gets address `wan_ip` inside `parent` (usually the
@@ -127,11 +127,6 @@ class Network {
 
   // --- lookup / admin -----------------------------------------------------
 
-  using DropHook = std::function<void(DropReason, const Endpoint& src,
-                                      const Endpoint& dst)>;
-  /// Observe every drop (diagnostics; not part of the data plane).
-  void set_drop_hook(DropHook hook) { drop_hook_ = std::move(hook); }
-
   [[nodiscard]] Host* host_by_ip(Ipv4Addr ip);
   [[nodiscard]] Host& host(HostId id) { return *hosts_[static_cast<std::size_t>(id)]; }
   [[nodiscard]] NatBox* nat_of_domain(DomainId domain);
@@ -144,9 +139,6 @@ class Network {
   /// Move a host to another domain/site, releasing its old address and
   /// assigning `new_ip` (VM migration re-homes the physical interface).
   void move_host(Host& h, DomainId new_domain, Ipv4Addr new_ip);
-
-  /// Hosts count (ids are dense 0..n-1).
-  [[nodiscard]] std::size_t host_count() const { return hosts_.size(); }
 
   /// Resolve a host's interned name.
   [[nodiscard]] std::string_view host_name(const Host& h) const {
@@ -250,11 +242,9 @@ class Network {
   LinkModel default_wan_{30 * kMillisecond, 2 * kMillisecond, 0.001};
   LinkModel lan_{200 * kMicrosecond, 30 * kMicrosecond, 0.0};
   LinkModel same_site_{1 * kMillisecond, 100 * kMicrosecond, 0.0};
-  SimDuration nat_hop_ = 100 * kMicrosecond;
   Stats stats_;
   /// Monotonic drop ordinal — the sampling key for net.drop traces.
   std::uint64_t drop_seq_ = 0;
-  DropHook drop_hook_;
   std::vector<MetricId> metric_ids_;
   FaultInjector faults_;
 

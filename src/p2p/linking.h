@@ -6,6 +6,7 @@
 #include <map>
 #include <vector>
 
+#include "common/counters.h"
 #include "common/mem_estimate.h"
 #include "common/rng.h"
 #include "common/time.h"
@@ -118,19 +119,27 @@ class LinkingEngine {
   /// Cancel all in-flight attempts (node shutdown / migration).
   void abort_all();
 
+  /// Linking counters, one `X(field)` each (common/counters.h).  The
+  /// node registers each as a `link_<field>` counter.
+#define WOW_LINK_COUNTERS(X)                                          \
+  X(attempts_started)                                                 \
+  /* We initiated. */                                                 \
+  X(established_active)                                               \
+  /* Peer initiated. */                                               \
+  X(established_passive)                                              \
+  /* Gave up on a URI, tried the next. */                             \
+  X(uri_failovers)                                                    \
+  X(race_errors_sent)                                                 \
+  X(race_aborts)                                                      \
+  X(failures)                                                         \
+  /* Replies whose claimed sender did not match the attempt's target  \
+     (or, for zero-target bootstrap probes, whose source endpoint was \
+     not the one probed) — rejected as forged. */                     \
+  X(replies_rejected)
   struct Stats {
-    std::uint64_t attempts_started = 0;
-    std::uint64_t established_active = 0;   // we initiated
-    std::uint64_t established_passive = 0;  // peer initiated
-    std::uint64_t uri_failovers = 0;        // gave up on a URI, tried next
-    std::uint64_t race_errors_sent = 0;
-    std::uint64_t race_aborts = 0;
-    std::uint64_t failures = 0;
-    /// Replies whose claimed sender did not match the attempt's target
-    /// (or, for zero-target bootstrap probes, whose source endpoint was
-    /// not the one probed) — rejected as forged.
-    std::uint64_t replies_rejected = 0;
+    WOW_COUNTERS(Stats, WOW_LINK_COUNTERS)
   };
+#undef WOW_LINK_COUNTERS
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   /// Estimated heap bytes of dynamic state (in-flight link attempts;

@@ -545,7 +545,6 @@ void Node::on_link_established(const Address& peer,
       bootstrap_->note_leaf_established(peer);
     }
     census_->note_established(peer);
-    if (connection_handler_) connection_handler_(*table_.find(peer));
   }
   update_routable();
 }
@@ -696,7 +695,6 @@ void Node::drop_connection(const Address& peer, bool send_close,
                    {"ctype", to_string(type)},
                    {"cause", to_string(cause)}});
   }
-  if (disconnection_handler_) disconnection_handler_(peer, type);
 
   // A dead peer may have been the agent of relay tunnels: they die with
   // it.  (Relay connections are never agents themselves, so the cascade

@@ -62,9 +62,6 @@ class Node {
   /// beyond the handler call.
   using DataHandler =
       std::function<void(const Address& src, BytesView payload)>;
-  using ConnectionHandler = std::function<void(const Connection&)>;
-  using DisconnectionHandler =
-      std::function<void(const Address&, ConnectionType)>;
 
   Node(NodeDeps deps, NodeConfig config);
   ~Node();
@@ -126,7 +123,6 @@ class Node {
   /// leaves it warm, so restart() can rejoin through a cached peer
   /// without touching any bootstrap endpoint.
   [[nodiscard]] const PeerCache& peer_cache() const { return peer_cache_; }
-  [[nodiscard]] PeerCache& mutable_peer_cache() { return peer_cache_; }
 
   /// Ring-census / merge agent introspection (tests).
   [[nodiscard]] const CensusAgent& census() const { return *census_; }
@@ -188,13 +184,6 @@ class Node {
     }
   };
   [[nodiscard]] MemoryFootprint memory_footprint() const;
-
-  void set_connection_handler(ConnectionHandler handler) {
-    connection_handler_ = std::move(handler);
-  }
-  void set_disconnection_handler(DisconnectionHandler handler) {
-    disconnection_handler_ = std::move(handler);
-  }
 
   /// Ask for a shortcut/far/near connection to a (known) address now.
   /// Exposed for overlord use and tests.
@@ -303,8 +292,6 @@ class Node {
       kRoutedTypeCount};
 
   DataHandler data_handler_;
-  ConnectionHandler connection_handler_;
-  DisconnectionHandler disconnection_handler_;
 
   sim::TimerHandle maintenance_timer_;
   std::optional<SimTime> routable_since_;

@@ -106,8 +106,8 @@ struct NodeConfig {
   /// with a self-addressed CTM once it is in the ring.
   SimDuration stabilize_period = 30 * kSecond;
 
-  /// Register the ~37 per-node gauges/counters with the fleet
-  /// MetricsRegistry at start().  Indispensable for the testbed's
+  /// Register the per-node counters and gauges with the fleet
+  /// MetricsRegistry at construction.  Indispensable for the testbed's
   /// per-node dashboards, but at several KB of registry state per node
   /// it dominates the footprint long before the protocol does — the
   /// flyweight profile turns it off and relies on fleet-level

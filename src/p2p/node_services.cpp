@@ -114,9 +114,6 @@ void Node::build_services() {
             keepalive_->set_next_direct_probe(peer, when);
           },
           [this](Connection& c) { keepalive_->seed_estimator(c); },
-          [this](const Connection& c) {
-            if (connection_handler_) connection_handler_(c);
-          },
           [this] { update_routable(); },
           [this] { count_parse_reject(); },
           [this](FlightKind kind, const Address& peer) {

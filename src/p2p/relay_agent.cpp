@@ -396,7 +396,6 @@ void RelayAgent::add_relay_connection(
                    {"agent", agent.brief()},
                    {"remote", agent_endpoint.to_string()}});
   }
-  hooks_.connection_added(*table_.find(peer));
   hooks_.update_routable();
 }
 

@@ -73,9 +73,7 @@ class RelayAgent {
         set_next_direct_probe;
     /// Warm-start a fresh connection's RTT estimator.
     std::function<void(Connection& c)> seed_estimator;
-    /// A kRelay connection entered the table (Node's connection
-    /// handler + routable re-check).
-    std::function<void(const Connection& c)> connection_added;
+    /// A kRelay connection entered the table: re-check routability.
     std::function<void()> update_routable;
     std::function<void()> count_parse_reject;
     /// Post an entry on the owning node's flight recorder (optional —

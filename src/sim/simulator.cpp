@@ -5,20 +5,20 @@ namespace wow::sim {
 Simulator::Simulator(std::uint64_t seed, LogLevel log_level)
     : rng_(seed), logger_(log_level) {
   MetricLabels labels{"", "sim"};
-  metrics_.add_gauge("sim_pending_events", labels, [this] {
-    return static_cast<double>(queue_.live());
-  });
-  metrics_.add_gauge("sim_queue_tombstones", labels, [this] {
-    return static_cast<double>(queue_.tombstones());
-  });
-  metrics_.add_gauge("sim_executed_events", labels, [this] {
-    return static_cast<double>(executed_);
-  });
-  metrics_.add_gauge("sim_now_seconds", labels,
-                     [this] { return to_seconds(now_); });
-  metrics_.add_gauge("trace_dropped_by_sampling", labels, [this] {
-    return static_cast<double>(trace_.dropped_by_sampling());
-  });
+  metrics_.add_callback(MetricKind::kGauge, "sim_pending_events", labels,
+                        [this] { return static_cast<double>(queue_.live()); });
+  metrics_.add_callback(MetricKind::kGauge, "sim_queue_tombstones", labels,
+                        [this] {
+                          return static_cast<double>(queue_.tombstones());
+                        });
+  metrics_.add_callback(MetricKind::kCounter, "sim_executed_events", labels,
+                        [this] { return static_cast<double>(executed_); });
+  metrics_.add_callback(MetricKind::kGauge, "sim_now_seconds", labels,
+                        [this] { return to_seconds(now_); });
+  metrics_.add_callback(
+      MetricKind::kCounter, "trace_dropped_by_sampling", labels, [this] {
+        return static_cast<double>(trace_.dropped_by_sampling());
+      });
 }
 
 bool Simulator::step() {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/counters.h"
 #include "net/addr.h"
 #include "p2p/edge.h"
 #include "p2p/node_stats.h"
@@ -85,19 +86,31 @@ class UdpEdgeFactory final : public p2p::EdgeFactory {
   /// this after every dispatch batch).
   void flush();
 
+  /// Edge counters, one `X(field)` each (common/counters.h).  wowd
+  /// reports them in its status reply and as `udp_<field>` counters.
+#define WOW_UDP_COUNTERS(X)                                        \
+  X(datagrams_sent)                                                \
+  X(datagrams_received)                                            \
+  /* sendmmsg syscalls. */                                         \
+  X(send_batches)                                                  \
+  /* recvmmsg syscalls. */                                         \
+  X(recv_batches)                                                  \
+  /* Datagrams refused synchronously. */                           \
+  X(send_errors)                                                   \
+  /* Error-queue reports. */                                       \
+  X(icmp_errors)                                                   \
+  /* Datagrams not in (0, kMaxDatagram], and truncated buffers. */ \
+  X(dropped_oversize)                                              \
+  /* Pending queue overflow. */                                    \
+  X(dropped_backlog)                                               \
+  /* Messages carrying a GSO run. */                               \
+  X(coalesced_sends)                                               \
+  /* Buffers carrying a GRO run. */                                \
+  X(coalesced_receives)
   struct Stats {
-    std::uint64_t datagrams_sent = 0;
-    std::uint64_t datagrams_received = 0;
-    std::uint64_t send_batches = 0;     // sendmmsg syscalls
-    std::uint64_t recv_batches = 0;     // recvmmsg syscalls
-    std::uint64_t send_errors = 0;      // datagrams refused synchronously
-    std::uint64_t icmp_errors = 0;      // error-queue reports
-    std::uint64_t dropped_oversize = 0; // datagrams not in (0, kMaxDatagram]
-                                        // and truncated buffers
-    std::uint64_t dropped_backlog = 0;  // pending queue overflow
-    std::uint64_t coalesced_sends = 0;     // messages carrying a GSO run
-    std::uint64_t coalesced_receives = 0;  // buffers carrying a GRO run
+    WOW_COUNTERS(Stats, WOW_UDP_COUNTERS)
   };
+#undef WOW_UDP_COUNTERS
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   /// Error-queue errno -> overlay disconnect taxonomy.  ICMP port

@@ -66,9 +66,6 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   /// and the writable handler for bulk transfers.
   void send(Bytes data);
 
-  [[nodiscard]] std::size_t send_buffer_bytes() const {
-    return send_buf_.size() - send_buf_consumed_;
-  }
   [[nodiscard]] std::size_t send_buffer_room() const;
   [[nodiscard]] bool writable() const {
     return send_buffer_room() > 0 && state_ == State::kEstablished;
@@ -93,7 +90,6 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   [[nodiscard]] double current_rto_seconds() const {
     return to_seconds(rto_);
   }
-  [[nodiscard]] double cwnd_bytes() const { return cwnd_; }
 
  private:
   friend class TcpStack;
@@ -212,7 +208,6 @@ class TcpStack {
   [[nodiscard]] ipop::IpopNode& node() { return node_; }
   [[nodiscard]] const TcpConfig& config() const { return config_; }
   [[nodiscard]] net::Ipv4Addr vip() const { return node_.vip(); }
-  [[nodiscard]] std::size_t open_sockets() const { return sockets_.size(); }
 
  private:
   friend class TcpSocket;

@@ -180,23 +180,23 @@ Testbed::Testbed(sim::Simulator& simulator, TestbedConfig config)
 
   // --- testbed-level aggregates -------------------------------------------
   MetricLabels labels{"", "testbed"};
-  metric_ids_.push_back(sim_.metrics().add_gauge(
-      "testbed_routers", labels,
-      [this] { return static_cast<double>(routers_.size()); }));
-  metric_ids_.push_back(sim_.metrics().add_gauge(
-      "testbed_compute_nodes", labels,
-      [this] { return static_cast<double>(compute_.size()); }));
-  metric_ids_.push_back(sim_.metrics().add_gauge(
-      "testbed_routable_compute", labels,
-      [this] { return static_cast<double>(routable_compute_nodes()); }));
-  metric_ids_.push_back(sim_.metrics().add_gauge(
-      "testbed_routable_routers", labels, [this] {
-        int count = 0;
-        for (const auto& r : routers_) {
-          if (r->routable()) ++count;
-        }
-        return static_cast<double>(count);
-      }));
+  auto gauge = [&](const char* name, std::function<double()> fn) {
+    metric_ids_.push_back(sim_.metrics().add_callback(
+        MetricKind::kGauge, name, labels, std::move(fn)));
+  };
+  gauge("testbed_routers",
+        [this] { return static_cast<double>(routers_.size()); });
+  gauge("testbed_compute_nodes",
+        [this] { return static_cast<double>(compute_.size()); });
+  gauge("testbed_routable_compute",
+        [this] { return static_cast<double>(routable_compute_nodes()); });
+  gauge("testbed_routable_routers", [this] {
+    int count = 0;
+    for (const auto& r : routers_) {
+      if (r->routable()) ++count;
+    }
+    return static_cast<double>(count);
+  });
 }
 
 Testbed::~Testbed() {

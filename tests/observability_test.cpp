@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "common/log.h"
 #include "common/metrics.h"
@@ -29,7 +34,8 @@ TEST(MetricsRegistry, CounterGetOrCreate) {
 TEST(MetricsRegistry, GaugeCallbackAndRemove) {
   MetricsRegistry reg;
   double live = 1.5;
-  MetricId id = reg.add_gauge("depth", {}, [&live] { return live; });
+  MetricId id = reg.add_callback(MetricKind::kGauge, "depth", {},
+                                 [&live] { return live; });
   live = 7.0;
   auto samples = reg.snapshot();
   ASSERT_EQ(samples.size(), 1u);
@@ -42,7 +48,8 @@ TEST(MetricsRegistry, GaugeCallbackAndRemove) {
 
   // Re-registering the same name revives the slot with the new callback.
   double other = 3.0;
-  reg.add_gauge("depth", {}, [&other] { return other; });
+  reg.add_callback(MetricKind::kGauge, "depth", {},
+                   [&other] { return other; });
   samples = reg.snapshot();
   ASSERT_EQ(samples.size(), 1u);
   EXPECT_DOUBLE_EQ(samples[0].value, 3.0);
@@ -217,6 +224,102 @@ TEST(OverlayObservability, TraceAndMetricsCoverJoin) {
   EXPECT_NE(json.find("\"component\":\"linking\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"node_connections\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"sim_pending_events\""), std::string::npos);
+}
+
+/// A started two-node fleet, half a simulated minute in.
+struct StartedPair : testing::PublicOverlay {
+  StartedPair() : PublicOverlay(2, 3) {
+    start_all();
+    sim.run_until(30 * kSecond);
+  }
+};
+
+/// The text format allows one TYPE line per family and wants the
+/// family's samples grouped after it.  Registration order interleaves
+/// families (node_data_sent of node 1 comes after node 0's whole set),
+/// so an export in registration order breaks both rules.
+TEST(OverlayObservability, PrometheusGroupsEachFamilyUnderOneTypeLine) {
+  StartedPair net;
+  std::istringstream in(net.sim.metrics().to_prometheus());
+  std::map<std::string, std::string> type_of;  // family -> kind
+  std::set<std::string> closed;                // families already left
+  std::string family;
+  std::size_t samples = 0;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      std::istringstream words(line.substr(7));
+      std::string name;
+      std::string kind;
+      words >> name >> kind;
+      EXPECT_TRUE(type_of.emplace(name, kind).second)
+          << name << " has a second TYPE line";
+      if (!family.empty()) closed.insert(family);
+      family = name;
+      continue;
+    }
+    ++samples;
+    std::string name = line.substr(0, line.find('{'));
+    for (std::string_view suffix : {"_bucket", "_count"}) {
+      if (!name.ends_with(suffix)) continue;
+      std::string base = name.substr(0, name.size() - suffix.size());
+      if (type_of.count(base) != 0 && type_of[base] == "histogram") {
+        name = base;
+      }
+    }
+    EXPECT_EQ(name, family) << "sample outside its family's group: " << line;
+    EXPECT_EQ(closed.count(name), 0u) << "family split: " << line;
+  }
+  EXPECT_EQ(samples, net.sim.metrics().size());
+  EXPECT_EQ(type_of["wow_node_data_sent"], "counter");
+  EXPECT_EQ(type_of["wow_sim_pending_events"], "gauge");
+}
+
+/// Only levels are gauges; every count that only grows is a counter, so
+/// rate() works on it and time series record it as window deltas.  Each
+/// node exports every NodeStats and linking field, named after it.
+TEST(OverlayObservability, CountersExportAsCountersAndLevelsAsGauges) {
+  StartedPair net;
+  const std::set<std::string> levels = {
+      "node_connections", "node_routable",        "node_peer_cache_size",
+      "sim_pending_events", "sim_queue_tombstones", "sim_now_seconds"};
+  std::set<std::string> gauges;
+  std::map<std::pair<std::string, std::string>, int> per_node;
+  for (const auto& s : net.sim.metrics().snapshot()) {
+    if (s.kind == MetricKind::kGauge) {
+      gauges.insert(s.name);
+    } else {
+      EXPECT_EQ(s.kind, MetricKind::kCounter) << s.name;
+      EXPECT_EQ(levels.count(s.name), 0u) << s.name;
+    }
+    ++per_node[{s.labels.node, s.name}];
+  }
+  EXPECT_EQ(gauges, levels);
+
+  std::size_t fields = 0;
+  for (const auto& node : net.nodes) {
+    p2p::NodeStats::for_each_counter(
+        [&](const char* field, std::uint64_t p2p::NodeStats::*) {
+          ++fields;
+          EXPECT_EQ((per_node[{node->brief(), std::string("node_") + field}]),
+                    1)
+              << field;
+        });
+    using LinkStats = p2p::LinkingEngine::Stats;
+    LinkStats::for_each_counter(
+        [&](const char* field, std::uint64_t LinkStats::*) {
+          ++fields;
+          EXPECT_EQ((per_node[{node->brief(), std::string("link_") + field}]),
+                    1)
+              << field;
+        });
+  }
+  // The visitors walk every counter the two structs hold.
+  constexpr std::size_t kNodeFields =
+      (sizeof(p2p::NodeStats) - sizeof(p2p::NodeStats::lost_by_cause)) /
+      sizeof(std::uint64_t);
+  constexpr std::size_t kLinkFields =
+      sizeof(p2p::LinkingEngine::Stats) / sizeof(std::uint64_t);
+  EXPECT_EQ(fields, net.nodes.size() * (kNodeFields + kLinkFields));
 }
 
 /// Destroying a component must unregister its gauges: a snapshot taken

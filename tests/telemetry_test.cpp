@@ -245,7 +245,8 @@ TEST(MetricsTimeSeriesTest, CountersReportWindowDeltas) {
 TEST(MetricsTimeSeriesTest, GaugesReportLevelsNotDeltas) {
   MetricsRegistry reg;
   double level = 10.0;
-  reg.add_gauge("depth", {"", "sim"}, [&] { return level; });
+  reg.add_callback(MetricKind::kGauge, "depth", {"", "sim"},
+                   [&] { return level; });
   MetricsTimeSeries ts(reg);
   ts.sample(kSecond);
   level = 4.0;

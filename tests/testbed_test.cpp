@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "apps/ping.h"
 #include "middleware/nfs.h"
 #include "middleware/pbs.h"
 #include "wow/testbed.h"

@@ -2,6 +2,7 @@
 // line over the daemon's unix status socket and prints the JSON reply.
 //
 //   wowctl --sock=/tmp/wowd.sock status
+//   wowctl --sock=/tmp/wowd.sock metrics prom   (Prometheus text)
 //   wowctl --sock=/tmp/wowd.sock peers
 //   wowctl --sock=/tmp/wowd.sock ping 10.128.0.2
 //   wowctl --sock=/tmp/wowd.sock stop
@@ -76,7 +77,7 @@ int run_command(const std::string& path, const std::string& command) {
 int main(int argc, char** argv) {
   std::string sock = "/tmp/wowd.sock";
   wow::tools::FlagSet flags(
-      "wowctl", "status|peers|metrics|flight|ping <vip>|stop");
+      "wowctl", "status|peers|metrics [prom]|flight|ping <vip>|stop");
   flags.value("sock", sock, "daemon status socket");
   std::vector<std::string> positional;
   if (!flags.parse(argc, argv, positional)) return flags.help_shown() ? 0 : 2;

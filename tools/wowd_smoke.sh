@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Multi-process localhost smoke test: three wowd daemons over real UDP
-# sockets must converge to one ring, report their UDP edge counters,
-# answer an IPOP ping across the overlay, refuse an oversize control
-# command, drop control clients that hang up, keep a second daemon off a
-# running one's UDP port and status socket, and exit cleanly on SIGTERM
-# / the stop command.  Needs python3 for the raw socket clients.
+# sockets must converge to one ring, report their node and UDP edge
+# counters in status and in a Prometheus exposition, answer an IPOP
+# ping across the overlay, refuse an oversize control command, drop
+# control clients that hang up, keep a second daemon off a running
+# one's UDP port and status socket, and exit cleanly on SIGTERM / the
+# stop command.  Needs python3 for the raw socket clients.
 #
 # Usage: tools/wowd_smoke.sh [build-dir]   (default: ./build)
 set -u
@@ -81,8 +82,27 @@ for i in 1 2 3; do
     || fail "node $i sent no datagrams: $udp"
   echo "$udp" | grep -q '"datagrams_received":[1-9]' \
     || fail "node $i received no datagrams: $udp"
+  # Every NodeStats counter is a top-level key, named after its field.
+  for key in data_sent ctm_retries misbehavior_quarantines; do
+    echo "$status" | grep -q "\"$key\":[0-9]" \
+      || fail "node $i status has no $key: $status"
+  done
 done
-echo "ok: edge counters in status ($udp)"
+echo "ok: node and edge counters in status ($udp)"
+
+# --- Prometheus exposition ----------------------------------------------
+# One TYPE line per family, counters typed as counters, and the edge
+# counters in the registry.
+prom=$("$wowctl" --sock="$workdir/wowd1.sock" metrics prom) \
+  || fail "metrics prom failed on node 1"
+dup=$(echo "$prom" | awk '$1 == "#" && $2 == "TYPE" {print $3}' \
+      | sort | uniq -d)
+[ -z "$dup" ] || fail "TYPE lines repeated for: $dup"
+echo "$prom" | grep -qx '# TYPE wow_node_data_sent counter' \
+  || fail "no counter TYPE line for wow_node_data_sent"
+echo "$prom" | grep -q '^wow_udp_datagrams_sent{.*} [1-9]' \
+  || fail "wow_udp_datagrams_sent is missing or zero"
+echo "ok: metrics prom ($(echo "$prom" | grep -c '^# TYPE') families)"
 
 # --- IPOP ping across the overlay ---------------------------------------
 ping=$("$wowctl" --sock="$workdir/wowd1.sock" ping 10.128.0.3) \
