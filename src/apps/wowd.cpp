@@ -462,15 +462,10 @@ int run(int argc, char** argv) {
   });
   // The edge's counters as udp_<field>.  The factory lives inside the
   // node, which dies before the registry; nothing reads the registry
-  // after the node is gone.
-  using UdpStats = transport::UdpEdgeFactory::Stats;
-  UdpStats::for_each_counter(
-      [&](const char* field, std::uint64_t UdpStats::*member) {
-        metrics.add_callback(
-            MetricKind::kCounter, std::string("udp_") + field,
-            MetricLabels{"", "wowd"},
-            [factory, member] { return double(factory->stats().*member); });
-      });
+  // after the node is gone, so the ids are never removed.
+  std::vector<MetricId> udp_metric_ids;
+  add_counters(metrics, "udp_", MetricLabels{"", "wowd"},
+               [factory] { return &factory->stats(); }, udp_metric_ids);
 
   ipop::IpopNode::Config config;
   config.vip = opt.vip;

@@ -8,8 +8,9 @@
 ///   - one `std::uint64_t field = 0;` member per entry, in list order;
 ///   - `static void for_each_counter(fn)`, which calls
 ///     `fn("field", &Self::field)` for each entry, in the same order.
-/// Exporters (metric registration, wowd's status JSON) walk the visitor
-/// instead of naming fields, so a new counter is one line in its list.
+/// Exporters (the registry's add_counters(), wowd's status JSON,
+/// chaos_runner's adversary totals) walk the visitor instead of naming
+/// fields, so a new counter is one line in its list.
 /// Doc comments inside a list are `/* */`: a `//` comment would swallow
 /// the line continuation.
 #define WOW_COUNTERS(Self, LIST)          \

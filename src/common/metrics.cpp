@@ -9,13 +9,8 @@ namespace wow {
 
 namespace {
 
-[[nodiscard]] const char* kind_name(MetricsRegistry::Sample::Kind kind) {
-  switch (kind) {
-    case MetricsRegistry::Sample::Kind::kCounter: return "counter";
-    case MetricsRegistry::Sample::Kind::kGauge: return "gauge";
-    case MetricsRegistry::Sample::Kind::kHistogram: return "histogram";
-  }
-  return "?";
+[[nodiscard]] const char* kind_name(MetricKind kind) {
+  return kind == MetricKind::kCounter ? "counter" : "gauge";
 }
 
 /// %.17g prints doubles round-trip exactly; integers come out unpadded.
@@ -31,80 +26,37 @@ void append_number(std::string& out, double v) {
 
 }  // namespace
 
-MetricId MetricsRegistry::find_or_add(Sample::Kind kind,
-                                      std::string_view name,
-                                      const MetricLabels& labels) {
-  auto key = std::make_tuple(std::string(name), labels);
-  if (auto it = index_.find(key); it != index_.end()) return it->second;
-  Entry entry;
-  entry.kind = kind;
-  entry.name = std::string(name);
-  entry.labels = labels;
-  entries_.push_back(std::move(entry));
-  index_.emplace(std::move(key), entries_.size() - 1);
+MetricId MetricsRegistry::add_callback(MetricKind kind, std::string_view name,
+                                       const MetricLabels& labels,
+                                       std::function<double()> fn) {
+  entries_.push_back(Entry{kind, std::string(name), labels, std::move(fn)});
   ++live_;
   return entries_.size() - 1;
 }
 
-MetricCounter& MetricsRegistry::counter(std::string_view name,
-                                        const MetricLabels& labels) {
-  return entries_[find_or_add(Sample::Kind::kCounter, name, labels)].counter;
-}
-
-Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      const MetricLabels& labels, double lo,
-                                      double hi, std::size_t bins) {
-  Entry& entry = entries_[find_or_add(Sample::Kind::kHistogram, name, labels)];
-  if (!entry.hist) entry.hist.emplace(lo, hi, bins);
-  return *entry.hist;
-}
-
-MetricId MetricsRegistry::add_callback(MetricKind kind, std::string_view name,
-                                       const MetricLabels& labels,
-                                       std::function<double()> fn) {
-  MetricId id = find_or_add(kind, name, labels);
-  entries_[id].kind = kind;
-  entries_[id].read = std::move(fn);
-  return id;
-}
-
 void MetricsRegistry::remove(MetricId id) {
-  if (id >= entries_.size() || entries_[id].dead) return;
-  Entry& entry = entries_[id];
-  entry.dead = true;
-  entry.read = nullptr;
-  index_.erase(std::make_tuple(entry.name, entry.labels));
+  if (id >= entries_.size() || !entries_[id].read) return;
+  entries_[id].read = nullptr;
   --live_;
 }
 
 std::vector<MetricsRegistry::Sample> MetricsRegistry::snapshot() const {
   std::vector<Sample> out;
   out.reserve(live_);
-  for_each([&](MetricId, Sample::Kind kind, std::string_view name,
-               const MetricLabels& labels, double value,
-               const Histogram* hist) {
-    out.push_back(Sample{kind, std::string(name), labels, value, hist});
+  for_each([&](MetricId, MetricKind kind, std::string_view name,
+               const MetricLabels& labels, double value) {
+    out.push_back(Sample{kind, std::string(name), labels, value});
   });
   return out;
 }
 
 void MetricsRegistry::for_each(
-    const std::function<void(MetricId, Sample::Kind, std::string_view,
-                             const MetricLabels&, double, const Histogram*)>&
-        fn) const {
+    const std::function<void(MetricId, MetricKind, std::string_view,
+                             const MetricLabels&, double)>& fn) const {
   for (MetricId id = 0; id < entries_.size(); ++id) {
     const Entry& entry = entries_[id];
-    if (entry.dead) continue;
-    const Histogram* hist = entry.hist ? &*entry.hist : nullptr;
-    double value = 0.0;
-    if (entry.read) {
-      value = entry.read();
-    } else if (hist != nullptr) {
-      value = static_cast<double>(hist->total());
-    } else {
-      value = static_cast<double>(entry.counter.value());
-    }
-    fn(id, entry.kind, entry.name, entry.labels, value, hist);
+    if (!entry.read) continue;
+    fn(id, entry.kind, entry.name, entry.labels, entry.read());
   }
 }
 
@@ -124,18 +76,6 @@ std::string MetricsRegistry::to_json() const {
     out += kind_name(s.kind);
     out += "\",\"value\":";
     append_number(out, s.value);
-    if (s.kind == Sample::Kind::kHistogram && s.hist != nullptr) {
-      out += ",\"lo\":";
-      append_number(out, s.hist->bin_lo(0));
-      out += ",\"hi\":";
-      append_number(out, s.hist->bin_hi(s.hist->bins() - 1));
-      out += ",\"buckets\":[";
-      for (std::size_t b = 0; b < s.hist->bins(); ++b) {
-        if (b > 0) out += ',';
-        append_number(out, static_cast<double>(s.hist->count(b)));
-      }
-      out += ']';
-    }
     out += '}';
   }
   out += "]}";
@@ -149,62 +89,30 @@ void MetricsTimeSeries::sample(SimTime now) {
   // the registry's stable ids replace a map lookup per metric.  The
   // only allocations left are first-sight series creation and point
   // appends.
-  registry_.for_each([&](MetricId id, MetricsRegistry::Sample::Kind kind,
-                         std::string_view name, const MetricLabels& labels,
-                         double value, const Histogram* hist) {
+  registry_.for_each([&](MetricId id, MetricKind kind, std::string_view name,
+                         const MetricLabels& labels, double value) {
     if (id >= id_to_series_.size()) {
       id_to_series_.resize(id + 1, kNoSeries);
     }
     std::size_t idx = id_to_series_[id];
     if (idx == kNoSeries) {
       idx = series_.size();
-      Series series;
-      series.kind = kind;
-      series.name = std::string(name);
-      series.labels = labels;
-      series_.push_back(std::move(series));
-      states_.emplace_back();
+      series_.push_back(Series{kind, std::string(name), labels, {}});
+      prev_values_.push_back(0.0);
       id_to_series_[id] = idx;
     }
-    Series& series = series_[idx];
-    State& state = states_[idx];
-    Point point;
-    point.t = t;
-    switch (kind) {
-      case MetricsRegistry::Sample::Kind::kGauge:
-        point.value = value;
-        break;
-      case MetricsRegistry::Sample::Kind::kCounter:
-        point.value = value - state.prev_value;
-        state.prev_value = value;
-        break;
-      case MetricsRegistry::Sample::Kind::kHistogram: {
-        point.value = value - state.prev_value;
-        state.prev_value = value;
-        if (hist != nullptr) {
-          delta_.assign(hist->bins(), 0);
-          state.prev_buckets.resize(hist->bins(), 0);
-          for (std::size_t b = 0; b < hist->bins(); ++b) {
-            delta_[b] = hist->count(b) - state.prev_buckets[b];
-            state.prev_buckets[b] = hist->count(b);
-          }
-          double lo = hist->bin_lo(0);
-          double hi = hist->bin_hi(hist->bins() - 1);
-          point.p50 = percentile_of_buckets(lo, hi, delta_, 50);
-          point.p95 = percentile_of_buckets(lo, hi, delta_, 95);
-          point.p99 = percentile_of_buckets(lo, hi, delta_, 99);
-        }
-        break;
-      }
+    Point point{t, value};
+    if (kind == MetricKind::kCounter) {
+      point.value = value - prev_values_[idx];
+      prev_values_[idx] = value;
     }
-    series.points.push_back(point);
+    series_[idx].points.push_back(point);
   });
 }
 
 std::string MetricsTimeSeries::to_csv() const {
-  std::string out = "t,name,node,component,kind,value,p50,p95,p99\n";
+  std::string out = "t,name,node,component,kind,value\n";
   for (const Series& s : series_) {
-    bool hist = s.kind == MetricsRegistry::Sample::Kind::kHistogram;
     for (const Point& p : s.points) {
       append_number(out, p.t);
       out += ',';
@@ -217,16 +125,6 @@ std::string MetricsTimeSeries::to_csv() const {
       out += kind_name(s.kind);
       out += ',';
       append_number(out, p.value);
-      if (hist) {
-        out += ',';
-        append_number(out, p.p50);
-        out += ',';
-        append_number(out, p.p95);
-        out += ',';
-        append_number(out, p.p99);
-      } else {
-        out += ",,,";
-      }
       out += '\n';
     }
   }
@@ -236,7 +134,6 @@ std::string MetricsTimeSeries::to_csv() const {
 std::string MetricsTimeSeries::to_jsonl() const {
   std::string out;
   for (const Series& s : series_) {
-    bool hist = s.kind == MetricsRegistry::Sample::Kind::kHistogram;
     for (const Point& p : s.points) {
       out += "{\"t\":";
       append_number(out, p.t);
@@ -250,14 +147,6 @@ std::string MetricsTimeSeries::to_jsonl() const {
       out += kind_name(s.kind);
       out += "\",\"value\":";
       append_number(out, p.value);
-      if (hist) {
-        out += ",\"p50\":";
-        append_number(out, p.p50);
-        out += ",\"p95\":";
-        append_number(out, p.p95);
-        out += ",\"p99\":";
-        append_number(out, p.p99);
-      }
       out += "}\n";
     }
   }
@@ -274,11 +163,6 @@ std::string MetricsRegistry::to_prometheus() const {
                      return a.name < b.name;
                    });
   std::string out;
-  auto labels_of = [](const MetricLabels& l) {
-    std::string s = "{node=\"" + l.node + "\",component=\"" + l.component +
-                    "\"}";
-    return s;
-  };
   const std::string* family = nullptr;
   for (const Sample& s : samples) {
     std::string name = "wow_" + s.name;
@@ -286,29 +170,10 @@ std::string MetricsRegistry::to_prometheus() const {
       out += "# TYPE " + name + ' ' + kind_name(s.kind) + '\n';
       family = &s.name;
     }
-    if (s.kind == Sample::Kind::kHistogram && s.hist != nullptr) {
-      std::size_t cumulative = 0;
-      for (std::size_t b = 0; b < s.hist->bins(); ++b) {
-        cumulative += s.hist->count(b);
-        char le[40];
-        std::snprintf(le, sizeof le, "%g", s.hist->bin_hi(b));
-        out += name + "_bucket{node=\"" + s.labels.node + "\",component=\"" +
-               s.labels.component + "\",le=\"" + le + "\"} ";
-        append_number(out, static_cast<double>(cumulative));
-        out += '\n';
-      }
-      out += name + "_bucket{node=\"" + s.labels.node + "\",component=\"" +
-             s.labels.component + "\",le=\"+Inf\"} ";
-      append_number(out, static_cast<double>(s.hist->total()));
-      out += '\n';
-      out += name + "_count" + labels_of(s.labels) + ' ';
-      append_number(out, static_cast<double>(s.hist->total()));
-      out += '\n';
-    } else {
-      out += name + labels_of(s.labels) + ' ';
-      append_number(out, s.value);
-      out += '\n';
-    }
+    out += name + "{node=\"" + s.labels.node + "\",component=\"" +
+           s.labels.component + "\"} ";
+    append_number(out, s.value);
+    out += '\n';
   }
   return out;
 }

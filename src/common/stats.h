@@ -40,8 +40,7 @@ class RunningStats {
 
 /// Percentile over uniform-width bucket counts spanning [lo, hi):
 /// find the bucket the rank falls in, interpolate linearly inside it.
-/// Shared by Histogram::percentile and the time-series recorder (whose
-/// window percentiles come from bucket DELTAS, not a Histogram).
+/// The body of Histogram::percentile, over any vector of bucket counts.
 [[nodiscard]] double percentile_of_buckets(
     double lo, double hi, const std::vector<std::size_t>& counts, double p);
 

@@ -26,6 +26,14 @@ IpopNode::IpopNode(p2p::NodeDeps deps, Config config)
       [this](const p2p::Address& src, BytesView payload) {
         on_overlay_data(src, payload);
       });
+  if (config_.p2p.register_node_metrics) {
+    add_counters(metrics_, "ipop_", MetricLabels{node_->brief(), "ipop"},
+                 [this] { return &stats_; }, metric_ids_);
+  }
+}
+
+IpopNode::~IpopNode() {
+  for (MetricId id : metric_ids_) metrics_.remove(id);
 }
 
 void IpopNode::send_ip(IpPacket packet) {
@@ -47,11 +55,6 @@ void IpopNode::on_overlay_data(const p2p::Address&, BytesView payload) {
   if (!packet) {
     // Corrupted or truncated tunnel payload: reject cleanly, count it.
     ++stats_.parse_rejects;
-    if (parse_reject_ == nullptr) {
-      parse_reject_ =
-          &metrics_.counter("parse_reject", MetricLabels{"", "ipop"});
-    }
-    parse_reject_->inc();
     return;
   }
   if (packet->dst != config_.vip) {

@@ -4,7 +4,9 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <vector>
 
+#include "common/counters.h"
 #include "ipop/ip_packet.h"
 #include "p2p/node.h"
 #include "sim/timer_service.h"
@@ -40,6 +42,7 @@ class IpopNode {
   using IpHandler = std::function<void(const IpPacket&)>;
 
   IpopNode(p2p::NodeDeps deps, Config config);
+  ~IpopNode();
 
   void start() { node_->start(); }
   void stop() { node_->stop(); }
@@ -66,13 +69,21 @@ class IpopNode {
     handlers_[proto] = std::move(handler);
   }
 
+  /// Tunnel counters, one `X(field)` each (common/counters.h).  With
+  /// the node's `register_node_metrics` set, each is registered as an
+  /// `ipop_<field>` counter.
+#define WOW_IPOP_COUNTERS(X)                   \
+  X(sent)                                      \
+  X(received)                                  \
+  /* Dst vip != ours (stale route). */         \
+  X(dropped_not_ours)                          \
+  X(dropped_no_handler)                        \
+  /* Tunnelled bytes not an IpPacket. */       \
+  X(parse_rejects)
   struct Stats {
-    std::uint64_t sent = 0;
-    std::uint64_t received = 0;
-    std::uint64_t dropped_not_ours = 0;  // dst vip != ours (stale route)
-    std::uint64_t dropped_no_handler = 0;
-    std::uint64_t parse_rejects = 0;  // tunnelled bytes not an IpPacket
+    WOW_COUNTERS(Stats, WOW_IPOP_COUNTERS)
   };
+#undef WOW_IPOP_COUNTERS
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
  private:
@@ -84,8 +95,7 @@ class IpopNode {
   std::unique_ptr<p2p::Node> node_;
   std::map<IpProto, IpHandler> handlers_;
   Stats stats_;
-  /// Fleet-wide parse.reject counter, fetched on first reject.
-  MetricCounter* parse_reject_ = nullptr;
+  std::vector<MetricId> metric_ids_;
 };
 
 }  // namespace wow::ipop

@@ -358,13 +358,8 @@ FaultPlan FaultPlan::random(std::uint64_t seed, const RandomParams& params) {
 
 FaultInjector::FaultInjector(sim::Simulator& simulator, Network& network)
     : sim_(simulator), network_(network) {
-  MetricLabels labels{"", "fault"};
-  Stats::for_each_counter(
-      [&](const char* field, std::uint64_t Stats::*member) {
-        metric_ids_.push_back(sim_.metrics().add_callback(
-            MetricKind::kCounter, std::string("fault_") + field, labels,
-            [this, member] { return static_cast<double>(stats_.*member); }));
-      });
+  add_counters(sim_.metrics(), "fault_", MetricLabels{"", "fault"},
+               [this] { return &stats_; }, metric_ids_);
 }
 
 FaultInjector::~FaultInjector() {

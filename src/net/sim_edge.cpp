@@ -47,12 +47,6 @@ void SimEdgeFactory::bind(std::uint16_t port) {
   if (open_) close();
   adverts_.forget();
   port_ = port;
-  if (sent_ == nullptr) {
-    // One shared fleet-wide counter (pointer stays valid: the registry
-    // never relocates entries).
-    sent_ = &network_.simulator().metrics().counter(
-        "transport_datagrams_sent", MetricLabels{"", "transport"});
-  }
   host_->bind(port_, [this](const Endpoint& src, std::uint16_t,
                             SharedBytes payload) {
     on_datagram(src, std::move(payload));
@@ -68,7 +62,6 @@ void SimEdgeFactory::close() {
 
 void SimEdgeFactory::send_to(const Endpoint& dst, SharedBytes payload) {
   if (!open_) return;
-  sent_->inc();
   network_.send(*host_, port_, dst, std::move(payload));
 }
 

@@ -10,10 +10,6 @@
 #include "p2p/edge.h"
 #include "transport/uri.h"
 
-namespace wow {
-class MetricCounter;
-}
-
 namespace wow::net {
 
 class Host;
@@ -85,9 +81,6 @@ class SimEdgeFactory final : public p2p::EdgeFactory {
   /// Materialized per-remote edges (created lazily by edge_to; the data
   /// plane never touches this map unless an edge claimed the remote).
   std::map<Endpoint, std::unique_ptr<SimEdge>> edges_;
-  /// Fleet-wide datagram counter, owned by the simulator's registry;
-  /// fetched at first bind so an unstarted node registers nothing.
-  MetricCounter* sent_ = nullptr;
 };
 
 }  // namespace wow::net

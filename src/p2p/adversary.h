@@ -2,6 +2,7 @@
 
 #include <cstdint>
 
+#include "common/counters.h"
 #include "common/rng.h"
 #include "common/time.h"
 #include "p2p/node.h"
@@ -48,16 +49,20 @@ class AdversaryAgent {
  public:
   using Behaviors = AdversaryBehaviors;
 
+  /// Injection counters, one `X(field)` each (common/counters.h).
+#define WOW_ADVERSARY_COUNTERS(X) \
+  X(ticks)                        \
+  X(frames_injected)              \
+  X(spoofed_ctm_replies)          \
+  X(forged_link_replies)          \
+  X(replayed_requests)            \
+  X(forged_relay_frames)          \
+  X(forged_census_frames)         \
+  X(poisoned_samples)
   struct Stats {
-    std::uint64_t ticks = 0;
-    std::uint64_t frames_injected = 0;
-    std::uint64_t spoofed_ctm_replies = 0;
-    std::uint64_t forged_link_replies = 0;
-    std::uint64_t replayed_requests = 0;
-    std::uint64_t forged_relay_frames = 0;
-    std::uint64_t forged_census_frames = 0;
-    std::uint64_t poisoned_samples = 0;
+    WOW_COUNTERS(Stats, WOW_ADVERSARY_COUNTERS)
   };
+#undef WOW_ADVERSARY_COUNTERS
 
   AdversaryAgent(Node& node, sim::TimerService& timers, std::uint64_t seed,
                  Behaviors behaviors = Behaviors(),

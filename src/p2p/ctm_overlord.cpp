@@ -155,7 +155,7 @@ void CtmOverlord::handle_request(const RoutedPacket& packet,
   ++stats_.ctm_received;
   auto req = CtmRequest::parse(packet.payload());
   if (!req) {
-    hooks_.count_parse_reject();
+    ++stats_.parse_rejects;
     return;
   }
   if (tracer_.enabled(TraceClass::kProtocol)) {
@@ -294,7 +294,7 @@ void CtmOverlord::handle_reply(const RoutedPacket& packet,
                                const net::Endpoint& from) {
   auto reply = CtmReply::parse(packet.payload());
   if (!reply) {
-    hooks_.count_parse_reject();
+    ++stats_.parse_rejects;
     return;
   }
   auto pending = pending_ctms_.find(reply->token);

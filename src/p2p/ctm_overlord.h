@@ -54,7 +54,6 @@ class CtmOverlord {
     std::function<bool(const Address& peer)> is_quarantined;
     /// Re-check first-routable after a role upgrade touched the table.
     std::function<void()> update_routable;
-    std::function<void()> count_parse_reject;
     /// Post an entry on the owning node's flight recorder (optional —
     /// isolation tests wire fewer hooks).
     std::function<void(FlightKind kind, const Address& peer, std::int32_t a)>

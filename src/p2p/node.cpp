@@ -92,15 +92,6 @@ void Node::trace_packet(const char* event, const RoutedPacket& packet,
   }
 }
 
-void Node::count_parse_reject() {
-  ++stats_.parse_rejects;
-  if (parse_reject_ == nullptr) {
-    parse_reject_ =
-        &metrics_.counter("parse_reject", MetricLabels{"", "node"});
-  }
-  parse_reject_->inc();
-}
-
 // --- life cycle --------------------------------------------------------------
 
 void Node::start() {
@@ -213,7 +204,7 @@ void Node::on_datagram(const net::Endpoint& from, SharedBytes payload) {
   if (!running_) return;
   auto kind = frame_kind(payload.view());
   if (!kind) {
-    count_parse_reject();
+    ++stats_.parse_rejects;
     // Garbage is evidence: a source spraying unparseable bytes (or a
     // path mangling them) accumulates toward quarantine.
     note_misbehavior(from, kMisbehaviorParseReject);
@@ -241,7 +232,7 @@ void Node::on_datagram(const net::Endpoint& from, SharedBytes payload) {
                         std::move(payload), from)) {
     // Valid kind byte but no service claimed it: count and drop, never
     // crash (the registry is the announce table of §III).
-    count_parse_reject();
+    ++stats_.parse_rejects;
   }
 }
 
@@ -428,7 +419,7 @@ void Node::deliver_local(const RoutedPacket& packet,
     // Unknown payload type: the wire parser already rejects these, so
     // this only fires for an unregistered-but-valid type — same policy,
     // count and drop.
-    count_parse_reject();
+    ++stats_.parse_rejects;
   }
 }
 

@@ -230,8 +230,6 @@ class Node {
   // diagnostics
   void log(LogLevel level, const std::string& message) const;
   void register_metrics();
-  /// Count a frame/payload the parsers refused (truncation, bit rot).
-  void count_parse_reject();
   /// Emit a packet-level trace event ("packet.send", "packet.forward",
   /// "packet.drop", ...).  `reason` may be empty.
   void trace_packet(const char* event, const RoutedPacket& packet,
@@ -307,9 +305,6 @@ class Node {
   std::string trace_node_;
   std::string log_component_;
   std::vector<MetricId> metric_ids_;
-  /// Fleet-wide parse.reject counter, fetched on first reject so clean
-  /// runs leave the metric set untouched.
-  MetricCounter* parse_reject_ = nullptr;
 };
 
 }  // namespace wow::p2p

@@ -49,7 +49,6 @@ void Node::build_services() {
             return keepalive_->is_quarantined(peer);
           },
           [this] { update_routable(); },
-          [this] { count_parse_reject(); },
           [this](FlightKind kind, const Address& peer, std::int32_t a) {
             flight_.record(timers_.now(), kind, peer.brief(), a);
           },
@@ -115,7 +114,6 @@ void Node::build_services() {
           },
           [this](Connection& c) { keepalive_->seed_estimator(c); },
           [this] { update_routable(); },
-          [this] { count_parse_reject(); },
           [this](FlightKind kind, const Address& peer) {
             flight_.record(timers_.now(), kind, peer.brief());
           },
@@ -197,7 +195,7 @@ void Node::register_handlers() {
                 if (packet) {
                   handle_routed(std::move(*packet), from);
                 } else {
-                  count_parse_reject();
+                  ++stats_.parse_rejects;
                 }
               });
   frames_.add(static_cast<std::uint8_t>(FrameKind::kLink),
@@ -206,7 +204,7 @@ void Node::register_handlers() {
                 if (frame) {
                   handle_link(*frame, from);
                 } else {
-                  count_parse_reject();
+                  ++stats_.parse_rejects;
                 }
               });
   frames_.add(static_cast<std::uint8_t>(FrameKind::kRelay),
@@ -215,7 +213,7 @@ void Node::register_handlers() {
                 if (relay) {
                   relays_->handle_frame(std::move(*relay), from);
                 } else {
-                  count_parse_reject();
+                  ++stats_.parse_rejects;
                 }
               });
   frames_.add(static_cast<std::uint8_t>(FrameKind::kCensus),
@@ -224,7 +222,7 @@ void Node::register_handlers() {
                 if (census) {
                   census_->handle(*census);
                 } else {
-                  count_parse_reject();
+                  ++stats_.parse_rejects;
                 }
               });
 

@@ -91,7 +91,7 @@ void RelayAgent::handle_frame(RelayFrame relay, const net::Endpoint& from) {
   BytesView inner = relay.payload();
   auto kind = frame_kind(inner);
   if (!kind) {
-    hooks_.count_parse_reject();
+    ++stats_.parse_rejects;
     return;
   }
   if (*kind == FrameKind::kRouted) {
@@ -99,14 +99,14 @@ void RelayAgent::handle_frame(RelayFrame relay, const net::Endpoint& from) {
     if (packet) {
       hooks_.on_routed(std::move(*packet), from);
     } else {
-      hooks_.count_parse_reject();
+      ++stats_.parse_rejects;
     }
   } else if (*kind == FrameKind::kLink) {
     auto frame = LinkFrame::parse(inner);
     if (frame) {
       handle_relay_link(*frame, relay, from);
     } else {
-      hooks_.count_parse_reject();
+      ++stats_.parse_rejects;
     }
   }
   // A nested relay frame is never legal; drop it silently (the hops

@@ -75,7 +75,6 @@ class RelayAgent {
     std::function<void(Connection& c)> seed_estimator;
     /// A kRelay connection entered the table: re-check routability.
     std::function<void()> update_routable;
-    std::function<void()> count_parse_reject;
     /// Post an entry on the owning node's flight recorder (optional —
     /// isolation tests wire fewer hooks).
     std::function<void(FlightKind kind, const Address& peer)> record_flight;

@@ -489,6 +489,17 @@ TcpStack::TcpStack(sim::TimerService& timers, ipop::IpopNode& node,
                              [this](const ipop::IpPacket& packet) {
                                on_ip_packet(packet);
                              });
+  if (node_.p2p().node_config().register_node_metrics) {
+    metrics_ = &node_.metrics();
+    metric_id_ = metrics_->add_callback(
+        MetricKind::kCounter, "vtcp_parse_rejects",
+        MetricLabels{node_.p2p().brief(), "vtcp"},
+        [this] { return static_cast<double>(parse_rejects_); });
+  }
+}
+
+TcpStack::~TcpStack() {
+  if (metrics_ != nullptr) metrics_->remove(metric_id_);
 }
 
 void TcpStack::listen(std::uint16_t port, AcceptHandler handler) {
@@ -528,11 +539,7 @@ void TcpStack::on_ip_packet(const ipop::IpPacket& packet) {
   if (!seg) {
     // Not a well-formed segment (corruption survived the outer layers):
     // reject cleanly and count it.
-    if (parse_reject_ == nullptr) {
-      parse_reject_ =
-          &node_.metrics().counter("parse_reject", MetricLabels{"", "vtcp"});
-    }
-    parse_reject_->inc();
+    ++parse_rejects_;
     return;
   }
   ConnKey key{packet.src.value(), seg->src_port, seg->dst_port};

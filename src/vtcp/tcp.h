@@ -191,6 +191,7 @@ class TcpStack {
   /// everything above the p2p layer — runs unchanged over either.
   TcpStack(sim::TimerService& timers, ipop::IpopNode& node,
            TcpConfig config = {});
+  ~TcpStack();
 
   TcpStack(const TcpStack&) = delete;
   TcpStack& operator=(const TcpStack&) = delete;
@@ -208,6 +209,9 @@ class TcpStack {
   [[nodiscard]] ipop::IpopNode& node() { return node_; }
   [[nodiscard]] const TcpConfig& config() const { return config_; }
   [[nodiscard]] net::Ipv4Addr vip() const { return node_.vip(); }
+  /// Inbound IP payloads that were not a well-formed segment; exported
+  /// as `vtcp_parse_rejects` when the node registers its metrics.
+  [[nodiscard]] std::uint64_t parse_rejects() const { return parse_rejects_; }
 
  private:
   friend class TcpSocket;
@@ -230,8 +234,11 @@ class TcpStack {
   std::map<ConnKey, std::shared_ptr<TcpSocket>> sockets_;
   std::map<std::uint16_t, AcceptHandler> listeners_;
   std::uint16_t next_ephemeral_ = 40000;
-  /// Fleet-wide parse.reject counter, fetched on first reject.
-  MetricCounter* parse_reject_ = nullptr;
+  std::uint64_t parse_rejects_ = 0;
+  /// The registry holding the parse_rejects_ entry (null when none was
+  /// registered); it outlives both the stack and the IPOP node.
+  MetricsRegistry* metrics_ = nullptr;
+  MetricId metric_id_ = 0;
 };
 
 }  // namespace wow::vtcp

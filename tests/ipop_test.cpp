@@ -157,6 +157,21 @@ TEST(IpopTunnel, StatsCountTunnelledPackets) {
   EXPECT_GE(net.nodes[0]->stats().sent, 1u);
   EXPECT_GE(net.nodes[1]->stats().received, 1u);
   EXPECT_GE(net.nodes[0]->stats().received, 1u);  // the reply
+
+  // Tunnelled bytes that are no IP packet: counted, and exported as
+  // the receiving node's ipop_parse_rejects.
+  IpopNode& dst = *net.nodes[1];
+  auto exported = [&] {
+    return testing::sample_value(net.sim.metrics(), "ipop_parse_rejects",
+                                 dst.p2p().brief());
+  };
+  std::uint64_t rejects = dst.stats().parse_rejects;
+  double exported_before = exported();
+  net.nodes[0]->p2p().send_data(dst.p2p().address(), Bytes{0xde, 0xad});
+  net.sim.run_for(5 * kSecond);
+  EXPECT_EQ(dst.stats().parse_rejects, rejects + 1);
+  EXPECT_EQ(exported(), exported_before + 1);
+  EXPECT_EQ(exported(), static_cast<double>(dst.stats().parse_rejects));
 }
 
 }  // namespace

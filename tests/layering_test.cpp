@@ -210,7 +210,6 @@ struct CtmHarness {
             },
             [](const p2p::Address&) { return false; },  // is_quarantined
             [] {},                                      // update_routable
-            [] {},                                      // count_parse_reject
             nullptr,                                    // record_flight
             nullptr,                                    // note_peer
         });

@@ -473,7 +473,7 @@ TEST(ParseFuzz, RandomGarbageNeverCrashesAnyParser) {
 
 /// End-to-end: a running overlay under heavy in-flight corruption keeps
 /// running (no crash, no UB) and visibly counts parser rejections in
-/// the parse_reject metric.
+/// the node_parse_rejects metrics.
 TEST(ParseFuzz, OverlaySurvivesWireCorruption) {
   testing::PublicOverlay net(8, /*seed=*/5);
   net.start_all();
@@ -506,15 +506,17 @@ TEST(ParseFuzz, OverlaySurvivesWireCorruption) {
   std::uint64_t rejects = 0;
   for (const auto& n : net.nodes) rejects += n->stats().parse_rejects;
   EXPECT_GT(rejects, 0u);
-  // ...and the fleet-wide registry counter agrees.
-  bool found = false;
+  // ...and the registry's per-node samples sum to the same count.
+  std::uint64_t exported = 0;
+  std::size_t samples = 0;
   for (const auto& s : net.sim.metrics().snapshot()) {
-    if (s.name == "parse_reject" && s.labels.component == "node") {
-      found = true;
-      EXPECT_EQ(static_cast<std::uint64_t>(s.value), rejects);
+    if (s.name == "node_parse_rejects") {
+      ++samples;
+      exported += static_cast<std::uint64_t>(s.value);
     }
   }
-  EXPECT_TRUE(found);
+  EXPECT_EQ(samples, net.nodes.size());
+  EXPECT_EQ(exported, rejects);
 }
 
 // --- text parsers (URI / dotted quad) -----------------------------------

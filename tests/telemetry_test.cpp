@@ -222,12 +222,14 @@ TEST(FlightRecorderTest, DumpIsHumanReadable) {
 
 TEST(MetricsTimeSeriesTest, CountersReportWindowDeltas) {
   MetricsRegistry reg;
-  MetricCounter& c = reg.counter("reqs", {"n1", "node"});
+  double reqs = 0;
+  reg.add_callback(MetricKind::kCounter, "reqs", {"n1", "node"},
+                   [&reqs] { return reqs; });
   MetricsTimeSeries ts(reg);
 
-  c.inc(5);
+  reqs += 5;
   ts.sample(kSecond);
-  c.inc(3);
+  reqs += 3;
   ts.sample(2 * kSecond);
   ts.sample(3 * kSecond);  // idle window
 
@@ -256,31 +258,11 @@ TEST(MetricsTimeSeriesTest, GaugesReportLevelsNotDeltas) {
   EXPECT_EQ(ts.series()[0].points[1].value, 4.0);
 }
 
-TEST(MetricsTimeSeriesTest, HistogramWindowsCarryPercentiles) {
-  MetricsRegistry reg;
-  Histogram& h = reg.histogram("lat", {"n1", "node"}, 0.0, 100.0, 100);
-  MetricsTimeSeries ts(reg);
-
-  for (int i = 0; i < 100; ++i) h.add(10.5);
-  ts.sample(kSecond);
-  // Second window is all-tail: its percentiles must reflect only the
-  // window's delta, not the cumulative distribution.
-  for (int i = 0; i < 100; ++i) h.add(90.5);
-  ts.sample(2 * kSecond);
-
-  ASSERT_EQ(ts.series().size(), 1u);
-  const auto& pts = ts.series()[0].points;
-  ASSERT_EQ(pts.size(), 2u);
-  EXPECT_EQ(pts[0].value, 100.0);  // window sample count
-  EXPECT_NEAR(pts[0].p50, 10.5, 1.0);
-  EXPECT_EQ(pts[1].value, 100.0);
-  EXPECT_NEAR(pts[1].p50, 90.5, 1.0);
-  EXPECT_NEAR(pts[1].p99, 90.5, 1.0);
-}
-
 TEST(MetricsTimeSeriesTest, ExportsCsvAndJsonl) {
   MetricsRegistry reg;
-  reg.counter("reqs", {"n1", "node"}).inc(2);
+  double reqs = 2;
+  reg.add_callback(MetricKind::kCounter, "reqs", {"n1", "node"},
+                   [&reqs] { return reqs; });
   MetricsTimeSeries ts(reg);
   ts.sample(kSecond);
 

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -13,6 +14,16 @@
 #include "wow/fleet.h"
 
 namespace wow::testing {
+
+/// Sum of the `name` samples labelled with `node` (0 when none).
+inline double sample_value(const MetricsRegistry& metrics,
+                           std::string_view name, std::string_view node) {
+  double sum = 0;
+  for (const auto& s : metrics.snapshot()) {
+    if (s.name == name && s.labels.node == node) sum += s.value;
+  }
+  return sum;
+}
 
 /// A small all-public overlay for protocol tests: `n` hosts at one site,
 /// each running one P2P node; every node bootstraps off node 0.

@@ -5,6 +5,7 @@
 #include <string_view>
 #include <vector>
 
+#include "tools/jsonl_reader.h"
 #include "tools/tool_flags.h"
 
 namespace wow::tools {
@@ -63,6 +64,19 @@ TEST(FlagGrammar, ParsedValuesAndUntouchedOnFailure) {
   EXPECT_EQ(n, 7);
   EXPECT_FALSE(parse_value("100,", list));
   EXPECT_EQ(list, (std::vector<int>{100, 300}));
+}
+
+/// The report tools read trace numbers with the flag grammar: a value
+/// that is not a whole finite number reads as absent, never as a prefix
+/// (12), a zero or a NaN.
+TEST(JsonlReader, MalformedNumbersReadAsAbsent) {
+  for (const char* line : {R"({"pkt":12x})", R"({"pkt":abc})",
+                           R"({"pkt":nan})"}) {
+    EXPECT_FALSE(num_value(line, "pkt").has_value()) << line;
+    EXPECT_FALSE(u64_value(line, "pkt").has_value()) << line;
+  }
+  EXPECT_EQ(num_value(R"({"t":-1.5,"pkt":12})", "t"), -1.5);
+  EXPECT_EQ(u64_value(R"({"t":-1.5,"pkt":12})", "pkt"), 12u);
 }
 
 /// Runs `flags` over `args` as if they followed the program name.

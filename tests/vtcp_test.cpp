@@ -46,6 +46,25 @@ TEST(SegmentWire, RoundTrip) {
   EXPECT_EQ(t->payload, s.payload);
 }
 
+/// An IP payload too short to be a segment is counted by the receiving
+/// stack and exported as its vtcp_parse_rejects.
+TEST_F(VtcpTest, MalformedSegmentCountsAParseReject) {
+  auto exported = [&] {
+    return testing::sample_value(net.sim.metrics(), "vtcp_parse_rejects",
+                                 net.nodes[1]->p2p().brief());
+  };
+  std::uint64_t rejects = stack1->parse_rejects();
+  double exported_before = exported();
+  ipop::IpPacket packet;
+  packet.dst = net.vip(1);
+  packet.proto = ipop::IpProto::kTcp;
+  packet.payload = Bytes{1, 2, 3};
+  net.nodes[0]->send_ip(std::move(packet));
+  net.sim.run_for(5 * kSecond);
+  EXPECT_EQ(stack1->parse_rejects(), rejects + 1);
+  EXPECT_EQ(exported(), exported_before + 1);
+}
+
 TEST_F(VtcpTest, HandshakeEstablishesBothEnds) {
   std::shared_ptr<TcpSocket> server;
   stack1->listen(80, [&](std::shared_ptr<TcpSocket> s) { server = s; });

@@ -469,33 +469,25 @@ int run(const Options& opt) {
     // The complete identity roster arms the phantom_identity
     // containment invariant; the adversary cast is echoed into any
     // violation brief.
-    p2p::AdversaryAgent::Stats totals;
     for (const auto& n : soak.nodes) {
       oracle_cfg.known_addresses.push_back(n->address());
     }
     for (const auto& a : soak.adversaries) {
       oracle_cfg.adversary_addresses.push_back(a->node().address());
-      const auto& s = a->stats();
-      totals.frames_injected += s.frames_injected;
-      totals.spoofed_ctm_replies += s.spoofed_ctm_replies;
-      totals.forged_link_replies += s.forged_link_replies;
-      totals.replayed_requests += s.replayed_requests;
-      totals.forged_relay_frames += s.forged_relay_frames;
-      totals.forged_census_frames += s.forged_census_frames;
-      totals.poisoned_samples += s.poisoned_samples;
     }
-    std::printf(
-        "byzantine: %zu adversaries (%.0f%%) defenses=%s injected=%" PRIu64
-        " (spoofed_ctm=%" PRIu64 " forged_reply=%" PRIu64 " replayed=%" PRIu64
-        " forged_relay=%" PRIu64 " forged_census=%" PRIu64
-        " poisoned=%" PRIu64 ")\n",
-        soak.adversaries.size(),
-        100.0 * static_cast<double>(soak.adversaries.size()) /
-            static_cast<double>(soak.nodes.size()),
-        opt.no_defenses ? "off" : "on", totals.frames_injected,
-        totals.spoofed_ctm_replies, totals.forged_link_replies,
-        totals.replayed_requests, totals.forged_relay_frames,
-        totals.forged_census_frames, totals.poisoned_samples);
+    std::printf("byzantine: %zu adversaries (%.0f%%) defenses=%s",
+                soak.adversaries.size(),
+                100.0 * static_cast<double>(soak.adversaries.size()) /
+                    static_cast<double>(soak.nodes.size()),
+                opt.no_defenses ? "off" : "on");
+    using AdversaryStats = p2p::AdversaryAgent::Stats;
+    AdversaryStats::for_each_counter(
+        [&](const char* field, std::uint64_t AdversaryStats::*member) {
+          std::uint64_t total = 0;
+          for (const auto& a : soak.adversaries) total += a->stats().*member;
+          std::printf(" %s=%" PRIu64, field, total);
+        });
+    std::printf("\n");
   }
   auto report = p2p::Oracle::check(live, soak.sim.now(), oracle_cfg);
   std::printf("%s\n", report.to_string().c_str());

@@ -1,12 +1,13 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
+
+#include "tool_flags.h"
 
 namespace wow::tools {
 
@@ -41,18 +42,25 @@ inline std::optional<std::string_view> raw_value(std::string_view line,
   return line.substr(pos, end - pos);
 }
 
+/// The number under `key`, read whole by parse_value (tool_flags.h).
+/// nullopt when the key is absent or its value is not a finite T: a
+/// malformed number ("12x", "abc", "nan") reads as absent.
+template <typename T>
+std::optional<T> number_value(std::string_view line, std::string_view key) {
+  auto raw = raw_value(line, key);
+  T out{};
+  if (!raw || !parse_value(*raw, out)) return std::nullopt;
+  return out;
+}
+
 inline std::optional<double> num_value(std::string_view line,
                                        std::string_view key) {
-  auto raw = raw_value(line, key);
-  if (!raw) return std::nullopt;
-  return std::strtod(std::string(*raw).c_str(), nullptr);
+  return number_value<double>(line, key);
 }
 
 inline std::optional<std::uint64_t> u64_value(std::string_view line,
                                               std::string_view key) {
-  auto raw = raw_value(line, key);
-  if (!raw) return std::nullopt;
-  return std::strtoull(std::string(*raw).c_str(), nullptr, 10);
+  return number_value<std::uint64_t>(line, key);
 }
 
 /// Stream `path` line by line (empty lines skipped), calling `fn` for

@@ -2,7 +2,8 @@
 # Multi-process localhost smoke test: three wowd daemons over real UDP
 # sockets must converge to one ring, report their node and UDP edge
 # counters in status and in a Prometheus exposition, answer an IPOP
-# ping across the overlay, refuse an oversize control command, drop
+# ping across the overlay and count it in a well-formed exposition,
+# refuse an oversize control command, drop
 # control clients that hang up, keep a second daemon off a running
 # one's UDP port and status socket, and exit cleanly on SIGTERM / the
 # stop command.  Needs python3 for the raw socket clients.
@@ -109,6 +110,54 @@ ping=$("$wowctl" --sock="$workdir/wowd1.sock" ping 10.128.0.3) \
   || fail "ping command failed"
 echo "$ping" | grep -q '"replied":true' || fail "no ICMP reply: $ping"
 echo "ok: overlay ping 10.128.0.1 -> 10.128.0.3 ($ping)"
+
+# --- exposition format ---------------------------------------------------
+# Node 1's whole exposition after the ping: every line a TYPE line or a
+# sample of the family typed last, no series twice (every registration
+# is its own entry, so a metric wired up twice would show here),
+# counters as non-negative integers, and the IPOP tunnel's received
+# count holding the ping reply.
+"$wowctl" --sock="$workdir/wowd1.sock" metrics prom >"$workdir/prom.txt" \
+  || fail "metrics prom failed on node 1 after the ping"
+exposition=$(python3 - "$workdir/prom.txt" 2>&1 <<'PY'
+import math
+import re
+import sys
+
+type_line = re.compile(r"# TYPE (\w+) (counter|gauge)")
+sample_line = re.compile(r'(\w+)(\{node="[^"]*",component="[^"]*"\}) '
+                         r"(-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)")
+family = kind = None
+series = set()
+received = 0.0
+for line in open(sys.argv[1]).read().splitlines():
+    if not line:
+        continue  # the format ignores empty lines; the reply ends in one
+    if m := type_line.fullmatch(line):
+        family, kind = m.groups()
+        continue
+    m = sample_line.fullmatch(line)
+    if m is None:
+        sys.exit("malformed line: " + line)
+    name, labels, text = m.groups()
+    value = float(text)
+    if not math.isfinite(value):
+        sys.exit("value not finite: " + line)
+    if name != family:
+        sys.exit("sample outside its family's TYPE line: " + line)
+    if (name, labels) in series:
+        sys.exit("series exported twice: " + line)
+    series.add((name, labels))
+    if kind == "counter" and (value < 0 or value != int(value)):
+        sys.exit("counter not a non-negative integer: " + line)
+    if name == "wow_ipop_received":
+        received += value
+if received < 1:
+    sys.exit("wow_ipop_received is %g after the ping, want >= 1" % received)
+print("%d series" % len(series))
+PY
+) || fail "node 1 exposition: $exposition"
+echo "ok: exposition well formed ($exposition)"
 
 # --- oversize control command -------------------------------------------
 # 64 KiB with no newline: the daemon must answer with an error and drop
