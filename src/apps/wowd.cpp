@@ -384,9 +384,12 @@ class StatusServer {
     reply(fd, out.str());
   }
 
-  void reply(int fd, const std::string& json) {
+  void reply(int fd, const std::string& body) {
     if (clients_.find(fd) == clients_.end()) return;
-    std::string out = json + "\n";
+    // Exactly one trailing newline: the Prometheus exposition already
+    // ends in one.
+    std::string out = body;
+    if (out.empty() || out.back() != '\n') out += '\n';
     // Status replies are small (well under a socket buffer); a short
     // write here means the client died — drop it either way.
     [[maybe_unused]] ssize_t n = ::write(fd, out.data(), out.size());

@@ -67,9 +67,10 @@ class SharedBytes {
 /// this writer so framing stays consistent across modules.
 class ByteWriter {
  public:
-  /// Largest byte string a u16 length prefix can carry.  blob()/str()
-  /// refuse anything longer instead of silently truncating the length
-  /// field (which would desynchronize every reader downstream).
+  /// Largest byte string a u16 length prefix can carry.  str() and the
+  /// IPOP and vtcp header writers refuse anything longer instead of
+  /// silently truncating the length field (which would desynchronize
+  /// every reader downstream).
   static constexpr std::size_t kMaxLenPrefixed = 0xffff;
 
   /// Pre-size the buffer: serialize() implementations know their frame
@@ -107,20 +108,9 @@ class ByteWriter {
     buf_.insert(buf_.end(), bytes.begin(), bytes.end());
   }
 
-  /// Length-prefixed (u16) byte string.  Oversize input is rejected: an
-  /// empty blob is written, the overflow flag is set and an error is
+  /// Length-prefixed (u16) UTF-8 string.  Oversize input is rejected: an
+  /// empty string is written, the overflow flag is set and an error is
   /// logged — a wrong length prefix must never reach the wire.
-  void blob(std::span<const std::uint8_t> bytes) {
-    if (bytes.size() > kMaxLenPrefixed) {
-      fail_oversize("blob", bytes.size());
-      u16(0);
-      return;
-    }
-    u16(static_cast<std::uint16_t>(bytes.size()));
-    raw(bytes);
-  }
-
-  /// Length-prefixed (u16) UTF-8 string.  Same oversize policy as blob().
   void str(std::string_view s) {
     if (s.size() > kMaxLenPrefixed) {
       fail_oversize("str", s.size());
@@ -131,7 +121,7 @@ class ByteWriter {
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
 
-  /// True if any blob()/str() input exceeded kMaxLenPrefixed.  Callers
+  /// True if any str() input exceeded kMaxLenPrefixed.  Callers
   /// that can fail loudly should check this before shipping the frame.
   [[nodiscard]] bool overflowed() const { return overflowed_; }
 
@@ -149,6 +139,87 @@ class ByteWriter {
 
   Bytes buf_;
   bool overflowed_ = false;
+};
+
+/// Big-endian writer over a region the caller has already sized: a
+/// header claimed from a FrameBuf, or the fields a forwarding hop
+/// rewrites in a received frame.  The in-place counterpart of
+/// ByteWriter; it never allocates and never checks bounds.
+class HeaderWriter {
+ public:
+  explicit HeaderWriter(std::uint8_t* out) : out_(out) {}
+
+  void u8(std::uint8_t v) { *out_++ = v; }
+  void u16(std::uint16_t v) {
+    u8(static_cast<std::uint8_t>(v >> 8));
+    u8(static_cast<std::uint8_t>(v));
+  }
+  void u32(std::uint32_t v) {
+    u16(static_cast<std::uint16_t>(v >> 16));
+    u16(static_cast<std::uint16_t>(v));
+  }
+  void u64(std::uint64_t v) {
+    u32(static_cast<std::uint32_t>(v >> 32));
+    u32(static_cast<std::uint32_t>(v));
+  }
+  /// Most significant limb first, as ByteWriter::ring_id.
+  void ring_id(const RingId& id) {
+    for (int i = RingId::kLimbs - 1; i >= 0; --i) {
+      u32(id.limbs()[static_cast<std::size_t>(i)]);
+    }
+  }
+
+ private:
+  std::uint8_t* out_;
+};
+
+/// An outgoing frame built back to front, the sk_buff/mbuf headroom
+/// idea.  The payload is copied in once, behind spare headroom; each
+/// layer below then claims its header in front of the current head with
+/// push() and writes it in place.  Once the outermost header is written
+/// the buffer is the wire frame, so no layer copies the payload again.
+class FrameBuf {
+ public:
+  FrameBuf(std::size_t headroom, BytesView payload) : head_(headroom) {
+    buf_.reserve(headroom + payload.size());
+    buf_.resize(headroom);
+    buf_.insert(buf_.end(), payload.begin(), payload.end());
+  }
+
+  /// Claim `n` header bytes in front of the current head.  A frame
+  /// built with too little headroom grows at the front, which moves
+  /// its content once.
+  [[nodiscard]] std::uint8_t* push(std::size_t n) {
+    if (n > head_) {
+      buf_.insert(buf_.begin(), n - head_, 0);
+      head_ = n;
+    }
+    head_ -= n;
+    return buf_.data() + head_;
+  }
+
+  /// The frame from the current head: the outermost header so far and
+  /// everything behind it.
+  [[nodiscard]] BytesView view() const {
+    return BytesView(buf_).subspan(head_);
+  }
+  [[nodiscard]] std::size_t size() const { return buf_.size() - head_; }
+  [[nodiscard]] std::size_t headroom() const { return head_; }
+
+  /// The finished frame, headroom dropped (none is left once every
+  /// layer has pushed its header, so this moves without copying).
+  [[nodiscard]] Bytes take() && {
+    if (head_ > 0) {
+      buf_.erase(buf_.begin(),
+                 buf_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+    return std::move(buf_);
+  }
+
+ private:
+  Bytes buf_;
+  std::size_t head_;
 };
 
 /// Checked big-endian reader over a byte span.  All read methods return
@@ -201,15 +272,6 @@ class ByteReader {
       limbs[static_cast<std::size_t>(i)] = *limb;
     }
     return RingId{limbs};
-  }
-
-  [[nodiscard]] std::optional<Bytes> blob() {
-    auto len = u16();
-    if (!len || pos_ + *len > data_.size()) return std::nullopt;
-    Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-              data_.begin() + static_cast<std::ptrdiff_t>(pos_ + *len));
-    pos_ += *len;
-    return out;
   }
 
   [[nodiscard]] std::optional<std::string> str() {

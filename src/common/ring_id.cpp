@@ -1,7 +1,6 @@
 #include "common/ring_id.h"
 
 #include <cmath>
-#include <cstdio>
 
 namespace wow {
 
@@ -12,6 +11,12 @@ namespace {
   if (c >= 'a' && c <= 'f') return c - 'a' + 10;
   if (c >= 'A' && c <= 'F') return c - 'A' + 10;
   return -1;
+}
+
+/// Eight lowercase hex digits of `limb`, most significant first.
+void put_hex(char* out, std::uint32_t limb) {
+  constexpr char kDigits[] = "0123456789abcdef";
+  for (int i = 7; i >= 0; --i, limb >>= 4) out[i] = kDigits[limb & 0xf];
 }
 
 }  // namespace
@@ -30,15 +35,19 @@ std::optional<RingId> RingId::from_hex(std::string_view hex) {
 }
 
 std::string RingId::to_hex() const {
-  char buf[41];
-  for (int i = 0; i < kLimbs; ++i) {
-    // limb (kLimbs-1-i) prints first.
-    std::snprintf(buf + 8 * i, 9, "%08x", limbs_[kLimbs - 1 - i]);
-  }
-  return std::string(buf, 40);
+  std::string out(8 * kLimbs, '0');
+  char* digits = out.data();
+  // The most significant limb prints first.
+  for (int i = kLimbs - 1; i >= 0; --i, digits += 8) put_hex(digits, limbs_[i]);
+  return out;
 }
 
-std::string RingId::brief() const { return to_hex().substr(0, 8); }
+std::string RingId::brief() const {
+  // Eight characters fit the string's inline buffer: no heap.
+  std::string out(8, '0');
+  put_hex(out.data(), limbs_[kLimbs - 1]);
+  return out;
+}
 
 double RingId::to_double() const {
   double v = 0.0;

@@ -50,7 +50,9 @@ class RingId {
   /// 40-hex-digit representation, most significant first.
   [[nodiscard]] std::string to_hex() const;
 
-  /// Short human-readable form (first 8 hex digits) for logs.
+  /// Short human-readable form (first 8 hex digits) for logs.  Written
+  /// digit by digit into a short string: no printf, no heap, so it is
+  /// cheap enough for per-packet records.
   [[nodiscard]] std::string brief() const;
 
   [[nodiscard]] constexpr const std::array<std::uint32_t, kLimbs>& limbs()

@@ -11,12 +11,13 @@ void IcmpService::ping(net::Ipv4Addr dst, std::uint16_t ident,
   echo.timestamp = clock_.now();
   echo.padding = padding;
 
+  Bytes body = echo.serialize();
   IpPacket packet;
   packet.dst = dst;
   packet.proto = IpProto::kIcmp;
-  packet.payload = echo.serialize();
+  packet.payload = body;
   ++stats_.requests_sent;
-  node_.send_ip(std::move(packet));
+  node_.send_ip(packet);
 }
 
 void IcmpService::on_packet(const IpPacket& packet) {
@@ -25,12 +26,13 @@ void IcmpService::on_packet(const IpPacket& packet) {
   if (echo->type == IcmpEcho::kEchoRequest) {
     IcmpEcho reply = *echo;
     reply.type = IcmpEcho::kEchoReply;
+    Bytes body = reply.serialize();
     IpPacket out;
     out.dst = packet.src;
     out.proto = IpProto::kIcmp;
-    out.payload = reply.serialize();
+    out.payload = body;
     ++stats_.requests_answered;
-    node_.send_ip(std::move(out));
+    node_.send_ip(out);
     return;
   }
   ++stats_.replies_received;

@@ -1,22 +1,33 @@
 #include "ipop/ip_packet.h"
 
+#include <cstdio>
+
 namespace wow::ipop {
 
-Bytes IpPacket::serialize() const {
-  ByteWriter w;
-  w.reserve(1 + 1 + 2 + 4 + 4 + 2 + payload.size());
+bool IpPacket::push_header(FrameBuf& frame) const {
+  std::size_t len = frame.size();
+  if (len > ByteWriter::kMaxLenPrefixed) {
+    std::fprintf(stderr, "wow: IpPacket rejected %zu-byte payload (max %zu)\n",
+                 len, ByteWriter::kMaxLenPrefixed);
+    return false;
+  }
+  HeaderWriter w(frame.push(kHeaderBytes));
   w.u8(static_cast<std::uint8_t>(proto));
   w.u8(ttl);
   w.u16(id);
   w.u32(src.value());
   w.u32(dst.value());
-  // Length-prefixed via blob(): oversize payloads are rejected loudly
-  // instead of truncating the u16 length.
-  w.blob(payload);
-  return std::move(w).take();
+  w.u16(static_cast<std::uint16_t>(len));
+  return true;
 }
 
-std::optional<IpPacket> IpPacket::parse(std::span<const std::uint8_t> data) {
+Bytes IpPacket::serialize() const {
+  FrameBuf frame(kHeaderBytes, payload);
+  if (!push_header(frame)) return {};
+  return std::move(frame).take();
+}
+
+std::optional<IpPacket> IpPacket::parse(BytesView data) {
   ByteReader r(data);
   auto proto = r.u8();
   auto ttl = r.u8();
@@ -37,8 +48,7 @@ std::optional<IpPacket> IpPacket::parse(std::span<const std::uint8_t> data) {
   p.id = *id;
   p.src = net::Ipv4Addr{*src};
   p.dst = net::Ipv4Addr{*dst};
-  auto rest = r.rest();
-  p.payload.assign(rest.begin(), rest.begin() + *len);
+  p.payload = r.rest().first(*len);
   return p;
 }
 

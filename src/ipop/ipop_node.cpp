@@ -36,18 +36,23 @@ IpopNode::~IpopNode() {
   for (MetricId id : metric_ids_) metrics_.remove(id);
 }
 
-void IpopNode::send_ip(IpPacket packet) {
+void IpopNode::send_ip(const IpPacket& packet) {
+  send_ip(packet, FrameBuf(IpPacket::kHeadroom, packet.payload));
+}
+
+void IpopNode::send_ip(const IpPacket& packet, FrameBuf frame) {
   ++stats_.sent;
-  packet.src = config_.vip;
-  if (packet.dst == config_.vip) {
+  IpPacket header = packet;
+  header.src = config_.vip;
+  if (!header.push_header(frame)) return;
+  if (header.dst == config_.vip) {
     // Loopback: deliver in the next event so callers never reenter.
-    Bytes raw = packet.serialize();
-    timers_.schedule(0, [this, raw = std::move(raw)] {
-      on_overlay_data(node_->address(), raw);
+    timers_.schedule(0, [this, frame = std::move(frame)] {
+      on_overlay_data(node_->address(), frame.view());
     });
     return;
   }
-  node_->send_data(address_for_vip(packet.dst), packet.serialize());
+  node_->send_data(address_for_vip(header.dst), std::move(frame));
 }
 
 void IpopNode::on_overlay_data(const p2p::Address&, BytesView payload) {

@@ -61,8 +61,14 @@ class IpopNode {
   [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
 
   /// Guest → overlay: tunnel one IP packet.  Packets to our own virtual
-  /// IP loop back locally (as a real stack would).
-  void send_ip(IpPacket packet);
+  /// IP loop back locally (as a real stack would).  The payload is
+  /// copied once, into a frame of its own.
+  void send_ip(const IpPacket& packet);
+  /// The same for a payload already in `frame`, built with at least
+  /// IpPacket::kHeadroom bytes of headroom: the IP and routed headers
+  /// are written there in place.  `packet` gives the header fields; its
+  /// payload view is not read.
+  void send_ip(const IpPacket& packet, FrameBuf frame);
 
   /// Overlay → guest: register the handler for one IP protocol.
   void set_protocol_handler(IpProto proto, IpHandler handler) {

@@ -442,7 +442,11 @@ void Node::deliver_data(const RoutedPacket& packet) {
 
 // --- data plane --------------------------------------------------------------
 
-void Node::send_data(const Address& dst, Bytes payload) {
+void Node::send_data(const Address& dst, BytesView payload) {
+  send_data(dst, FrameBuf(RoutedPacket::kHeaderBytes, payload));
+}
+
+void Node::send_data(const Address& dst, FrameBuf frame) {
   ++stats_.data_sent;
   if (!running_ || dst == config_.address) return;
   shortcuts_->on_traffic(dst, timers_.now());
@@ -455,7 +459,7 @@ void Node::send_data(const Address& dst, Bytes payload) {
   // The id is drawn unconditionally (one counter increment) so that
   // attaching a trace sink never changes wire bytes or event order.
   packet.trace_id = tracer_.next_trace_id();
-  packet.set_payload(std::move(payload));
+  packet.set_frame(std::move(frame));
   if (table_.empty()) {
     ++stats_.dropped_no_connection;
     flight_.record(timers_.now(), FlightKind::kFrameDrop, packet.dst.brief(),

@@ -91,7 +91,12 @@ class Node {
 
   /// Tunnel an opaque payload to the node owning `dst`.  Single overlay
   /// hop if a direct connection exists, greedy multi-hop otherwise.
-  void send_data(const Address& dst, Bytes payload);
+  /// The payload is copied once, into a frame of its own.
+  void send_data(const Address& dst, BytesView payload);
+  /// The same for a payload already in `frame`, built with at least
+  /// RoutedPacket::kHeaderBytes of headroom: the routed header is
+  /// written there in place, so the payload is never copied again.
+  void send_data(const Address& dst, FrameBuf frame);
 
   void set_data_handler(DataHandler handler) {
     data_handler_ = std::move(handler);

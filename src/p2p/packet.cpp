@@ -30,24 +30,19 @@ namespace {
   return 1 + 7 * uris.size();
 }
 
-/// Write a ring id big-endian (most significant limb first) into `out`,
-/// matching ByteWriter::ring_id — the raw-pointer form used by the
-/// in-place header rewrite of RoutedPacket::wire().
-void store_ring_id(std::uint8_t* out, const RingId& id) {
-  for (int i = RingId::kLimbs - 1; i >= 0; --i) {
-    std::uint32_t limb = id.limbs()[static_cast<std::size_t>(i)];
-    *out++ = static_cast<std::uint8_t>(limb >> 24);
-    *out++ = static_cast<std::uint8_t>(limb >> 16);
-    *out++ = static_cast<std::uint8_t>(limb >> 8);
-    *out++ = static_cast<std::uint8_t>(limb);
-  }
+/// Store the checksum of a finished frame in its field (bytes 1..4).
+void seal_checksum(std::span<std::uint8_t> frame) {
+  HeaderWriter(frame.data() + 1).u32(frame_checksum(frame));
 }
 
-void store_u32(std::uint8_t* out, std::uint32_t v) {
-  out[0] = static_cast<std::uint8_t>(v >> 24);
-  out[1] = static_cast<std::uint8_t>(v >> 16);
-  out[2] = static_cast<std::uint8_t>(v >> 8);
-  out[3] = static_cast<std::uint8_t>(v);
+/// A routed payload over kMaxPayloadBytes is refused loudly, never
+/// framed with a truncated size.
+[[nodiscard]] bool payload_fits(std::size_t bytes) {
+  if (bytes <= RoutedPacket::kMaxPayloadBytes) return true;
+  std::fprintf(stderr,
+               "wow: RoutedPacket rejected %zu-byte payload (max %zu)\n",
+               bytes, RoutedPacket::kMaxPayloadBytes);
+  return false;
 }
 
 constexpr std::uint64_t kPrime1 = 0x9e3779b185ebca87ull;
@@ -183,29 +178,26 @@ std::uint32_t frame_checksum(std::span<const std::uint8_t> frame) {
   return h.digest();
 }
 
-void RoutedPacket::set_payload(Bytes payload) {
-  owned_payload_ = std::move(payload);
-  frame_ = SharedBytes{};
+void RoutedPacket::set_payload(BytesView payload) {
+  set_frame(FrameBuf(kHeaderBytes, payload));
+}
+
+void RoutedPacket::set_frame(FrameBuf frame) {
+  // The header is written by the first wire(), once every field is set.
+  (void)frame.push(kHeaderBytes);
+  frame_ = SharedBytes(std::move(frame).take());
+  sealed_ = false;
 }
 
 BytesView RoutedPacket::payload() const {
-  if (!frame_.empty()) return frame_.view().subspan(kHeaderBytes);
-  return owned_payload_;
+  if (frame_.empty()) return {};
+  return frame_.view().subspan(kHeaderBytes);
 }
 
-Bytes RoutedPacket::serialize() const {
-  BytesView body = payload();
-  if (body.size() > kMaxPayloadBytes) {
-    std::fprintf(stderr,
-                 "wow: RoutedPacket::serialize rejected %zu-byte payload "
-                 "(max %zu)\n",
-                 body.size(), kMaxPayloadBytes);
-    return {};
-  }
-  ByteWriter w;
-  w.reserve(kHeaderBytes + body.size());
+void RoutedPacket::write_header(std::span<std::uint8_t> frame) const {
+  HeaderWriter w(frame.data());
   w.u8(static_cast<std::uint8_t>(FrameKind::kRouted));
-  w.u32(0);  // checksum, patched below once the frame is complete
+  w.u32(0);  // checksum, sealed below once the header is complete
   w.u8(static_cast<std::uint8_t>(mode));
   w.u8(static_cast<std::uint8_t>(type));
   w.ring_id(src);
@@ -215,29 +207,40 @@ Bytes RoutedPacket::serialize() const {
   w.u8(hops);
   w.u8(bounced ? 1 : 0);
   w.ring_id(via);
-  w.raw(body);
-  Bytes out = std::move(w).take();
-  store_u32(out.data() + 1, frame_checksum(out));
+  seal_checksum(frame);
+}
+
+Bytes RoutedPacket::serialize() const {
+  BytesView body = payload();
+  if (!payload_fits(body.size())) return {};
+  Bytes out;
+  out.reserve(kHeaderBytes + body.size());
+  out.resize(kHeaderBytes);
+  out.insert(out.end(), body.begin(), body.end());
+  write_header(out);
   return out;
 }
 
 SharedBytes RoutedPacket::wire() {
-  if (frame_.empty()) {
-    // Locally-built packet: serialize once and cache; a later wire()
-    // (retransmit, bounce copy) reuses the buffer through the in-place
-    // path below.
-    frame_ = SharedBytes(serialize());
+  if (!sealed_) {
+    // Locally built: write the whole header into the headroom once.  A
+    // later wire() (retransmit, bounce copy) takes the in-place path
+    // below.
+    if (frame_.empty()) set_payload({});
+    if (!payload_fits(frame_.size() - kHeaderBytes)) return {};
+    write_header({frame_.mutable_data(), frame_.size()});
+    sealed_ = true;
     return frame_;
   }
   // Rewrite exactly the fields the forwarding path mutates in flight —
   // all outside the checksummed region, so the origin's checksum stays
   // valid.  COW inside mutable_data() protects bounce copies and frames
   // still queued for a deferred delivery event.
-  std::uint8_t* b = frame_.mutable_data();
-  b[55] = ttl;
-  b[56] = hops;
-  b[57] = bounced ? 1 : 0;
-  store_ring_id(b + 58, via);
+  HeaderWriter w(frame_.mutable_data() + 55);
+  w.u8(ttl);
+  w.u8(hops);
+  w.u8(bounced ? 1 : 0);
+  w.ring_id(via);
   return frame_;
 }
 
@@ -279,6 +282,7 @@ std::optional<RoutedPacket> RoutedPacket::parse(SharedBytes frame) {
   p.trace_id = *trace_id;
   // Zero-copy: the payload stays in the frame buffer; payload() views it.
   p.frame_ = std::move(frame);
+  p.sealed_ = true;
   return p;
 }
 
@@ -389,7 +393,7 @@ Bytes LinkFrame::serialize() const {
   w.u16(observed.port);
   transport::write_uri_list(w, uris);
   Bytes out = std::move(w).take();
-  store_u32(out.data() + 1, frame_checksum(out));
+  seal_checksum(out);
   return out;
 }
 
@@ -439,7 +443,7 @@ Bytes RelayFrame::wrap(const Address& src, const Address& relay,
   w.u8(0);  // hops: incremented in place by the relay agent
   w.raw(inner);
   Bytes out = std::move(w).take();
-  store_u32(out.data() + 1, frame_checksum(out));
+  seal_checksum(out);
   return out;
 }
 
@@ -486,7 +490,7 @@ Bytes CensusFrame::serialize() const {
   w.u16(ttl);
   transport::write_uri_list(w, origin_uris);
   Bytes out = std::move(w).take();
-  store_u32(out.data() + 1, frame_checksum(out));
+  seal_checksum(out);
   return out;
 }
 

@@ -71,13 +71,15 @@ enum class DeliveryMode : std::uint8_t {
 
 /// A packet routed greedily over structured connections.
 ///
-/// Two representations share this struct.  A locally-built packet owns
-/// its payload and is serialized from scratch once, at the first send.
-/// A packet parsed from the wire keeps a reference to the frame it
-/// arrived in: the payload is a view into that buffer and wire() emits
-/// the same buffer with only the in-flight-mutable header fields (ttl,
-/// hops, bounced, via) rewritten in place — a forwarding hop touches a
-/// couple of dozen bytes instead of reallocating and copying the frame.
+/// The packet holds one representation of its bytes: its frame.  A
+/// packet parsed from the wire keeps the buffer it arrived in; a
+/// locally-built one holds a frame whose payload sits behind
+/// kHeaderBytes of headroom, and its first wire() writes the header and
+/// checksum there in place.  The payload is a view into the frame
+/// either way, and after that first wire() every wire() rewrites only
+/// the in-flight-mutable header fields (ttl, hops, bounced, via) — a
+/// forwarding hop touches a couple of dozen bytes instead of
+/// reallocating and copying the frame.
 struct RoutedPacket {
   /// Fixed header size: kind (1) + checksum (4) + the immutable fields
   /// — mode, type (1 each), src/dst ring ids (20 each), trace id (8) —
@@ -114,22 +116,28 @@ struct RoutedPacket {
   /// the origin from Simulator::next_trace_id(); 0 = untraced.
   std::uint64_t trace_id = 0;
 
-  /// Attach a locally-built payload (drops any parsed-from frame).
-  void set_payload(Bytes payload);
+  /// Attach a locally-built payload: copied once into a new frame
+  /// (drops any parsed-from frame).
+  void set_payload(BytesView payload);
+  /// Adopt a locally-built frame whose content is the payload, with at
+  /// least kHeaderBytes of headroom left in front of it: the upper
+  /// layers' headers are already in place, and wire() writes this one.
+  void set_frame(FrameBuf frame);
 
-  /// The payload, wherever it lives (owned buffer or parsed-from frame).
+  /// The payload: a view into the frame.
   [[nodiscard]] BytesView payload() const;
 
-  /// Serialize the whole frame from scratch (pre-sized, single
-  /// allocation).  Returns an empty buffer — loudly, via stderr — if the
-  /// payload exceeds kMaxPayloadBytes.
+  /// The whole frame as a fresh buffer (one copy).  Returns an empty
+  /// buffer — loudly, via stderr — if the payload exceeds
+  /// kMaxPayloadBytes.
   [[nodiscard]] Bytes serialize() const;
 
-  /// Cheap wire form for forwarding: reuses the parsed-from frame,
-  /// rewriting ttl/hops/bounced/via in place (copy-on-write when the
-  /// buffer is shared with a bounce copy or an in-flight delivery).
-  /// Falls back to serialize() for locally-built packets, caching the
-  /// result so repeated sends stay cheap.
+  /// The frame to send.  A locally-built packet's first call writes the
+  /// whole header and the checksum into its headroom; every later call,
+  /// and every call on a parsed packet, rewrites ttl/hops/bounced/via in
+  /// place (copy-on-write when the buffer is shared with a bounce copy
+  /// or an in-flight delivery).  Empty, like serialize(), for an
+  /// oversize payload.
   [[nodiscard]] SharedBytes wire();
 
   /// Zero-copy parse: the returned packet references `frame` and its
@@ -139,10 +147,16 @@ struct RoutedPacket {
   [[nodiscard]] static std::optional<RoutedPacket> parse(BytesView frame);
 
  private:
-  Bytes owned_payload_;
-  /// Wire frame this packet was parsed from (or lazily serialized into);
-  /// empty for a locally-built packet that has never been sent.
+  /// Write the whole header into `frame` (kHeaderBytes, then the
+  /// payload) and checksum it.
+  void write_header(std::span<std::uint8_t> frame) const;
+
+  /// kHeaderBytes of header (or headroom), then the payload; empty for
+  /// a packet built with no payload that has never been sent.
   SharedBytes frame_;
+  /// True once the header bytes in frame_ hold every field: a parsed
+  /// packet, or a built one after its first wire().
+  bool sealed_ = false;
 };
 
 /// Connect-To-Me request body: the initiator's URI list and the desired

@@ -13,6 +13,11 @@ void ShortcutOverlord::on_traffic(const Address& peer, SimTime now) {
   e.last_update = now;
 
   if (!config_.enabled || e.score < config_.threshold) return;
+  // Every gate below is a pure query ending in the same return, so their
+  // order cannot change the answer.  The one that stops a packet to a
+  // directly connected peer — every packet, once a shortcut is up — goes
+  // first.
+  if (hooks_.has_connection(peer) || hooks_.is_linking(peer)) return;
   SimDuration cooldown = kShortcutRetryCooldown;
   if (hooks_.retry_cooldown_hint) {
     SimDuration hint = hooks_.retry_cooldown_hint(peer);
@@ -20,7 +25,6 @@ void ShortcutOverlord::on_traffic(const Address& peer, SimTime now) {
   }
   if (now - e.last_attempt < cooldown) return;
   if (hooks_.is_quarantined && hooks_.is_quarantined(peer)) return;
-  if (hooks_.has_connection(peer) || hooks_.is_linking(peer)) return;
   if (hooks_.shortcut_count() >=
       static_cast<std::size_t>(config_.max_shortcuts)) {
     return;

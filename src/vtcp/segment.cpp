@@ -1,23 +1,34 @@
 #include "vtcp/segment.h"
 
+#include <cstdio>
+
 namespace wow::vtcp {
 
-Bytes Segment::serialize() const {
-  ByteWriter w;
-  w.reserve(2 + 2 + 4 + 4 + 1 + 4 + 2 + payload.size());
+bool Segment::push_header(FrameBuf& frame) const {
+  std::size_t len = frame.size();
+  if (len > ByteWriter::kMaxLenPrefixed) {
+    std::fprintf(stderr, "wow: Segment rejected %zu-byte payload (max %zu)\n",
+                 len, ByteWriter::kMaxLenPrefixed);
+    return false;
+  }
+  HeaderWriter w(frame.push(kHeaderBytes));
   w.u16(src_port);
   w.u16(dst_port);
   w.u32(seq);
   w.u32(ack);
   w.u8(flags);
   w.u32(window);
-  // Length-prefixed via blob(): oversize payloads are rejected loudly
-  // instead of truncating the u16 length.
-  w.blob(payload);
-  return std::move(w).take();
+  w.u16(static_cast<std::uint16_t>(len));
+  return true;
 }
 
-std::optional<Segment> Segment::parse(std::span<const std::uint8_t> data) {
+Bytes Segment::serialize() const {
+  FrameBuf frame(kHeaderBytes, payload);
+  if (!push_header(frame)) return {};
+  return std::move(frame).take();
+}
+
+std::optional<Segment> Segment::parse(BytesView data) {
   ByteReader r(data);
   auto src_port = r.u16();
   auto dst_port = r.u16();
@@ -37,8 +48,7 @@ std::optional<Segment> Segment::parse(std::span<const std::uint8_t> data) {
   s.ack = *ack;
   s.flags = *flags;
   s.window = *window;
-  auto rest = r.rest();
-  s.payload.assign(rest.begin(), rest.begin() + *len);
+  s.payload = r.rest().first(*len);
   return s;
 }
 

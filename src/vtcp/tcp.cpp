@@ -140,8 +140,7 @@ void TcpSocket::transmit(std::uint64_t seq, std::size_t len, bool rexmit) {
 
   std::size_t idx = send_buf_base_offset() +
                     static_cast<std::size_t>((seq - 1) - send_buf_base_);
-  seg.payload.assign(send_buf_.begin() + static_cast<std::ptrdiff_t>(idx),
-                     send_buf_.begin() + static_cast<std::ptrdiff_t>(idx + len));
+  seg.payload = BytesView(send_buf_).subspan(idx, len);
 
   ++stats_.segments_sent;
   if (rexmit) {
@@ -152,7 +151,7 @@ void TcpSocket::transmit(std::uint64_t seq, std::size_t len, bool rexmit) {
       rtt_probe_ = {seq + len, stack_.timers().now()};
     }
   }
-  stack_.send_segment(remote_ip_, std::move(seg));
+  stack_.send_segment(remote_ip_, seg);
 }
 
 void TcpSocket::send_control(std::uint8_t flags, std::uint64_t seq) {
@@ -164,7 +163,7 @@ void TcpSocket::send_control(std::uint8_t flags, std::uint64_t seq) {
   seg.flags = flags;
   seg.window = static_cast<std::uint32_t>(config_.recv_window);
   ++stats_.segments_sent;
-  stack_.send_segment(remote_ip_, std::move(seg));
+  stack_.send_segment(remote_ip_, seg);
 }
 
 void TcpSocket::send_ack() { send_control(kAck, snd_nxt_); }
@@ -399,7 +398,10 @@ void TcpSocket::on_segment(const Segment& seg) {
     if (seq == rcv_nxt_) {
       stats_.bytes_received += seg.payload.size();
       rcv_nxt_ += seg.payload.size();
-      if (data_handler_) data_handler_(seg.payload);
+      // The one copy on the way in: the handler takes its own bytes.
+      if (data_handler_) {
+        data_handler_(Bytes(seg.payload.begin(), seg.payload.end()));
+      }
       deliver_in_order();
       // Delayed ACK: every second in-order segment, else on a timer.
       if (++unacked_segments_ >= 2) {
@@ -413,7 +415,7 @@ void TcpSocket::on_segment(const Segment& seg) {
       }
     } else {
       if (seq > rcv_nxt_ && seq < rcv_nxt_ + config_.recv_window) {
-        reorder_.emplace(seq, seg.payload);
+        reorder_.try_emplace(seq, seg.payload.begin(), seg.payload.end());
       }
       // Out-of-order (or stale duplicate): immediate ACK so the sender
       // sees dup-ACKs for fast retransmit.
@@ -566,16 +568,20 @@ void TcpStack::on_ip_packet(const ipop::IpPacket& packet) {
     rst.dst_port = seg->src_port;
     rst.seq = seg->ack;
     rst.flags = kRst;
-    send_segment(packet.src, std::move(rst));
+    send_segment(packet.src, rst);
   }
 }
 
-void TcpStack::send_segment(net::Ipv4Addr dst, Segment segment) {
+void TcpStack::send_segment(net::Ipv4Addr dst, const Segment& segment) {
+  // The one copy on the way out: from the socket's send buffer into a
+  // frame with room for every header below, which IPOP and the overlay
+  // write in place.
+  FrameBuf frame(Segment::kHeadroom, segment.payload);
+  if (!segment.push_header(frame)) return;
   ipop::IpPacket packet;
   packet.dst = dst;
   packet.proto = ipop::IpProto::kTcp;
-  packet.payload = segment.serialize();
-  node_.send_ip(std::move(packet));
+  node_.send_ip(packet, std::move(frame));
 }
 
 void TcpStack::detach(TcpSocket& socket) {

@@ -224,7 +224,7 @@ class TcpStack {
   };
 
   void on_ip_packet(const ipop::IpPacket& packet);
-  void send_segment(net::Ipv4Addr dst, Segment segment);
+  void send_segment(net::Ipv4Addr dst, const Segment& segment);
   void detach(TcpSocket& socket);
   [[nodiscard]] std::uint16_t ephemeral_port();
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdio>
+#include <string>
+
 #include "common/bytes.h"
 #include "common/flight_recorder.h"
 #include "common/ring_id.h"
@@ -126,8 +130,41 @@ TEST_P(RingIdPropertyTest, HexRoundTripRandom) {
   }
 }
 
+/// The printf spelling to_hex and brief replaced: five "%08x" limbs,
+/// most significant first.
+std::string printf_hex(const RingId& id) {
+  char buf[8 * RingId::kLimbs + 1];
+  for (int i = 0; i < RingId::kLimbs; ++i) {
+    std::snprintf(buf + 8 * i, 9, "%08x",
+                  id.limbs()[static_cast<std::size_t>(RingId::kLimbs - 1 - i)]);
+  }
+  return std::string(buf, 8 * RingId::kLimbs);
+}
+
+TEST_P(RingIdPropertyTest, HexMatchesPrintfReference) {
+  Rng rng(GetParam());
+  for (int i = 0; i < 200; ++i) {
+    RingId a = rng.ring_id();
+    EXPECT_EQ(a.to_hex(), printf_hex(a));
+    EXPECT_EQ(a.brief(), printf_hex(a).substr(0, 8));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RingIdPropertyTest,
                          ::testing::Values(1, 42, 1234, 99999));
+
+TEST(RingId, HexOfExtremeLimbsMatchesPrintfReference) {
+  // Every id whose limbs are each 0 or 0xffffffff.
+  for (unsigned mask = 0; mask < (1u << RingId::kLimbs); ++mask) {
+    std::array<std::uint32_t, RingId::kLimbs> limbs{};
+    for (int i = 0; i < RingId::kLimbs; ++i) {
+      if ((mask >> i) & 1u) limbs[static_cast<std::size_t>(i)] = 0xffffffffu;
+    }
+    RingId id{limbs};
+    EXPECT_EQ(id.to_hex(), printf_hex(id)) << "mask " << mask;
+    EXPECT_EQ(id.brief(), printf_hex(id).substr(0, 8)) << "mask " << mask;
+  }
+}
 
 TEST(Bytes, ScalarRoundTrip) {
   ByteWriter w;
@@ -162,14 +199,12 @@ TEST(Bytes, RingIdRoundTrip) {
   EXPECT_EQ(r.ring_id(), id);
 }
 
-TEST(Bytes, StringAndBlobRoundTrip) {
+TEST(Bytes, StringRoundTrip) {
   ByteWriter w;
   w.str("hello");
-  Bytes blob{1, 2, 3};
-  w.blob(blob);
   ByteReader r(w.bytes());
   EXPECT_EQ(r.str(), "hello");
-  EXPECT_EQ(r.blob(), blob);
+  EXPECT_TRUE(r.exhausted());
 }
 
 TEST(Bytes, UnderflowReturnsNullopt) {
@@ -187,34 +222,6 @@ TEST(Bytes, TruncatedStringFails) {
   w.u16(100);  // claims 100 bytes follow; none do
   ByteReader r(w.bytes());
   EXPECT_FALSE(r.str().has_value());
-}
-
-TEST(Bytes, BlobAtMaxLenPrefixedRoundTrips) {
-  Bytes big(ByteWriter::kMaxLenPrefixed, 0xab);
-  ByteWriter w;
-  w.blob(big);
-  EXPECT_FALSE(w.overflowed());
-  ByteReader r(w.bytes());
-  EXPECT_EQ(r.blob(), big);
-}
-
-TEST(Bytes, OversizeBlobIsRejectedNotTruncated) {
-  // One byte past the u16 ceiling.  The old behavior cast the size to
-  // u16 — writing length 0 but appending all 65536 payload bytes, which
-  // desynchronized every field after it.
-  Bytes big(ByteWriter::kMaxLenPrefixed + 1, 0xcd);
-  ByteWriter w;
-  w.u8(7);
-  w.blob(big);
-  w.u8(9);
-  EXPECT_TRUE(w.overflowed());
-  // The rejected blob occupies exactly one empty length prefix, so the
-  // surrounding fields still parse.
-  ByteReader r(w.bytes());
-  EXPECT_EQ(r.u8(), 7);
-  EXPECT_EQ(r.blob(), Bytes{});
-  EXPECT_EQ(r.u8(), 9);
-  EXPECT_TRUE(r.exhausted());
 }
 
 TEST(Bytes, OversizeStrIsRejectedNotTruncated) {
@@ -241,6 +248,32 @@ TEST(Bytes, SharedBytesCopyOnWrite) {
   const std::uint8_t* stable = b.data();
   b.mutable_data()[1] = 8;
   EXPECT_EQ(b.data(), stable);
+}
+
+TEST(Bytes, FrameBufPrependsHeadersInPlace) {
+  const Bytes payload{7, 8, 9};
+  FrameBuf frame(3, payload);
+  const std::uint8_t* payload_at = frame.view().data();
+  EXPECT_EQ(frame.size(), 3u);
+  HeaderWriter(frame.push(2)).u16(0x0102);
+  HeaderWriter(frame.push(1)).u8(0xaa);
+  EXPECT_EQ(frame.headroom(), 0u);
+  EXPECT_EQ(Bytes(frame.view().begin(), frame.view().end()),
+            (Bytes{0xaa, 1, 2, 7, 8, 9}));
+  Bytes out = std::move(frame).take();
+  EXPECT_EQ(out, (Bytes{0xaa, 1, 2, 7, 8, 9}));
+  // One buffer: the payload stayed where it was first copied.
+  EXPECT_EQ(out.data() + 3, payload_at);
+}
+
+TEST(Bytes, FrameBufWithWrongHeadroomStillFrames) {
+  const Bytes payload{5, 6};
+  FrameBuf short_frame(1, payload);
+  HeaderWriter(short_frame.push(3)).u8(0xbb);  // two bytes short: grows
+  EXPECT_EQ(std::move(short_frame).take(), (Bytes{0xbb, 0, 0, 5, 6}));
+  FrameBuf spare(4, payload);
+  HeaderWriter(spare.push(1)).u8(0xcc);  // three bytes spare: dropped
+  EXPECT_EQ(std::move(spare).take(), (Bytes{0xcc, 5, 6}));
 }
 
 TEST(Stats, RunningStatsMatchesClosedForm) {

@@ -11,26 +11,61 @@ namespace {
 using testing::IpopOverlay;
 
 TEST(IpPacketWire, RoundTrip) {
+  // Payloads are views: the bytes they see live in named buffers.
+  const Bytes body{5, 6, 7};
   IpPacket p;
   p.src = net::Ipv4Addr(172, 16, 1, 2);
   p.dst = net::Ipv4Addr(172, 16, 1, 3);
   p.proto = IpProto::kTcp;
   p.ttl = 61;
   p.id = 999;
-  p.payload = Bytes{5, 6, 7};
-  auto q = IpPacket::parse(p.serialize());
+  p.payload = body;
+  const Bytes frame = p.serialize();
+  auto q = IpPacket::parse(frame);
   ASSERT_TRUE(q.has_value());
   EXPECT_EQ(q->src, p.src);
   EXPECT_EQ(q->dst, p.dst);
   EXPECT_EQ(q->proto, p.proto);
   EXPECT_EQ(q->ttl, p.ttl);
   EXPECT_EQ(q->id, p.id);
-  EXPECT_EQ(q->payload, p.payload);
+  EXPECT_EQ(Bytes(q->payload.begin(), q->payload.end()), body);
+}
+
+TEST(IpPacketWire, ParsedPayloadIsViewIntoFrame) {
+  const Bytes body{9, 8, 7, 6};
+  IpPacket p;
+  p.proto = IpProto::kUdp;
+  p.payload = body;
+  const Bytes frame = p.serialize();
+  auto q = IpPacket::parse(frame);
+  ASSERT_TRUE(q.has_value());
+  // Zero-copy: the payload aliases the delivered frame.
+  EXPECT_EQ(q->payload.data(), frame.data() + IpPacket::kHeaderBytes);
+  EXPECT_EQ(q->payload.size(), body.size());
+}
+
+TEST(IpPacketWire, OversizePayloadIsRefusedNotTruncated) {
+  // At the u16 length field's ceiling the packet still round-trips.
+  const Bytes max(ByteWriter::kMaxLenPrefixed, 0xab);
+  IpPacket p;
+  p.payload = max;
+  const Bytes frame = p.serialize();
+  auto q = IpPacket::parse(frame);
+  ASSERT_TRUE(q.has_value());
+  EXPECT_EQ(q->payload.size(), max.size());
+  // One byte past it is refused, never framed with a wrapped length.
+  const Bytes over(ByteWriter::kMaxLenPrefixed + 1, 0xcd);
+  p.payload = over;
+  EXPECT_TRUE(p.serialize().empty());
+  FrameBuf pending(IpPacket::kHeadroom, over);
+  EXPECT_FALSE(p.push_header(pending));
+  EXPECT_EQ(pending.headroom(), IpPacket::kHeadroom);
 }
 
 TEST(IpPacketWire, RejectsBadProtocolAndTruncation) {
+  const Bytes body{1, 2, 3};
   IpPacket p;
-  p.payload = Bytes{1, 2, 3};
+  p.payload = body;
   auto frame = p.serialize();
   frame[0] = 99;  // bogus protocol
   EXPECT_FALSE(IpPacket::parse(frame).has_value());

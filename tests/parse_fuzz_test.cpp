@@ -105,7 +105,8 @@ namespace {
   p.id = 7;
   p.src = net::Ipv4Addr(172, 16, 1, 2);
   p.dst = net::Ipv4Addr(172, 16, 1, 3);
-  p.payload = Bytes{9, 8, 7, 6, 5};
+  const Bytes body{9, 8, 7, 6, 5};
+  p.payload = body;
   return p.serialize();
 }
 
@@ -117,7 +118,8 @@ namespace {
   s.ack = 2000;
   s.flags = vtcp::kSyn | vtcp::kAck;
   s.window = 65535;
-  s.payload = Bytes{1, 2, 3};
+  const Bytes body{1, 2, 3};
+  s.payload = body;
   return s.serialize();
 }
 

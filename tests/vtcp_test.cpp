@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
+#include <string_view>
 
 #include "test_util.h"
 #include "vtcp/tcp.h"
@@ -27,6 +29,8 @@ class VtcpTest : public ::testing::Test {
 };
 
 TEST(SegmentWire, RoundTrip) {
+  // Payloads are views: the bytes they see live in named buffers.
+  const Bytes body{1, 2, 3, 4};
   Segment s;
   s.src_port = 1111;
   s.dst_port = 2222;
@@ -34,8 +38,9 @@ TEST(SegmentWire, RoundTrip) {
   s.ack = 0xcafebabe;
   s.flags = kSyn | kAck;
   s.window = 65536;
-  s.payload = Bytes{1, 2, 3, 4};
-  auto t = Segment::parse(s.serialize());
+  s.payload = body;
+  const Bytes frame = s.serialize();
+  auto t = Segment::parse(frame);
   ASSERT_TRUE(t.has_value());
   EXPECT_EQ(t->src_port, s.src_port);
   EXPECT_EQ(t->dst_port, s.dst_port);
@@ -43,7 +48,126 @@ TEST(SegmentWire, RoundTrip) {
   EXPECT_EQ(t->ack, s.ack);
   EXPECT_EQ(t->flags, s.flags);
   EXPECT_EQ(t->window, s.window);
-  EXPECT_EQ(t->payload, s.payload);
+  EXPECT_EQ(Bytes(t->payload.begin(), t->payload.end()), body);
+}
+
+TEST(SegmentWire, ParsedPayloadIsViewIntoFrame) {
+  const Bytes body{4, 3, 2, 1, 0};
+  Segment s;
+  s.flags = kAck;
+  s.payload = body;
+  const Bytes frame = s.serialize();
+  auto t = Segment::parse(frame);
+  ASSERT_TRUE(t.has_value());
+  // Zero-copy: the payload aliases the delivered frame.
+  EXPECT_EQ(t->payload.data(), frame.data() + Segment::kHeaderBytes);
+  EXPECT_EQ(t->payload.size(), body.size());
+}
+
+TEST(SegmentWire, OversizePayloadIsRefusedNotTruncated) {
+  // At the u16 length field's ceiling the segment still round-trips.
+  const Bytes max(ByteWriter::kMaxLenPrefixed, 0xab);
+  Segment s;
+  s.payload = max;
+  const Bytes frame = s.serialize();
+  auto t = Segment::parse(frame);
+  ASSERT_TRUE(t.has_value());
+  EXPECT_EQ(t->payload.size(), max.size());
+  // One byte past it is refused, never framed with a wrapped length.
+  const Bytes over(ByteWriter::kMaxLenPrefixed + 1, 0xcd);
+  s.payload = over;
+  EXPECT_TRUE(s.serialize().empty());
+  FrameBuf pending(Segment::kHeadroom, over);
+  EXPECT_FALSE(s.push_header(pending));
+  EXPECT_EQ(pending.headroom(), Segment::kHeadroom);
+}
+
+[[nodiscard]] Bytes bytes_from_hex(std::string_view hex) {
+  Bytes out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<std::uint8_t>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+/// The frame the send path builds for `seg` from `src` to `dst`: the
+/// payload copied once behind Segment::kHeadroom, then the segment, IP
+/// and routed headers written in front of it in place, as
+/// TcpStack::send_segment, IpopNode::send_ip and Node::send_data do.
+/// The routed fields are those of a first hop.
+[[nodiscard]] SharedBytes build_frame(const Segment& seg, net::Ipv4Addr src,
+                                      net::Ipv4Addr dst) {
+  FrameBuf frame(Segment::kHeadroom, seg.payload);
+  const std::uint8_t* payload_at = frame.view().data();
+  EXPECT_TRUE(seg.push_header(frame));
+  ipop::IpPacket ip;
+  ip.src = src;
+  ip.dst = dst;
+  ip.proto = ipop::IpProto::kTcp;
+  EXPECT_TRUE(ip.push_header(frame));
+  EXPECT_EQ(frame.headroom(), p2p::RoutedPacket::kHeaderBytes);
+  p2p::RoutedPacket routed;
+  routed.src = ipop::address_for_vip(src);
+  routed.dst = ipop::address_for_vip(dst);
+  routed.ttl = p2p::RoutedPacket::kOriginTtl - 1;
+  routed.hops = 1;
+  routed.trace_id = 0x2a;
+  routed.set_frame(std::move(frame));
+  SharedBytes wire = routed.wire();
+  // One buffer: the payload never moved while the headers went on.
+  EXPECT_EQ(wire.data() + Segment::kHeadroom, payload_at);
+  return wire;
+}
+
+/// Wire bytes pinned from the serializer chain that headroom framing
+/// replaced (Segment, IpPacket and RoutedPacket each serializing a
+/// fresh buffer): a wowd built either way reads the other's frames.
+TEST(FrameKnownAnswer, DataSegmentMatchesPinnedBytes) {
+  Bytes payload(1400);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  }
+  Segment seg;
+  seg.src_port = 40000;
+  seg.dst_port = 80;
+  seg.seq = 1;
+  seg.ack = 1;
+  seg.flags = kAck;
+  seg.window = 256 * 1024;
+  seg.payload = payload;
+  SharedBytes frame = build_frame(seg, net::Ipv4Addr(172, 16, 1, 2),
+                                  net::Ipv4Addr(172, 16, 1, 3));
+  ASSERT_EQ(frame.size(), Segment::kHeadroom + payload.size());
+  // The headers, checksum included, pin the payload too: the checksum
+  // covers it.
+  const Bytes headers = bytes_from_hex(
+      "014ef0be2b01012d953133316d2f582a2509eb4e14f8baa2f94143efbf38cd62"
+      "5935ec4ae8936db9a6c986c80adfc7000000000000002a2f0100000000000000"
+      "000000000000000000000000000006400000ac100102ac100103058b9c400050"
+      "000000010000000102000400000578");
+  ASSERT_EQ(headers.size(), Segment::kHeadroom);
+  BytesView wire = frame.view();
+  EXPECT_EQ(Bytes(wire.begin(), wire.begin() + Segment::kHeadroom), headers);
+  EXPECT_EQ(Bytes(wire.begin() + Segment::kHeadroom, wire.end()), payload);
+}
+
+TEST(FrameKnownAnswer, PureAckMatchesPinnedBytes) {
+  Segment ack;
+  ack.src_port = 80;
+  ack.dst_port = 40000;
+  ack.seq = 1;
+  ack.ack = 1401;
+  ack.flags = kAck;
+  ack.window = 256 * 1024;
+  SharedBytes frame = build_frame(ack, net::Ipv4Addr(172, 16, 1, 3),
+                                  net::Ipv4Addr(172, 16, 1, 2));
+  const Bytes pinned = bytes_from_hex(
+      "01d003803b0101efbf38cd625935ec4ae8936db9a6c986c80adfc72d95313331"
+      "6d2f582a2509eb4e14f8baa2f94143000000000000002a2f0100000000000000"
+      "000000000000000000000000000006400000ac100103ac100102001300509c40"
+      "000000010000057902000400000000");
+  EXPECT_EQ(frame.to_bytes(), pinned);
 }
 
 /// An IP payload too short to be a segment is counted by the receiving
@@ -55,11 +179,12 @@ TEST_F(VtcpTest, MalformedSegmentCountsAParseReject) {
   };
   std::uint64_t rejects = stack1->parse_rejects();
   double exported_before = exported();
+  const Bytes body{1, 2, 3};
   ipop::IpPacket packet;
   packet.dst = net.vip(1);
   packet.proto = ipop::IpProto::kTcp;
-  packet.payload = Bytes{1, 2, 3};
-  net.nodes[0]->send_ip(std::move(packet));
+  packet.payload = body;
+  net.nodes[0]->send_ip(packet);
   net.sim.run_for(5 * kSecond);
   EXPECT_EQ(stack1->parse_rejects(), rejects + 1);
   EXPECT_EQ(exported(), exported_before + 1);

@@ -132,7 +132,7 @@ series = set()
 received = 0.0
 for line in open(sys.argv[1]).read().splitlines():
     if not line:
-        continue  # the format ignores empty lines; the reply ends in one
+        sys.exit("empty line in the exposition")
     if m := type_line.fullmatch(line):
         family, kind = m.groups()
         continue
