@@ -35,4 +35,20 @@ constexpr SimDuration kMinute = 60 * kSecond;
   return static_cast<SimDuration>(ms * static_cast<double>(kMillisecond));
 }
 
+/// Fold one round-trip sample into a smoothed estimator (RFC 6298):
+/// the first sample (srtt == 0) sets srtt = s and rttvar = s/2; each
+/// later one sets rttvar = (3·rttvar + |srtt − s|)/4, then
+/// srtt = (7·srtt + s)/8.  The RTO built on top is the caller's.
+constexpr void rtt_update(SimDuration& srtt, SimDuration& rttvar,
+                          SimDuration sample) {
+  if (srtt == 0) {
+    srtt = sample;
+    rttvar = sample / 2;
+    return;
+  }
+  const SimDuration err = sample > srtt ? sample - srtt : srtt - sample;
+  rttvar = (3 * rttvar + err) / 4;
+  srtt = (7 * srtt + sample) / 8;
+}
+
 }  // namespace wow

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 
+#include "common/rng.h"
+#include "common/trace.h"
+#include "p2p/node.h"
+
 namespace wow::p2p {
 
 namespace {
@@ -26,62 +30,66 @@ SimDuration backoff_for(std::int32_t failures) {
 
 }  // namespace
 
+void BootstrapOverlord::sync_health() {
+  if (health_.size() != node_.config_.bootstrap.size()) {
+    health_.resize(node_.config_.bootstrap.size());
+  }
+}
+
 bool BootstrapOverlord::covered(const transport::Uri& uri) const {
   bool hit = false;
-  table_.for_each([&](const Connection& c) {
+  node_.table_.for_each([&](const Connection& c) {
     if (!c.is_relay() && c.remote == uri.endpoint) hit = true;
   });
   return hit;
 }
 
 bool BootstrapOverlord::probe_endpoint(bool reprobe) {
-  const auto& pool = config_.bootstrap;
+  const auto& pool = node_.config_.bootstrap;
   if (pool.empty()) return false;
   sync_health();
-  const SimTime now = timers_.now();
+  const SimTime now = node_.timers_.now();
   for (std::size_t step = 0; step < pool.size(); ++step) {
     const std::size_t i = (rotation_ + step) % pool.size();
     const transport::Uri& uri = pool[i];
-    if (uri.endpoint == edges_.local_uri().endpoint) continue;  // self
+    if (uri.endpoint == node_.edges_->local_uri().endpoint) continue;  // self
     if (now < health_[i].retry_after) continue;  // backed off
     if (reprobe && covered(uri)) continue;
     rotation_ = i + 1;
     pending_probe_ = static_cast<std::int32_t>(i);
-    ++stats_.bootstrap_probes;
-    if (hooks_.record_flight) {
-      hooks_.record_flight(FlightKind::kBootstrapProbe, Address{},
-                           static_cast<std::int32_t>(i),
-                           health_[i].failures);
+    ++node_.stats_.bootstrap_probes;
+    node_.flight_.record(now, FlightKind::kBootstrapProbe, Address{}.brief(),
+                         static_cast<std::int32_t>(i), health_[i].failures);
+    if (node_.tracer_.enabled(TraceClass::kLifecycle)) {
+      node_.tracer_.event(now, "node", node_.trace_node_,
+                          reprobe ? "bootstrap.reprobe" : "bootstrap.probe",
+                          {{"uri", uri.to_string()}});
     }
-    if (tracer_.enabled(TraceClass::kLifecycle)) {
-      tracer_.event(now, "node", trace_node_,
-                    reprobe ? "bootstrap.reprobe" : "bootstrap.probe",
-                    {{"uri", uri.to_string()}});
-    }
-    hooks_.link_start(Address{}, ConnectionType::kLeaf, {uri});
+    node_.linking_->start(Address{}, ConnectionType::kLeaf, {uri});
     return true;
   }
   return false;
 }
 
 void BootstrapOverlord::maintain_leaf() {
-  if (!table_.empty()) return;
-  cache_.evict_stale(timers_.now());
+  if (!node_.table_.empty()) return;
+  node_.peer_cache_.evict_stale(node_.timers_.now());
   if (cache_attempt_ != Address{}) {
-    if (hooks_.link_attempting(cache_attempt_)) return;  // still in flight
+    if (node_.linking_->attempting(cache_attempt_)) return;  // in flight
     cache_attempt_ = Address{};
   }
-  if (hooks_.link_attempting(Address{})) return;  // endpoint probe in flight
+  if (node_.linking_->attempting(Address{})) return;  // probe in flight
   // Cached peer first: a warm restart rejoins through a recently-live
   // peer and keeps the whole flash crowd off the well-known endpoints.
-  if (const PeerCache::Entry* e = cache_.freshest()) {
+  if (const PeerCache::Entry* e = node_.peer_cache_.freshest()) {
     cache_attempt_ = e->addr;
-    ++stats_.bootstrap_probes;
-    if (tracer_.enabled(TraceClass::kLifecycle)) {
-      tracer_.event(timers_.now(), "node", trace_node_,
-                    "bootstrap.cache_probe", {{"peer", e->addr.brief()}});
+    ++node_.stats_.bootstrap_probes;
+    if (node_.tracer_.enabled(TraceClass::kLifecycle)) {
+      node_.tracer_.event(node_.timers_.now(), "node", node_.trace_node_,
+                          "bootstrap.cache_probe",
+                          {{"peer", e->addr.brief()}});
     }
-    hooks_.link_start(e->addr, ConnectionType::kLeaf, e->uris);
+    node_.linking_->start(e->addr, ConnectionType::kLeaf, e->uris);
     return;
   }
   probe_endpoint(/*reprobe=*/false);
@@ -96,25 +104,25 @@ void BootstrapOverlord::maintain_bootstrap() {
   // CTMs merge across, and covering every endpoint individually is
   // what lets two rings that each hold a DIFFERENT endpoint find each
   // other.
-  if (table_.empty() || config_.bootstrap.empty()) return;
-  if (timers_.now() - last_bootstrap_probe_ <
-      config_.bootstrap_reprobe_interval) {
+  if (node_.table_.empty() || node_.config_.bootstrap.empty()) return;
+  if (node_.timers_.now() - last_bootstrap_probe_ <
+      node_.config_.bootstrap_reprobe_interval) {
     return;
   }
-  if (hooks_.link_attempting(Address{})) return;
-  last_bootstrap_probe_ = timers_.now();
+  if (node_.linking_->attempting(Address{})) return;
+  last_bootstrap_probe_ = node_.timers_.now();
   probe_endpoint(/*reprobe=*/true);
 }
 
 void BootstrapOverlord::refresh_cache() {
-  if (cache_.capacity() == 0) return;
-  const SimTime now = timers_.now();
+  if (node_.peer_cache_.capacity() == 0) return;
+  const SimTime now = node_.timers_.now();
   if (now - last_cache_refresh_ < kCacheRefreshInterval) return;
   last_cache_refresh_ = now;
-  cache_.evict_stale(now);
-  table_.for_each([&](const Connection& c) {
+  node_.peer_cache_.evict_stale(now);
+  node_.table_.for_each([&](const Connection& c) {
     if (c.is_relay() || c.uris.empty()) return;
-    cache_.note(c.addr, c.uris, now);
+    node_.peer_cache_.note(c.addr, c.uris, now);
   });
 }
 
@@ -129,26 +137,24 @@ void BootstrapOverlord::note_probe_failed() {
   const SimDuration backoff = backoff_for(h.failures);
   // Jitter of up to one base interval de-synchronizes a flash crowd
   // that watched the same endpoint die at the same instant.
-  h.retry_after =
-      timers_.now() + backoff + rng_.jitter(kBackoffBase);
-  ++stats_.bootstrap_endpoint_failures;
-  if (hooks_.record_flight) {
-    hooks_.record_flight(
-        FlightKind::kEndpointDown, Address{}, pending_probe_,
-        static_cast<std::int32_t>(to_seconds(backoff)));
-  }
-  if (tracer_.enabled(TraceClass::kLifecycle)) {
-    tracer_.event(timers_.now(), "node", trace_node_,
-                  "bootstrap.endpoint_down",
-                  {{"endpoint", std::to_string(pending_probe_)},
-                   {"failures", std::to_string(h.failures)}});
+  const SimTime now = node_.timers_.now();
+  h.retry_after = now + backoff + node_.rng_.jitter(kBackoffBase);
+  ++node_.stats_.bootstrap_endpoint_failures;
+  node_.flight_.record(now, FlightKind::kEndpointDown, Address{}.brief(),
+                       pending_probe_,
+                       static_cast<std::int32_t>(to_seconds(backoff)));
+  if (node_.tracer_.enabled(TraceClass::kLifecycle)) {
+    node_.tracer_.event(now, "node", node_.trace_node_,
+                        "bootstrap.endpoint_down",
+                        {{"endpoint", std::to_string(pending_probe_)},
+                         {"failures", std::to_string(h.failures)}});
   }
   pending_probe_ = -1;
 }
 
 void BootstrapOverlord::note_cache_failed(const Address& peer) {
   if (peer == cache_attempt_) cache_attempt_ = Address{};
-  cache_.remove(peer);
+  node_.peer_cache_.remove(peer);
 }
 
 void BootstrapOverlord::note_leaf_established(const Address& peer) {
@@ -164,24 +170,23 @@ void BootstrapOverlord::note_leaf_established(const Address& peer) {
     // successive re-probe intervals the single leaf cycles across every
     // endpoint, so the merge safety net covers the whole well-known
     // list at a constant one-connection cost.
-    if (hooks_.drop_leaf && last_own_leaf_ != Address{} &&
-        last_own_leaf_ != peer) {
-      const Connection* old = table_.find(last_own_leaf_);
+    if (last_own_leaf_ != Address{} && last_own_leaf_ != peer) {
+      const Connection* old = node_.table_.find(last_own_leaf_);
       if (old != nullptr && !old->is_relay() &&
           old->type == ConnectionType::kLeaf) {
-        hooks_.drop_leaf(last_own_leaf_);
+        node_.drop_connection(last_own_leaf_, /*send_close=*/true,
+                              DisconnectCause::kTrimmed);
       }
     }
     last_own_leaf_ = peer;
   }
   if (peer == cache_attempt_ && peer != Address{}) {
-    ++stats_.bootstrap_cache_rejoins;
-    if (hooks_.record_flight) {
-      hooks_.record_flight(FlightKind::kCacheRejoin, peer, 0, 0);
-    }
-    if (tracer_.enabled(TraceClass::kLifecycle)) {
-      tracer_.event(timers_.now(), "node", trace_node_,
-                    "bootstrap.cache_rejoin", {{"peer", peer.brief()}});
+    const SimTime now = node_.timers_.now();
+    ++node_.stats_.bootstrap_cache_rejoins;
+    node_.flight_.record(now, FlightKind::kCacheRejoin, peer.brief());
+    if (node_.tracer_.enabled(TraceClass::kLifecycle)) {
+      node_.tracer_.event(now, "node", node_.trace_node_,
+                          "bootstrap.cache_rejoin", {{"peer", peer.brief()}});
     }
     cache_attempt_ = Address{};
     return;

@@ -1,23 +1,14 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <string>
 #include <vector>
 
-#include "common/flight_recorder.h"
-#include "common/rng.h"
 #include "common/time.h"
-#include "common/trace.h"
-#include "p2p/connection_table.h"
-#include "p2p/edge.h"
-#include "p2p/node_config.h"
-#include "p2p/node_stats.h"
 #include "p2p/packet.h"
-#include "p2p/peer_cache.h"
-#include "sim/timer_service.h"
 
 namespace wow::p2p {
+
+class Node;
 
 /// Leaf/bootstrap overlord: the node's lifeline into the overlay,
 /// grown from a single well-known URI into a multi-endpoint discovery
@@ -36,32 +27,9 @@ namespace wow::p2p {
 /// the peer cache warm from live connections and gossip samples.
 class BootstrapOverlord {
  public:
-  struct Hooks {
-    /// Is a link attempt toward `peer` in flight?  (The zero address
-    /// keys leaf attempts.)
-    std::function<bool(const Address& peer)> link_attempting;
-    std::function<void(const Address& peer, ConnectionType type,
-                       const std::vector<transport::Uri>& uris)>
-        link_start;
-    /// Post an entry on the owning node's flight recorder (optional —
-    /// isolation tests wire fewer hooks).
-    std::function<void(FlightKind kind, const Address& peer, std::int32_t a,
-                       std::int32_t b)>
-        record_flight;
-    /// Gracefully close a surplus leaf connection (optional): leaf
-    /// rotation keeps ONE bootstrap leaf per node, so re-probing every
-    /// endpoint over time costs a constant connection budget instead of
-    /// one leaf per endpoint.
-    std::function<void(const Address& peer)> drop_leaf;
-  };
-
-  BootstrapOverlord(sim::TimerService& timers, Rng& rng, Tracer& tracer,
-                    const NodeConfig& config, ConnectionTable& table,
-                    EdgeFactory& edges, NodeStats& stats, PeerCache& cache,
-                    const std::string& trace_node, Hooks hooks)
-      : timers_(timers), rng_(rng), tracer_(tracer), config_(config),
-        table_(table), edges_(edges), stats_(stats), cache_(cache),
-        trace_node_(trace_node), hooks_(std::move(hooks)) {}
+  /// Reads the node's table, config, stats, edges and peer cache, and
+  /// starts leaf links through its linking engine.
+  explicit BootstrapOverlord(Node& node) : node_(node) {}
 
   BootstrapOverlord(const BootstrapOverlord&) = delete;
   BootstrapOverlord& operator=(const BootstrapOverlord&) = delete;
@@ -98,7 +66,7 @@ class BootstrapOverlord {
 
   /// Live protocol-state bytes.  The per-endpoint health ledger is NOT
   /// live state: it is a fixed function of the configured well-known
-  /// list (accounted like config_.bootstrap itself, as object memory),
+  /// list (accounted like that list itself, as object memory),
   /// and the peer cache is owned and counted by the Node.
   [[nodiscard]] std::size_t state_bytes() const { return 0; }
   [[nodiscard]] std::size_t memory_bytes() const {
@@ -117,13 +85,9 @@ class BootstrapOverlord {
     SimTime retry_after = 0;
   };
 
-  /// Keep the health ledger aligned with config_.bootstrap (the list
-  /// may grow via mutable_config between ticks).
-  void sync_health() {
-    if (health_.size() != config_.bootstrap.size()) {
-      health_.resize(config_.bootstrap.size());
-    }
-  }
+  /// Keep the health ledger aligned with the node's bootstrap list
+  /// (the list may grow via mutable_config between ticks).
+  void sync_health();
   /// True when a direct connection's working endpoint is `uri`.
   [[nodiscard]] bool covered(const transport::Uri& uri) const;
   /// Launch one zero-keyed leaf probe at the next eligible endpoint in
@@ -131,21 +95,12 @@ class BootstrapOverlord {
   /// true when a probe was launched.
   bool probe_endpoint(bool reprobe);
 
-  sim::TimerService& timers_;
-  Rng& rng_;
-  Tracer& tracer_;
-  const NodeConfig& config_;
-  ConnectionTable& table_;
-  EdgeFactory& edges_;
-  NodeStats& stats_;
-  PeerCache& cache_;
-  const std::string& trace_node_;
-  Hooks hooks_;
+  Node& node_;
 
   SimTime last_bootstrap_probe_ = -(1LL << 60);
   SimTime last_cache_refresh_ = -(1LL << 60);
-  /// Per-endpoint failure count + backoff deadline, parallel to
-  /// config_.bootstrap.
+  /// Per-endpoint failure count + backoff deadline, parallel to the
+  /// node's bootstrap list.
   std::vector<EndpointHealth> health_;
   /// Next endpoint the rotation considers.
   std::size_t rotation_ = 0;

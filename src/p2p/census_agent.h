@@ -1,20 +1,14 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <string>
 #include <vector>
 
-#include "common/flight_recorder.h"
 #include "common/time.h"
-#include "common/trace.h"
-#include "p2p/connection_table.h"
-#include "p2p/node_config.h"
-#include "p2p/node_stats.h"
 #include "p2p/packet.h"
-#include "sim/timer_service.h"
 
 namespace wow::p2p {
+
+class Node;
 
 /// Ring-census agent: the explicit partitioned-ring detection and merge
 /// protocol (self-stabilization à la the Chord/Brunet ring-unification
@@ -39,39 +33,16 @@ namespace wow::p2p {
 /// stray into much larger foreign rings.
 class CensusAgent {
  public:
-  struct Hooks {
-    std::function<bool()> running;
-    /// Both ring sides covered (census only launches from a routable
-    /// node — a half-joined node has no ring to measure).
-    std::function<bool()> routable;
-    std::function<std::vector<transport::Uri>()> local_uris;
-    /// Send a serialized frame to a direct remote endpoint.
-    std::function<void(const net::Endpoint& to, const Bytes& frame)> send;
-    std::function<bool(const Address& peer)> link_attempting;
-    std::function<void(const Address& peer, ConnectionType type,
-                       const std::vector<transport::Uri>& uris)>
-        link_start;
-    /// Post an entry on the owning node's flight recorder (optional).
-    std::function<void(FlightKind kind, const Address& peer, std::int32_t a,
-                       std::int32_t b)>
-        record_flight;
-  };
-
-  CensusAgent(sim::TimerService& timers, Tracer& tracer,
-              const NodeConfig& config, ConnectionTable& table,
-              NodeStats& stats, const std::string& trace_node, Hooks hooks)
-      : timers_(timers), tracer_(tracer), config_(config), table_(table),
-        stats_(stats), trace_node_(trace_node), hooks_(std::move(hooks)) {}
+  /// Reads the node's table, config, stats and edges, and starts merge
+  /// links through its linking engine.
+  explicit CensusAgent(Node& node) : node_(node) {}
 
   CensusAgent(const CensusAgent&) = delete;
   CensusAgent& operator=(const CensusAgent&) = delete;
 
   /// start(): the census clock anchors to now (first probe one full
   /// interval later — never a launch storm at boot).
-  void on_start() {
-    last_census_ = timers_.now();
-    pending_merges_.clear();
-  }
+  void on_start();
   void reset() { pending_merges_.clear(); }
 
   /// Periodic tick from the owner's maintenance loop.
@@ -98,13 +69,7 @@ class CensusAgent {
  private:
   void forward(const CensusFrame& frame, std::uint16_t hops);
 
-  sim::TimerService& timers_;
-  Tracer& tracer_;
-  const NodeConfig& config_;
-  ConnectionTable& table_;
-  NodeStats& stats_;
-  const std::string& trace_node_;
-  Hooks hooks_;
+  Node& node_;
 
   SimTime last_census_ = 0;
   /// Foreign origins whose merge link is in flight (bounded, deduped).

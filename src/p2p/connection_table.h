@@ -38,18 +38,9 @@ struct Connection {
 
   [[nodiscard]] bool is_relay() const { return relay != Address{}; }
 
-  /// Fold one clean round-trip sample into the estimator (RFC 6298
-  /// coefficients, mirroring the vtcp layer).
+  /// Fold one clean round-trip sample into the estimator.
   void rtt_sample(SimDuration sample) {
-    if (sample < 0) return;
-    if (srtt == 0) {
-      srtt = sample;
-      rttvar = sample / 2;
-    } else {
-      SimDuration err = sample > srtt ? sample - srtt : srtt - sample;
-      rttvar = (3 * rttvar + err) / 4;
-      srtt = (7 * srtt + sample) / 8;
-    }
+    if (sample >= 0) rtt_update(srtt, rttvar, sample);
   }
 
   /// Retransmission timeout derived from the estimator, clamped to

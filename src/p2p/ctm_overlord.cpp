@@ -77,9 +77,8 @@ void CtmOverlord::initiate(const Address& target, ConnectionType type) {
   ++stats_.ctm_sent;
   // Targeted acquisitions only (join/stabilize announces would cycle
   // the ring every stabilize period and evict the interesting events).
-  if (hooks_.record_flight) {
-    hooks_.record_flight(FlightKind::kCtmSent, target, int(type));
-  }
+  flight_.record(timers_.now(), FlightKind::kCtmSent, target.brief(),
+                 int(type));
   hooks_.route(std::move(packet));
 }
 
@@ -180,10 +179,8 @@ void CtmOverlord::handle_request(const RoutedPacket& packet,
   if (config_.defenses_enabled && req->token != 0 &&
       check_replay(packet.src, req->token)) {
     ++stats_.replays_detected;
-    if (hooks_.record_flight) {
-      hooks_.record_flight(FlightKind::kReplayHit, packet.src,
-                           static_cast<std::int32_t>(req->token));
-    }
+    flight_.record(timers_.now(), FlightKind::kReplayHit, packet.src.brief(),
+                   static_cast<std::int32_t>(req->token));
     if (tracer_.enabled(TraceClass::kProtocol)) {
       tracer_.event(timers_.now(), "node", trace_node_, "ctm.replay",
                     {{"src", packet.src.brief()},
@@ -333,14 +330,7 @@ void CtmOverlord::handle_reply(const RoutedPacket& packet,
   // The request→reply round-trip calibrates the CTM timeout.  Karn:
   // a reply to a retransmitted request is ambiguous, skip it.
   if (!pending->second.retransmitted) {
-    if (ctm_srtt_ == 0) {
-      ctm_srtt_ = rtt;
-      ctm_rttvar_ = rtt / 2;
-    } else {
-      SimDuration err = rtt > ctm_srtt_ ? rtt - ctm_srtt_ : ctm_srtt_ - rtt;
-      ctm_rttvar_ = (3 * ctm_rttvar_ + err) / 4;
-      ctm_srtt_ = (7 * ctm_srtt_ + rtt) / 8;
-    }
+    rtt_update(ctm_srtt_, ctm_rttvar_, rtt);
   }
   pending_ctms_.erase(pending);
 
@@ -422,10 +412,8 @@ void CtmOverlord::sweep() {
       continue;
     }
     ++stats_.ctm_timeouts;
-    if (hooks_.record_flight) {
-      hooks_.record_flight(FlightKind::kCtmTimeout, it->second.target,
-                           int(it->second.type));
-    }
+    flight_.record(timers_.now(), FlightKind::kCtmTimeout,
+                   it->second.target.brief(), int(it->second.type));
     if (it->second.span != 0) {
       tracer_.end_span(timers_.now(), "node", trace_node_, "ctm.expired",
                        it->second.span,

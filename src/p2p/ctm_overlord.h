@@ -54,10 +54,6 @@ class CtmOverlord {
     std::function<bool(const Address& peer)> is_quarantined;
     /// Re-check first-routable after a role upgrade touched the table.
     std::function<void()> update_routable;
-    /// Post an entry on the owning node's flight recorder (optional —
-    /// isolation tests wire fewer hooks).
-    std::function<void(FlightKind kind, const Address& peer, std::int32_t a)>
-        record_flight;
     /// A gossip peer sample arrived in a CTM reply (optional): the owner
     /// feeds it to the bootstrap peer cache.  `source` is the responder
     /// that offered the sample — the cache's poison-resistance tracks
@@ -70,10 +66,11 @@ class CtmOverlord {
 
   CtmOverlord(sim::TimerService& timers, Rng& rng, Tracer& tracer,
               const NodeConfig& config, ConnectionTable& table,
-              NodeStats& stats, const std::string& trace_node, Hooks hooks)
+              FlightRecorder& flight, NodeStats& stats,
+              const std::string& trace_node, Hooks hooks)
       : timers_(timers), rng_(rng), tracer_(tracer), config_(config),
-        table_(table), stats_(stats), trace_node_(trace_node),
-        hooks_(std::move(hooks)) {}
+        table_(table), flight_(flight), stats_(stats),
+        trace_node_(trace_node), hooks_(std::move(hooks)) {}
 
   CtmOverlord(const CtmOverlord&) = delete;
   CtmOverlord& operator=(const CtmOverlord&) = delete;
@@ -184,6 +181,7 @@ class CtmOverlord {
   Tracer& tracer_;
   const NodeConfig& config_;
   ConnectionTable& table_;
+  FlightRecorder& flight_;
   NodeStats& stats_;
   const std::string& trace_node_;
   Hooks hooks_;

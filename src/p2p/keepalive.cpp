@@ -127,14 +127,7 @@ void KeepaliveManager::note_rtt(const Address& peer, SimDuration sample) {
   // per-peer map at megascale.  Either feature alone keeps the memory.
   if (!config_.adaptive_timers && !config_.quarantine_enabled) return;
   PeerHealth& h = peer_health_[peer];
-  if (h.srtt == 0) {
-    h.srtt = sample;
-    h.rttvar = sample / 2;
-  } else {
-    SimDuration err = sample > h.srtt ? sample - h.srtt : h.srtt - sample;
-    h.rttvar = (3 * h.rttvar + err) / 4;
-    h.srtt = (7 * h.srtt + sample) / 8;
-  }
+  rtt_update(h.srtt, h.rttvar, sample);
   h.last_update = timers_.now();
 }
 
@@ -160,6 +153,19 @@ void KeepaliveManager::note_flap(const Address& peer, SimDuration lifetime) {
   h.last_update = now;
   if (h.flaps < kFlapThreshold) return;
   // Enough flaps inside the window: quarantine, doubling per episode.
+  begin_quarantine(peer, h, nullptr);
+}
+
+void KeepaliveManager::punish(const Address& peer) {
+  // The misbehavior ledger crossed its threshold: quarantine NOW, no
+  // flap accounting.  Reuses the flap-episode escalation schedule so
+  // a repeat offender waits exponentially longer each time.
+  begin_quarantine(peer, peer_health_[peer], "misbehavior");
+}
+
+void KeepaliveManager::begin_quarantine(const Address& peer, PeerHealth& h,
+                                        const char* reason) {
+  SimTime now = timers_.now();
   SimDuration duration = kQuarantineBase;
   for (int i = 0; i < h.quarantine_level; ++i) {
     duration = std::min(duration * 2, kQuarantineMax);
@@ -167,52 +173,29 @@ void KeepaliveManager::note_flap(const Address& peer, SimDuration lifetime) {
   ++h.quarantine_level;
   h.quarantine_until = now + duration;
   h.flaps = 0;  // fresh window once the quarantine lapses
-  ++stats_.quarantines;
-  WOW_LOG(logger_, LogLevel::kInfo, now, log_component_,
-          "quarantined " + peer.brief() + " for " +
-              std::to_string(to_seconds(duration)) + "s (level " +
-              std::to_string(h.quarantine_level) + ")");
-  if (hooks_.record_flight) {
-    hooks_.record_flight(FlightKind::kQuarantine, peer, h.quarantine_level,
-                         static_cast<std::int32_t>(to_seconds(duration)));
-  }
-  if (tracer_.enabled(TraceClass::kLifecycle)) {
-    tracer_.event(now, "node", trace_node_, "quarantine.begin",
-                  {{"peer", peer.brief()},
-                   {"level", h.quarantine_level},
-                   {"duration_s", to_seconds(duration)}});
-  }
-}
-
-void KeepaliveManager::punish(const Address& peer) {
-  // The misbehavior ledger crossed its threshold: quarantine NOW, no
-  // flap accounting.  Reuses the flap-episode escalation schedule so
-  // a repeat offender waits exponentially longer each time.
-  SimTime now = timers_.now();
-  PeerHealth& h = peer_health_[peer];
-  SimDuration duration = kQuarantineBase;
-  for (int i = 0; i < h.quarantine_level; ++i) {
-    duration = std::min(duration * 2, kQuarantineMax);
-  }
-  ++h.quarantine_level;
-  h.quarantine_until = now + duration;
-  h.flaps = 0;
   h.last_update = now;
   ++stats_.quarantines;
   WOW_LOG(logger_, LogLevel::kInfo, now, log_component_,
-          "punished " + peer.brief() + ": quarantined for " +
-              std::to_string(to_seconds(duration)) + "s (level " +
+          (reason != nullptr ? "punished " + peer.brief() + ": quarantined"
+                             : "quarantined " + peer.brief()) +
+              " for " + std::to_string(to_seconds(duration)) + "s (level " +
               std::to_string(h.quarantine_level) + ")");
-  if (hooks_.record_flight) {
-    hooks_.record_flight(FlightKind::kQuarantine, peer, h.quarantine_level,
-                         static_cast<std::int32_t>(to_seconds(duration)));
-  }
+  flight_.record(now, FlightKind::kQuarantine, peer.brief(),
+                 h.quarantine_level,
+                 static_cast<std::int32_t>(to_seconds(duration)));
   if (tracer_.enabled(TraceClass::kLifecycle)) {
-    tracer_.event(now, "node", trace_node_, "quarantine.begin",
-                  {{"peer", peer.brief()},
-                   {"level", h.quarantine_level},
-                   {"duration_s", to_seconds(duration)},
-                   {"reason", "misbehavior"}});
+    if (reason != nullptr) {
+      tracer_.event(now, "node", trace_node_, "quarantine.begin",
+                    {{"peer", peer.brief()},
+                     {"level", h.quarantine_level},
+                     {"duration_s", to_seconds(duration)},
+                     {"reason", reason}});
+    } else {
+      tracer_.event(now, "node", trace_node_, "quarantine.begin",
+                    {{"peer", peer.brief()},
+                     {"level", h.quarantine_level},
+                     {"duration_s", to_seconds(duration)}});
+    }
   }
 }
 

@@ -41,7 +41,8 @@ inline constexpr SimDuration kQuarantineBase = 15 * kSecond;
 /// RTT sampling), the durable per-peer health memory (RTT estimate that
 /// warm-starts re-established connections, flap history), and the flap
 /// quarantine policy.  Talks to the rest of the node only through the
-/// connection table it shares and the two hooks below.
+/// connection table and flight recorder it shares and the two hooks
+/// below.
 class KeepaliveManager {
  public:
   struct Hooks {
@@ -52,20 +53,17 @@ class KeepaliveManager {
     /// A connection exceeded its probe budget; drop it (no Close).
     std::function<void(const Address& peer, DisconnectCause cause)>
         drop_connection;
-    /// Post an entry on the owning node's flight recorder (optional —
-    /// isolation tests wire fewer hooks).
-    std::function<void(FlightKind kind, const Address& peer, std::int32_t a,
-                       std::int32_t b)>
-        record_flight;
   };
 
   KeepaliveManager(sim::TimerService& timers, Tracer& tracer, Logger& logger,
                    const NodeConfig& config, ConnectionTable& table,
-                   NodeStats& stats, const std::string& trace_node,
+                   FlightRecorder& flight, NodeStats& stats,
+                   const std::string& trace_node,
                    const std::string& log_component, Hooks hooks)
       : timers_(timers), tracer_(tracer), logger_(logger), config_(config),
-        table_(table), stats_(stats), trace_node_(trace_node),
-        log_component_(log_component), hooks_(std::move(hooks)) {}
+        table_(table), flight_(flight), stats_(stats),
+        trace_node_(trace_node), log_component_(log_component),
+        hooks_(std::move(hooks)) {}
 
   ~KeepaliveManager() { stop(); }
   KeepaliveManager(const KeepaliveManager&) = delete;
@@ -173,12 +171,18 @@ class KeepaliveManager {
   };
 
   void sweep();
+  /// Begin (or escalate) a quarantine episode: base * 2^level, capped.
+  /// `reason` tags the trace event and log line of a punishment (null
+  /// for a flap quarantine).
+  void begin_quarantine(const Address& peer, PeerHealth& h,
+                        const char* reason);
 
   sim::TimerService& timers_;
   Tracer& tracer_;
   Logger& logger_;
   const NodeConfig& config_;
   ConnectionTable& table_;
+  FlightRecorder& flight_;
   NodeStats& stats_;
   const std::string& trace_node_;
   const std::string& log_component_;

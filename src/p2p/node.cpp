@@ -49,7 +49,6 @@ Node::Node(NodeDeps deps, NodeConfig config)
   log_component_ = "node/" + trace_node_;
   register_metrics();
   build_services();
-  register_handlers();
 }
 
 Node::~Node() {
@@ -57,8 +56,8 @@ Node::~Node() {
   for (MetricId id : metric_ids_) metrics_.remove(id);
 }
 
-// build_services() and register_handlers() — the composition root's
-// wiring — live in node_services.cpp.
+// build_services() — the composition root's wiring — lives in
+// node_services.cpp.
 
 // --- diagnostics -------------------------------------------------------------
 
@@ -228,12 +227,37 @@ void Node::on_datagram(const net::Endpoint& from, SharedBytes payload) {
   // std::function-indirected for_each.
   table_.credit_liveness(from, timers_.now());
 
-  if (!frames_.dispatch(static_cast<std::uint8_t>(*kind),
-                        std::move(payload), from)) {
-    // Valid kind byte but no service claimed it: count and drop, never
-    // crash (the registry is the announce table of §III).
-    ++stats_.parse_rejects;
+  switch (*kind) {
+    case FrameKind::kRouted:
+      // Zero-copy: the packet adopts the frame buffer; forwarding
+      // rewrites its mutable header fields in place instead of
+      // re-serializing.
+      if (auto packet = RoutedPacket::parse(std::move(payload))) {
+        route(std::move(*packet), from);
+        return;
+      }
+      break;
+    case FrameKind::kLink:
+      if (auto frame = LinkFrame::parse(payload.view())) {
+        handle_link(*frame, from);
+        return;
+      }
+      break;
+    case FrameKind::kRelay:
+      if (auto relay = RelayFrame::parse(std::move(payload))) {
+        relays_->handle_frame(std::move(*relay), from);
+        return;
+      }
+      break;
+    case FrameKind::kCensus:
+      if (auto census = CensusFrame::parse(payload.view())) {
+        census_->handle(*census);
+        return;
+      }
+      break;
   }
+  // The kind's parser refused the frame: count and drop, never crash.
+  ++stats_.parse_rejects;
 }
 
 void Node::note_misbehavior(const net::Endpoint& from, int weight) {
@@ -311,10 +335,6 @@ void Node::send_link_frame(const Connection& c, const LinkFrame& frame) {
   }
   edges_->send_to(c.remote, RelayFrame::wrap(config_.address, c.relay,
                                              c.addr, frame.serialize()));
-}
-
-void Node::handle_routed(RoutedPacket packet, const net::Endpoint& from) {
-  route(std::move(packet), from);
 }
 
 // --- routing -----------------------------------------------------------------
@@ -414,12 +434,17 @@ void Node::maybe_bounce(const RoutedPacket& packet) {
 
 void Node::deliver_local(const RoutedPacket& packet,
                          const net::Endpoint& from) {
-  if (!routed_.dispatch(static_cast<std::uint8_t>(packet.type), packet,
-                        from)) {
-    // Unknown payload type: the wire parser already rejects these, so
-    // this only fires for an unregistered-but-valid type — same policy,
-    // count and drop.
-    ++stats_.parse_rejects;
+  // RoutedPacket::parse refuses any other type byte.
+  switch (packet.type) {
+    case RoutedType::kData:
+      deliver_data(packet);
+      return;
+    case RoutedType::kCtmRequest:
+      ctm_->handle_request(packet, from);
+      return;
+    case RoutedType::kCtmReply:
+      if (packet.dst == config_.address) ctm_->handle_reply(packet, from);
+      return;
   }
 }
 

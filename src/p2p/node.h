@@ -13,7 +13,6 @@
 #include "common/metrics.h"
 #include "common/time.h"
 #include "p2p/connection_table.h"
-#include "p2p/dispatch.h"
 #include "p2p/linking.h"
 #include "p2p/misbehavior.h"
 #include "p2p/node_config.h"
@@ -45,8 +44,10 @@ class ShortcutOverlord;
 ///   - CensusAgent        ring census + partitioned-ring merge
 ///   - ShortcutOverlord   proximity shortcuts
 /// The node wires them together over shared state (ConnectionTable,
-/// NodeStats) and hook functions, and demuxes inbound frames through
-/// kind-indexed HandlerRegistry tables instead of switch statements.
+/// NodeStats, FlightRecorder).  A service a test runs without a Node
+/// takes hook functions; relay, bootstrap and census are built from the
+/// Node itself and call it directly.  Inbound frames are demuxed by a
+/// switch on their kind byte.
 ///
 /// Life cycle: construct (from a NodeDeps bundle) -> start() ->
 /// exchanges data via send_data()/set_data_handler().  stop() models
@@ -137,11 +138,6 @@ class Node {
   [[nodiscard]] const MisbehaviorLedger& misbehavior() const {
     return ledger_;
   }
-  /// Accumulate misbehavior evidence against a source endpoint; crossing
-  /// the threshold quarantines + drops whichever held peer answers from
-  /// it.  No-op while defenses are off.  Exposed for the protocol
-  /// services (via hooks) and the byzantine tests.
-  void note_misbehavior(const net::Endpoint& from, int weight);
   /// Endpoint-backoff introspection (tests): when bootstrap endpoint
   /// `i` may be probed again (0 = immediately).
   [[nodiscard]] SimTime bootstrap_retry_after(std::size_t i) const;
@@ -172,7 +168,7 @@ class Node {
   /// — connections held, per-peer health, pending operations, flight
   /// ring — that the flyweight profile budgets at ~1 KB/node.
   struct MemoryFootprint {
-    std::size_t self = 0;  // Node object, labels, config heap, dispatch
+    std::size_t self = 0;  // Node object, labels, config heap
     std::size_t table = 0;
     std::size_t keepalive = 0;
     std::size_t ctm = 0;
@@ -210,15 +206,19 @@ class Node {
   [[nodiscard]] SimDuration srtt_of(const Address& peer) const;
 
  private:
+  // The services built from the Node read its state and call its
+  // private paths directly.
+  friend class BootstrapOverlord;
+  friend class CensusAgent;
+  friend class RelayAgent;
+
   // frame plumbing
+  /// Demux a datagram by its FrameKind byte.
   void on_datagram(const net::Endpoint& from, SharedBytes payload);
-  void handle_routed(RoutedPacket packet, const net::Endpoint& from);
   void handle_link(const LinkFrame& frame, const net::Endpoint& from);
   /// Send a link frame over `c`: direct, or wrapped through its agent.
   void send_link_frame(const Connection& c, const LinkFrame& frame);
-  /// Wire the frame-kind and routed-type dispatch tables (ctor).
-  void register_handlers();
-  /// Construct the protocol services and their hooks (ctor).
+  /// Construct the protocol services (ctor).
   void build_services();
 
   // routing.  `from` is the source endpoint of the datagram that
@@ -227,6 +227,7 @@ class Node {
   // consumers so misbehavior evidence lands on the endpoint and never
   // on a forgeable claimed ring address (DESIGN §16).
   void route(RoutedPacket packet, const net::Endpoint& from = {});
+  /// Consume a packet routed to this node by its RoutedType.
   void deliver_local(const RoutedPacket& packet, const net::Endpoint& from);
   void deliver_data(const RoutedPacket& packet);
   void maybe_bounce(const RoutedPacket& packet);
@@ -254,6 +255,10 @@ class Node {
   /// near link and the table grows with fleet age instead of holding
   /// the ~2·near + k·far steady state.
   void trim_connections();
+  /// Accumulate misbehavior evidence against a source endpoint; crossing
+  /// the threshold quarantines + drops whichever held peer answers from
+  /// it.  No-op while defenses are off.
+  void note_misbehavior(const net::Endpoint& from, int weight);
   void update_routable();
   [[nodiscard]] std::size_t shortcut_connection_count() const;
 
@@ -275,8 +280,8 @@ class Node {
   PeerCache peer_cache_;
 
   // protocol services (construction order: keepalive before the
-  // services whose hooks consult it is immaterial — hooks fire later —
-  // but keep the dependency direction readable).
+  // services that consult it is immaterial — they call it later — but
+  // keep the dependency direction readable).
   std::unique_ptr<KeepaliveManager> keepalive_;
   std::unique_ptr<CtmOverlord> ctm_;
   std::unique_ptr<RelayAgent> relays_;
@@ -286,13 +291,6 @@ class Node {
   /// Rebuilt on every start(): an aborted engine carries no stale
   /// attempt state into the next incarnation.
   std::unique_ptr<LinkingEngine> linking_;
-
-  /// Dispatch layer: datagram frame kinds (FrameKind) and routed
-  /// payload types (RoutedType), both dense 1-based kind bytes.
-  HandlerRegistry<SharedBytes, const net::Endpoint&> frames_{
-      kFrameKindCount};
-  HandlerRegistry<const RoutedPacket&, const net::Endpoint&> routed_{
-      kRoutedTypeCount};
 
   DataHandler data_handler_;
 

@@ -73,8 +73,7 @@ Node::MemoryFootprint Node::memory_footprint() const {
   f.self = sizeof(Node) + string_heap(trace_node_) +
            string_heap(log_component_) +
            metric_ids_.capacity() * sizeof(MetricId) +
-           config_.bootstrap.capacity() * sizeof(transport::Uri) +
-           frames_.memory_bytes() + routed_.memory_bytes();
+           config_.bootstrap.capacity() * sizeof(transport::Uri);
   f.table = table_.memory_bytes();
   f.keepalive = keepalive_->memory_bytes();
   f.ctm = ctm_->memory_bytes();

@@ -48,8 +48,8 @@ enum class FrameKind : std::uint8_t {
                 // and merges independently-formed rings
 };
 
-/// Dispatch-table size for FrameKind (kinds are 1-based wire bytes, so
-/// the table has one unused slot at 0).
+/// One past the highest FrameKind (kinds are 1-based wire bytes).  The
+/// wire suites pin it, so adding a kind revisits them.
 inline constexpr std::size_t kFrameKindCount = 5;
 
 /// Payload types carried inside a routed packet.
@@ -58,9 +58,6 @@ enum class RoutedType : std::uint8_t {
   kCtmRequest = 2,  // Connect-To-Me request (§IV-B)
   kCtmReply = 3,    // Connect-To-Me reply
 };
-
-/// Dispatch-table size for RoutedType (1-based, slot 0 unused).
-inline constexpr std::size_t kRoutedTypeCount = 4;
 
 /// Delivery semantics of a routed packet.
 enum class DeliveryMode : std::uint8_t {

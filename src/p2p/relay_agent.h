@@ -1,24 +1,17 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "common/flight_recorder.h"
-#include "common/log.h"
 #include "common/mem_estimate.h"
 #include "common/time.h"
-#include "common/trace.h"
-#include "p2p/connection_table.h"
-#include "p2p/edge.h"
-#include "p2p/node_config.h"
-#include "p2p/node_stats.h"
 #include "p2p/packet.h"
 #include "sim/timer_service.h"
 
 namespace wow::p2p {
+
+class Node;
 
 /// While a pair converses through a relay tunnel, a direct link is
 /// re-attempted this often (the relay→direct upgrade probe).
@@ -34,61 +27,9 @@ inline constexpr SimDuration kRelayProbeInterval = 30 * kSecond;
 /// relay→direct upgrade probes.
 class RelayAgent {
  public:
-  struct Hooks {
-    /// An inner routed frame surfaced at the tunnel endpoint.
-    std::function<void(RoutedPacket packet, const net::Endpoint& from)>
-        on_routed;
-    /// An inner link frame the tunnel does not consume itself (kPong
-    /// RTT sampling) — same path as a direct link frame.
-    std::function<void(const LinkFrame& frame, const net::Endpoint& from)>
-        on_link_frame;
-    /// Send a link frame over an existing connection (the owner wraps
-    /// through the agent when the connection is itself a tunnel).
-    std::function<void(const Connection& c, const LinkFrame& frame)>
-        send_link_frame;
-    std::function<void(const Address& peer, DisconnectCause cause)>
-        drop_connection;
-    std::function<std::vector<transport::Uri>()> local_uris;
-    /// Is a link handshake toward `peer` already in flight?
-    std::function<bool(const Address& peer)> link_attempting;
-    /// Was a link attempt toward `peer` started recently (bounded
-    /// memory)?  Optional; part of the tunnel-request mutual-interest
-    /// gate (DESIGN §16).
-    std::function<bool(const Address& peer)> recently_tried;
-    /// Is `peer` quarantined by the keepalive health store?  Optional.
-    std::function<bool(const Address& peer)> is_quarantined;
-    /// Score the SOURCE ENDPOINT of a forged relay frame on the owner's
-    /// misbehavior ledger (never a claimed address).  Optional.
-    std::function<void(const net::Endpoint& from, int weight)>
-        note_misbehavior;
-    /// Begin a direct link handshake (the upgrade probe).
-    std::function<void(const Address& peer, ConnectionType type,
-                       const std::vector<transport::Uri>& uris)>
-        link_start;
-    std::function<SimDuration(const Address& peer)> peer_rto_hint;
-    /// Upgrade-probe cooldown, kept in the peer-health store so it
-    /// survives the tunnel itself.
-    std::function<SimTime(const Address& peer)> next_direct_probe;
-    std::function<void(const Address& peer, SimTime when)>
-        set_next_direct_probe;
-    /// Warm-start a fresh connection's RTT estimator.
-    std::function<void(Connection& c)> seed_estimator;
-    /// A kRelay connection entered the table: re-check routability.
-    std::function<void()> update_routable;
-    /// Post an entry on the owning node's flight recorder (optional —
-    /// isolation tests wire fewer hooks).
-    std::function<void(FlightKind kind, const Address& peer)> record_flight;
-  };
-
-  RelayAgent(sim::TimerService& timers, Tracer& tracer, Logger& logger,
-             const NodeConfig& config, ConnectionTable& table,
-             NodeStats& stats, EdgeFactory& edges,
-             const std::string& trace_node, const std::string& log_component,
-             Hooks hooks)
-      : timers_(timers), tracer_(tracer), logger_(logger), config_(config),
-        table_(table), stats_(stats), edges_(edges),
-        trace_node_(trace_node), log_component_(log_component),
-        hooks_(std::move(hooks)) {}
+  /// Reads the node's table, config, stats and edges, and calls its
+  /// routing, link-frame, drop and keepalive paths directly.
+  explicit RelayAgent(Node& node) : node_(node) {}
 
   RelayAgent(const RelayAgent&) = delete;
   RelayAgent& operator=(const RelayAgent&) = delete;
@@ -154,16 +95,7 @@ class RelayAgent {
                             const net::Endpoint& agent_endpoint,
                             const std::vector<transport::Uri>& uris);
 
-  sim::TimerService& timers_;
-  Tracer& tracer_;
-  Logger& logger_;
-  const NodeConfig& config_;
-  ConnectionTable& table_;
-  NodeStats& stats_;
-  EdgeFactory& edges_;
-  const std::string& trace_node_;
-  const std::string& log_component_;
-  Hooks hooks_;
+  Node& node_;
 
   /// In-flight relay tunnel handshakes, keyed by the unreachable peer.
   std::unordered_map<Address, RelayAttempt, RingIdHash> relay_attempts_;

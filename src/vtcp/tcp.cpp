@@ -226,14 +226,7 @@ void TcpSocket::on_rto() {
 }
 
 void TcpSocket::update_rtt(SimDuration sample) {
-  if (srtt_ == 0) {
-    srtt_ = sample;
-    rttvar_ = sample / 2;
-  } else {
-    SimDuration err = std::abs(srtt_ - sample);
-    rttvar_ = (3 * rttvar_ + err) / 4;
-    srtt_ = (7 * srtt_ + sample) / 8;
-  }
+  rtt_update(srtt_, rttvar_, sample);
   rto_ = std::clamp(srtt_ + 4 * rttvar_, kMinRto, kMaxRto);
 }
 

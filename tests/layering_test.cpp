@@ -1,5 +1,5 @@
-// The layered protocol-service stack: the dispatch registries and the
-// protocol services exercised in isolation behind their hooks, with a
+// The layered protocol-service stack: the Node's frame demux, and the
+// protocol services a test runs in isolation behind their hooks, with a
 // bare clock and no Node or network behind them.  That the whole Node
 // runs over a backend other than the simulator is checked over real
 // sockets by RealtimeBackend.NodePairLinksOverRealUdp
@@ -12,11 +12,11 @@
 #include <utility>
 #include <vector>
 
+#include "common/flight_recorder.h"
 #include "common/log.h"
 #include "common/rng.h"
 #include "common/trace.h"
 #include "p2p/ctm_overlord.h"
-#include "p2p/dispatch.h"
 #include "p2p/keepalive.h"
 #include "p2p/node.h"
 #include "sim/simulator.h"
@@ -25,54 +25,40 @@
 namespace wow {
 namespace {
 
-// --- dispatch layer -----------------------------------------------------
+// --- frame demux ----------------------------------------------------------
 
-TEST(HandlerRegistry, RejectsOutOfRangeDuplicateAndNull) {
-  p2p::HandlerRegistry<int> reg(4);
-  int total = 0;
-  EXPECT_TRUE(reg.add(1, [&](int v) { total += v; }));
-  EXPECT_FALSE(reg.add(1, [](int) {}));  // duplicate: wiring bug, refused
-  EXPECT_FALSE(reg.add(4, [](int) {}));  // out of range
-  EXPECT_FALSE(reg.add(2, nullptr));     // null handler
-  EXPECT_EQ(reg.size(), 1u);
-  EXPECT_TRUE(reg.contains(1));
-  EXPECT_FALSE(reg.contains(2));
-
-  EXPECT_TRUE(reg.dispatch(1, 5));
-  EXPECT_EQ(total, 5);
-}
-
-TEST(HandlerRegistry, UnregisteredKindReportsFalseWithoutCrashing) {
-  p2p::HandlerRegistry<int> reg(4);
-  EXPECT_FALSE(reg.dispatch(2, 1));    // in range, never registered
-  EXPECT_FALSE(reg.dispatch(200, 1));  // far out of range
-
-  EXPECT_TRUE(reg.add(2, [](int) {}));
-  EXPECT_TRUE(reg.dispatch(2, 1));
-  EXPECT_TRUE(reg.remove(2));
-  EXPECT_FALSE(reg.remove(2));
-  EXPECT_FALSE(reg.dispatch(2, 1));
-  EXPECT_EQ(reg.size(), 0u);
-}
-
-// An unknown frame kind arriving over the wire is counted and dropped;
-// the node keeps running (the announce table never crashes on garbage).
+// An unknown frame kind, and a frame of each known kind whose body its
+// parser refuses, is counted once and dropped; the node keeps running
+// and still links afterwards.
 TEST(Dispatch, UnknownFrameKindIsCountedAndDropped) {
-  testing::PublicOverlay net(2);
-  net.start_all();
+  testing::PublicOverlay net(3);
+  net.nodes[0]->start();
+  net.nodes[1]->start();
   net.sim.run_for(30 * kSecond);
   ASSERT_TRUE(net.nodes[1]->has_direct(net.nodes[0]->address()));
 
-  std::uint64_t before = net.nodes[0]->stats().parse_rejects;
-  net.nodes[1]->edges().send_to(net::Endpoint{net.hosts[0]->ip(), 17000},
-                                Bytes{0x7e, 1, 2, 3});
-  net.sim.run_for(kSecond);
-  EXPECT_EQ(net.nodes[0]->stats().parse_rejects, before + 1);
+  const net::Endpoint to{net.hosts[0]->ip(), testing::PublicOverlay::kPort};
+  auto expect_one_reject = [&](const Bytes& frame) {
+    std::uint64_t before = net.nodes[0]->stats().parse_rejects;
+    net.nodes[1]->edges().send_to(to, frame);
+    net.sim.run_for(kSecond);
+    EXPECT_EQ(net.nodes[0]->stats().parse_rejects, before + 1)
+        << "kind byte " << int(frame[0]);
+  };
+  expect_one_reject(Bytes{0x7e, 1, 2, 3});
+  for (p2p::FrameKind kind :
+       {p2p::FrameKind::kRouted, p2p::FrameKind::kLink,
+        p2p::FrameKind::kRelay, p2p::FrameKind::kCensus}) {
+    expect_one_reject(Bytes{static_cast<std::uint8_t>(kind), 1, 2, 3});
+  }
   EXPECT_TRUE(net.nodes[0]->running());
 
-  // Still a functioning overlay after the garbage frame.
+  // Still a functioning overlay after the garbage: the held link
+  // survives, and a node started now links to node 0.
+  net.nodes[2]->start();
   net.sim.run_for(kMinute);
   EXPECT_TRUE(net.nodes[0]->has_direct(net.nodes[1]->address()));
+  EXPECT_TRUE(net.nodes[0]->has_direct(net.nodes[2]->address()));
 }
 
 // --- KeepaliveManager in isolation --------------------------------------
@@ -84,7 +70,8 @@ struct KeepaliveHarness {
   KeepaliveHarness() {
     config.ping_interval = 2 * kSecond;
     km = std::make_unique<p2p::KeepaliveManager>(
-        sim, tracer, logger, config, table, stats, trace_node, log_component,
+        sim, tracer, logger, config, table, flight, stats, trace_node,
+        log_component,
         p2p::KeepaliveManager::Hooks{
             [this](const p2p::Connection&, const p2p::LinkFrame& frame) {
               sent.push_back(frame);
@@ -95,7 +82,6 @@ struct KeepaliveHarness {
               table.remove(peer);
               km->erase_ping_state(peer);
             },
-            nullptr,  // record_flight
         });
   }
 
@@ -112,6 +98,7 @@ struct KeepaliveHarness {
   Logger logger;
   p2p::NodeConfig config;
   p2p::ConnectionTable table{p2p::Address{100}};
+  FlightRecorder flight;
   p2p::NodeStats stats;
   std::string trace_node = "n";
   std::string log_component = "test";
@@ -193,7 +180,7 @@ TEST(KeepaliveIsolation, RepeatedFlapsQuarantineThenLapse) {
 struct CtmHarness {
   CtmHarness() {
     ctm = std::make_unique<p2p::CtmOverlord>(
-        sim, rng, tracer, config, table, stats, trace_node,
+        sim, rng, tracer, config, table, flight, stats, trace_node,
         p2p::CtmOverlord::Hooks{
             [] { return true; },   // running
             [] { return false; },  // routable
@@ -210,7 +197,6 @@ struct CtmHarness {
             },
             [](const p2p::Address&) { return false; },  // is_quarantined
             [] {},                                      // update_routable
-            nullptr,                                    // record_flight
             nullptr,                                    // note_peer
         });
   }
@@ -228,6 +214,7 @@ struct CtmHarness {
   Tracer tracer;
   p2p::NodeConfig config;
   p2p::ConnectionTable table{p2p::Address{100}};
+  FlightRecorder flight;
   p2p::NodeStats stats;
   std::string trace_node = "n";
   transport::Uri uri{transport::TransportKind::kUdp,
