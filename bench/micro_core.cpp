@@ -178,9 +178,9 @@ void BM_HostPortDispatch(benchmark::State& state) {
   // compare against the inline slot; extra bindings fall back to the
   // overflow scan.  The pre-megascale unordered_map paid a hash plus a
   // bucket chase for every delivered datagram.
-  net::Host::Params params;
+  const net::Host::Config config;
   net::Host host(net::HostId{1}, net::Ipv4Addr(128, 0, 0, 1),
-                 net::DomainId{0}, net::SiteId{0}, &params, NameId{0});
+                 net::DomainId{0}, net::SiteId{0}, &config);
   int ports = static_cast<int>(state.range(0));
   std::uint64_t hits = 0;
   for (int p = 0; p < ports; ++p) {

@@ -39,7 +39,6 @@ int main() {
   std::vector<transport::Uri> bootstrap;
   for (int i = 0; i < 12; ++i) {
     net::Host::Config hc;
-    hc.name = "router" + std::to_string(i);
     hc.proc_service = 4 * kMillisecond;  // a loaded shared host
     auto& host = network.add_host(net::Ipv4Addr(128, 10, 0,
                                                 static_cast<std::uint8_t>(i + 1)),
@@ -64,7 +63,7 @@ int main() {
                                          net::Ipv4Addr(200, 0, 0, wan_octet),
                                          nat);
     auto& host = network.add_host(net::Ipv4Addr(192, 168, wan_octet, 10),
-                                  domain, site, net::Host::Config{name});
+                                  domain, site, net::Host::Config{});
     ipop::IpopNode::Config cfg;
     cfg.vip = vip;  // the address applications see
     cfg.p2p.bootstrap = bootstrap;

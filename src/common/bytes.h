@@ -1,10 +1,10 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -62,15 +62,25 @@ class SharedBytes {
   std::shared_ptr<Bytes> buf_;
 };
 
+/// The encoder-side length guard: true when `size` is at most `max`.
+/// A longer input is refused loudly, with one stderr line naming
+/// `what`, never framed under a truncated length field (which would
+/// desynchronize every reader downstream).
+[[nodiscard]] inline bool length_fits(const char* what, std::size_t size,
+                                      std::size_t max) {
+  if (size <= max) return true;
+  std::fprintf(stderr, "wow: %s rejected %zu bytes (max %zu)\n", what, size,
+               max);
+  return false;
+}
+
 /// Serializer writing big-endian (network order) fields into a growable
 /// buffer.  Every on-the-wire message in the overlay is produced through
 /// this writer so framing stays consistent across modules.
 class ByteWriter {
  public:
   /// Largest byte string a u16 length prefix can carry.  str() and the
-  /// IPOP and vtcp header writers refuse anything longer instead of
-  /// silently truncating the length field (which would desynchronize
-  /// every reader downstream).
+  /// IPOP and vtcp header writers refuse anything longer (length_fits).
   static constexpr std::size_t kMaxLenPrefixed = 0xffff;
 
   /// Pre-size the buffer: serialize() implementations know their frame
@@ -108,12 +118,11 @@ class ByteWriter {
     buf_.insert(buf_.end(), bytes.begin(), bytes.end());
   }
 
-  /// Length-prefixed (u16) UTF-8 string.  Oversize input is rejected: an
-  /// empty string is written, the overflow flag is set and an error is
-  /// logged — a wrong length prefix must never reach the wire.
+  /// Length-prefixed (u16) UTF-8 string.  Oversize input is refused:
+  /// an empty string is written and the overflow flag is set.
   void str(std::string_view s) {
-    if (s.size() > kMaxLenPrefixed) {
-      fail_oversize("str", s.size());
+    if (!length_fits("ByteWriter::str", s.size(), kMaxLenPrefixed)) {
+      overflowed_ = true;
       u16(0);
       return;
     }
@@ -130,13 +139,6 @@ class ByteWriter {
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
 
  private:
-  void fail_oversize(const char* what, std::size_t size) {
-    overflowed_ = true;
-    std::fprintf(stderr,
-                 "wow: ByteWriter::%s rejected %zu bytes (max %zu)\n", what,
-                 size, kMaxLenPrefixed);
-  }
-
   Bytes buf_;
   bool overflowed_ = false;
 };
@@ -222,77 +224,77 @@ class FrameBuf {
   std::size_t head_;
 };
 
-/// Checked big-endian reader over a byte span.  All read methods return
-/// std::nullopt on underflow instead of throwing: malformed packets are
-/// expected input for a network node, not programmer error.
+/// Checked big-endian reader over a byte span.  Malformed input is
+/// expected for a network node, not programmer error, so no read
+/// throws: a read past the end returns 0 (or "", or the zero RingId),
+/// consumes nothing, and clears ok() for good; every later read then
+/// does the same.  A decoder reads its fields straight into its struct
+/// and checks ok(), with its own value rules, once at the end.
 class ByteReader {
  public:
-  explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}
+  explicit ByteReader(BytesView data) : data_(data) {}
 
-  [[nodiscard]] std::optional<std::uint8_t> u8() {
-    if (pos_ + 1 > data_.size()) return std::nullopt;
-    return data_[pos_++];
+  [[nodiscard]] std::uint8_t u8() {
+    return static_cast<std::uint8_t>(be(1));
   }
-
-  [[nodiscard]] std::optional<std::uint16_t> u16() {
-    if (pos_ + 2 > data_.size()) return std::nullopt;
-    std::uint16_t v = static_cast<std::uint16_t>(
-        (static_cast<std::uint16_t>(data_[pos_]) << 8) | data_[pos_ + 1]);
-    pos_ += 2;
-    return v;
+  [[nodiscard]] std::uint16_t u16() {
+    return static_cast<std::uint16_t>(be(2));
   }
-
-  [[nodiscard]] std::optional<std::uint32_t> u32() {
-    if (pos_ + 4 > data_.size()) return std::nullopt;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v = (v << 8) | data_[pos_ + i];
-    pos_ += 4;
-    return v;
+  [[nodiscard]] std::uint32_t u32() {
+    return static_cast<std::uint32_t>(be(4));
   }
+  [[nodiscard]] std::uint64_t u64() { return be(8); }
+  [[nodiscard]] std::int64_t i64() { return static_cast<std::int64_t>(be(8)); }
 
-  [[nodiscard]] std::optional<std::uint64_t> u64() {
-    if (pos_ + 8 > data_.size()) return std::nullopt;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v = (v << 8) | data_[pos_ + i];
-    pos_ += 8;
-    return v;
-  }
-
-  [[nodiscard]] std::optional<std::int64_t> i64() {
-    auto v = u64();
-    if (!v) return std::nullopt;
-    return static_cast<std::int64_t>(*v);
-  }
-
-  [[nodiscard]] std::optional<RingId> ring_id() {
+  /// Most significant limb first, as ByteWriter::ring_id.
+  [[nodiscard]] RingId ring_id() {
+    ByteReader id(bytes(4 * RingId::kLimbs));
     std::array<std::uint32_t, RingId::kLimbs> limbs{};
     for (int i = RingId::kLimbs - 1; i >= 0; --i) {
-      auto limb = u32();
-      if (!limb) return std::nullopt;
-      limbs[static_cast<std::size_t>(i)] = *limb;
+      limbs[static_cast<std::size_t>(i)] = id.u32();
     }
     return RingId{limbs};
   }
 
-  [[nodiscard]] std::optional<std::string> str() {
-    auto len = u16();
-    if (!len || pos_ + *len > data_.size()) return std::nullopt;
-    std::string out(reinterpret_cast<const char*>(data_.data() + pos_), *len);
-    pos_ += *len;
-    return out;
+  /// A u16-length-prefixed string.  A short one consumes nothing, not
+  /// even its prefix.
+  [[nodiscard]] std::string str() {
+    const std::size_t start = pos_;
+    const BytesView s = bytes(u16());
+    if (!ok_) pos_ = start;
+    return std::string(s.begin(), s.end());
   }
 
-  /// Remaining unread bytes.
-  [[nodiscard]] std::span<const std::uint8_t> rest() const {
-    return data_.subspan(pos_);
+  /// The next `n` bytes as a view into the input.
+  [[nodiscard]] BytesView bytes(std::size_t n) {
+    if (!ok_ || n > data_.size() - pos_) {
+      ok_ = false;
+      return {};
+    }
+    pos_ += n;
+    return data_.subspan(pos_ - n, n);
   }
 
+  /// Reject the input from a nested decoder that read a value out of
+  /// its range (an unknown enum byte, say).
+  void fail() { ok_ = false; }
+
+  /// False once any read ran past the end or fail() was called.
+  [[nodiscard]] bool ok() const { return ok_; }
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
   [[nodiscard]] bool exhausted() const { return pos_ == data_.size(); }
 
  private:
-  std::span<const std::uint8_t> data_;
+  /// The next `n` bytes as one big-endian number.
+  [[nodiscard]] std::uint64_t be(std::size_t n) {
+    std::uint64_t v = 0;
+    for (std::uint8_t b : bytes(n)) v = (v << 8) | b;
+    return v;
+  }
+
+  BytesView data_;
   std::size_t pos_ = 0;
+  bool ok_ = true;
 };
 
 }  // namespace wow

@@ -59,16 +59,6 @@ std::size_t FlightRecorder::size() const {
   return std::min<std::uint64_t>(recorded_, ring_.size());
 }
 
-void FlightRecorder::for_each(
-    const std::function<void(const Entry&)>& fn) const {
-  std::size_t held = size();
-  // Oldest entry sits at the write cursor once the ring has wrapped.
-  std::size_t start = recorded_ > ring_.size() ? next_ : 0;
-  for (std::size_t i = 0; i < held; ++i) {
-    fn(ring_[(start + i) % ring_.size()]);
-  }
-}
-
 std::string FlightRecorder::dump(std::string_view label) const {
   std::string out;
   char line[160];

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -89,7 +88,15 @@ class FlightRecorder {
   [[nodiscard]] std::uint64_t recorded() const { return recorded_; }
 
   /// Oldest -> newest.
-  void for_each(const std::function<void(const Entry&)>& fn) const;
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    const std::size_t held = size();
+    // Oldest entry sits at the write cursor once the ring has wrapped.
+    const std::size_t start = recorded_ > ring_.size() ? next_ : 0;
+    for (std::size_t i = 0; i < held; ++i) {
+      fn(ring_[(start + i) % ring_.size()]);
+    }
+  }
 
   /// Human-readable dump, one line per entry:
   ///   "  t=312.500s conn.lost peer=ab12 a=2 b=0"

@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstdio>
-#include <map>
-#include <string>
 #include <string_view>
 
 #include "common/time.h"
@@ -15,12 +13,7 @@ enum class LogLevel : int { kTrace = 0, kDebug = 1, kInfo = 2, kWarn = 3,
 /// Minimal leveled logger.  Simulation components log through a Logger
 /// handed to them (usually owned by the Simulator) so output carries the
 /// simulated timestamp; nothing in the library writes to stdio directly.
-///
-/// Components are hierarchical: "linking" or "node/ab12cd34".  A
-/// per-component level override applies to the component and everything
-/// below its '/' (set_component_level("node", kDebug) enables debug for
-/// every "node/..." instance) so a testbed-scale run can turn on one
-/// subsystem's debug stream without drowning in the other 150 nodes'.
+/// Each line names its component ("linking", "node/ab12cd34").
 class Logger {
  public:
   explicit Logger(LogLevel level = LogLevel::kWarn, std::FILE* out = stderr)
@@ -28,37 +21,13 @@ class Logger {
 
   [[nodiscard]] LogLevel level() const { return level_; }
 
-  /// Override the level for one component subtree ("linking",
-  /// "node", "node/ab12cd34", ...).
-  void set_component_level(std::string component, LogLevel level) {
-    component_levels_[std::move(component)] = level;
-  }
-  void clear_component_levels() { component_levels_.clear(); }
-
+  /// WOW_LOG consults this before building the message, so disabled
+  /// call sites never pay for string formatting.
   [[nodiscard]] bool enabled(LogLevel level) const { return level >= level_; }
-
-  /// Component-aware check: WOW_LOG consults this before building the
-  /// message, so disabled call sites never pay for string formatting.
-  [[nodiscard]] bool enabled(LogLevel level,
-                             std::string_view component) const {
-    if (component_levels_.empty()) return enabled(level);
-    if (auto it = component_levels_.find(component);
-        it != component_levels_.end()) {
-      return level >= it->second;
-    }
-    // "node/ab12cd34" falls back to its "node" subtree override.
-    if (auto slash = component.find('/'); slash != std::string_view::npos) {
-      if (auto it = component_levels_.find(component.substr(0, slash));
-          it != component_levels_.end()) {
-        return level >= it->second;
-      }
-    }
-    return enabled(level);
-  }
 
   void log(LogLevel level, SimTime now, std::string_view component,
            std::string_view message) const {
-    if (!enabled(level, component)) return;
+    if (!enabled(level)) return;
     std::fprintf(out_, "[%12.6f] %-5s %-14.*s %.*s\n", to_seconds(now),
                  name(level), static_cast<int>(component.size()),
                  component.data(), static_cast<int>(message.size()),
@@ -80,16 +49,15 @@ class Logger {
 
   LogLevel level_;
   std::FILE* out_;
-  std::map<std::string, LogLevel, std::less<>> component_levels_;
 };
 
 /// Log with lazily-built message: `message_expr` is evaluated only when
-/// `(level, component)` is enabled, so call sites can concatenate
-/// strings freely without paying for it on the (common) disabled path.
+/// `level` is enabled, so call sites can concatenate strings freely
+/// without paying for it on the (common) disabled path.
 #define WOW_LOG(logger_, level_, now_, component_, message_expr_)       \
   do {                                                                  \
     const auto& wow_log_ref_ = (logger_);                               \
-    if (wow_log_ref_.enabled((level_), (component_))) {                 \
+    if (wow_log_ref_.enabled((level_))) {                               \
       wow_log_ref_.log((level_), (now_), (component_), (message_expr_)); \
     }                                                                   \
   } while (0)

@@ -1,14 +1,10 @@
 #include "ipop/ip_packet.h"
 
-#include <cstdio>
-
 namespace wow::ipop {
 
 bool IpPacket::push_header(FrameBuf& frame) const {
-  std::size_t len = frame.size();
-  if (len > ByteWriter::kMaxLenPrefixed) {
-    std::fprintf(stderr, "wow: IpPacket rejected %zu-byte payload (max %zu)\n",
-                 len, ByteWriter::kMaxLenPrefixed);
+  const std::size_t len = frame.size();
+  if (!length_fits("IpPacket payload", len, ByteWriter::kMaxLenPrefixed)) {
     return false;
   }
   HeaderWriter w(frame.push(kHeaderBytes));
@@ -29,26 +25,17 @@ Bytes IpPacket::serialize() const {
 
 std::optional<IpPacket> IpPacket::parse(BytesView data) {
   ByteReader r(data);
-  auto proto = r.u8();
-  auto ttl = r.u8();
-  auto id = r.u16();
-  auto src = r.u32();
-  auto dst = r.u32();
-  auto len = r.u16();
-  if (!proto || !ttl || !id || !src || !dst || !len) return std::nullopt;
-  if (*proto != static_cast<std::uint8_t>(IpProto::kIcmp) &&
-      *proto != static_cast<std::uint8_t>(IpProto::kTcp) &&
-      *proto != static_cast<std::uint8_t>(IpProto::kUdp)) {
+  IpPacket p;
+  p.proto = static_cast<IpProto>(r.u8());
+  p.ttl = r.u8();
+  p.id = r.u16();
+  p.src = net::Ipv4Addr{r.u32()};
+  p.dst = net::Ipv4Addr{r.u32()};
+  p.payload = r.bytes(r.u16());
+  if (!r.ok() || (p.proto != IpProto::kIcmp && p.proto != IpProto::kTcp &&
+                  p.proto != IpProto::kUdp)) {
     return std::nullopt;
   }
-  if (r.remaining() < *len) return std::nullopt;
-  IpPacket p;
-  p.proto = static_cast<IpProto>(*proto);
-  p.ttl = *ttl;
-  p.id = *id;
-  p.src = net::Ipv4Addr{*src};
-  p.dst = net::Ipv4Addr{*dst};
-  p.payload = r.rest().first(*len);
   return p;
 }
 
@@ -69,22 +56,17 @@ Bytes IcmpEcho::serialize() const {
 
 std::optional<IcmpEcho> IcmpEcho::parse(std::span<const std::uint8_t> data) {
   ByteReader r(data);
-  auto type = r.u8();
-  auto code = r.u8();
-  auto ident = r.u16();
-  auto seq = r.u16();
-  auto timestamp = r.i64();
-  auto padding = r.u16();
-  if (!type || !code || !ident || !seq || !timestamp || !padding) {
+  IcmpEcho e;
+  e.type = r.u8();
+  (void)r.u8();  // code
+  e.ident = r.u16();
+  e.seq = r.u16();
+  e.timestamp = r.i64();
+  e.padding = r.u16();
+  (void)r.bytes(e.padding);  // the padding must be there, whatever it holds
+  if (!r.ok() || (e.type != kEchoRequest && e.type != kEchoReply)) {
     return std::nullopt;
   }
-  if (*type != kEchoRequest && *type != kEchoReply) return std::nullopt;
-  IcmpEcho e;
-  e.type = *type;
-  e.ident = *ident;
-  e.seq = *seq;
-  e.timestamp = *timestamp;
-  e.padding = *padding;
   return e;
 }
 

@@ -10,9 +10,16 @@ namespace wow::mw {
 
 /// Length-prefixed message framing over a TCP socket — the RPC transport
 /// every middleware component (PBS, NFS, PVM) shares.  Messages up to
-/// 16 MiB (u32 length prefix).
+/// kMaxMessageBytes (u32 length prefix).  A longer send() is refused;
+/// a received prefix over the cap resets the connection, whose closed
+/// handler then reports an error.
 class MessageChannel : public std::enable_shared_from_this<MessageChannel> {
  public:
+  /// 16 MiB: far above the largest real message (~100 KiB, Table III's
+  /// fastDNAml tasks), far below what a hostile prefix could make the
+  /// receiver buffer.
+  static constexpr std::size_t kMaxMessageBytes = std::size_t{16} << 20;
+
   using MessageHandler = std::function<void(const Bytes&)>;
   using ClosedHandler = std::function<void(bool error)>;
 
@@ -25,6 +32,10 @@ class MessageChannel : public std::enable_shared_from_this<MessageChannel> {
   }
 
   void send(const Bytes& message) {
+    if (!length_fits("MessageChannel message", message.size(),
+                     kMaxMessageBytes)) {
+      return;
+    }
     ByteWriter w;
     w.u32(static_cast<std::uint32_t>(message.size()));
     w.raw(message);
@@ -60,15 +71,18 @@ class MessageChannel : public std::enable_shared_from_this<MessageChannel> {
   void on_data(const Bytes& data) {
     buf_.insert(buf_.end(), data.begin(), data.end());
     while (true) {
-      if (buf_.size() < 4) return;
-      std::uint32_t len = (std::uint32_t{buf_[0]} << 24) |
-                          (std::uint32_t{buf_[1]} << 16) |
-                          (std::uint32_t{buf_[2]} << 8) | buf_[3];
-      if (buf_.size() < 4 + len) return;
-      Bytes message(buf_.begin() + 4,
-                    buf_.begin() + 4 + static_cast<std::ptrdiff_t>(len));
+      ByteReader r(buf_);
+      const std::uint32_t len = r.u32();
+      if (len > kMaxMessageBytes) {
+        buf_.clear();
+        socket_->reset();
+        return;
+      }
+      BytesView body = r.bytes(len);
+      if (!r.ok()) return;  // the prefix or the body is still arriving
+      Bytes message(body.begin(), body.end());
       buf_.erase(buf_.begin(),
-                 buf_.begin() + 4 + static_cast<std::ptrdiff_t>(len));
+                 buf_.begin() + static_cast<std::ptrdiff_t>(4 + body.size()));
       if (handler_) handler_(message);
     }
   }

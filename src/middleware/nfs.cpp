@@ -27,18 +27,20 @@ struct Request {
   return std::move(w).take();
 }
 
+[[nodiscard]] bool valid(NfsOp op) {
+  return op >= NfsOp::kRead && op <= NfsOp::kGetAttr;
+}
+
 [[nodiscard]] std::optional<Request> decode_request(const Bytes& message) {
   ByteReader r(message);
-  auto op = r.u8();
-  auto xid = r.u32();
-  auto name = r.str();
-  auto offset = r.u64();
-  auto len = r.u32();
-  if (!op || !xid || !name || !offset || !len || *op < 1 || *op > 3) {
-    return std::nullopt;
-  }
-  return Request{static_cast<NfsOp>(*op), *xid, std::move(*name), *offset,
-                 *len};
+  Request req;
+  req.op = static_cast<NfsOp>(r.u8());
+  req.xid = r.u32();
+  req.name = r.str();
+  req.offset = r.u64();
+  req.len = r.u32();
+  if (!r.ok() || !valid(req.op)) return std::nullopt;
+  return req;
 }
 
 struct Reply {
@@ -62,15 +64,14 @@ struct Reply {
 
 [[nodiscard]] std::optional<Reply> decode_reply(const Bytes& message) {
   ByteReader r(message);
-  auto op = r.u8();
-  auto xid = r.u32();
-  auto ok = r.u8();
-  auto value = r.u64();
-  auto len = r.u32();
-  if (!op || !xid || !ok || !value || !len || *op < 1 || *op > 3) {
-    return std::nullopt;
-  }
-  return Reply{static_cast<NfsOp>(*op), *xid, *ok != 0, *value, *len};
+  Reply rep;
+  rep.op = static_cast<NfsOp>(r.u8());
+  rep.xid = r.u32();
+  rep.ok = r.u8() != 0;
+  rep.value = r.u64();
+  rep.len = r.u32();
+  if (!r.ok() || !valid(rep.op)) return std::nullopt;
+  return rep;
 }
 
 }  // namespace

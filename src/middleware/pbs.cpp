@@ -97,24 +97,21 @@ void PbsServer::dispatch() {
 }
 
 void PbsServer::on_message(std::uint64_t key, const Bytes& message) {
-  ByteReader r(message);
-  auto type = r.u8();
-  if (!type) return;
   auto it = workers_.find(key);
   if (it == workers_.end()) return;
   Worker& worker = it->second;
-
-  switch (static_cast<PbsMsg>(*type)) {
+  ByteReader r(message);
+  switch (static_cast<PbsMsg>(r.u8())) {
     case PbsMsg::kRegister: {
-      auto name = r.str();
-      if (!name) return;
-      worker.name = *name;
+      std::string name = r.str();
+      if (!r.ok()) return;
+      worker.name = std::move(name);
       dispatch();
       return;
     }
     case PbsMsg::kDone: {
-      auto id = r.u64();
-      if (!id || !worker.running || worker.running->spec.id != *id) return;
+      const std::uint64_t id = r.u64();
+      if (!r.ok() || !worker.running || worker.running->spec.id != id) return;
       JobRecord record = *worker.running;
       worker.running.reset();
       record.finished = sim_.now();
@@ -159,18 +156,13 @@ void PbsWorker::start() {
 
 void PbsWorker::on_message(const Bytes& message) {
   ByteReader r(message);
-  auto type = r.u8();
-  if (!type || static_cast<PbsMsg>(*type) != PbsMsg::kRun) return;
-  auto id = r.u64();
-  auto work_us = r.u64();
-  auto input = r.u64();
-  auto output = r.u64();
-  if (!id || !work_us || !input || !output) return;
+  if (static_cast<PbsMsg>(r.u8()) != PbsMsg::kRun) return;
   JobSpec spec;
-  spec.id = *id;
-  spec.work_seconds = static_cast<double>(*work_us) / 1e6;
-  spec.input_bytes = *input;
-  spec.output_bytes = *output;
+  spec.id = r.u64();
+  spec.work_seconds = static_cast<double>(r.u64()) / 1e6;
+  spec.input_bytes = r.u64();
+  spec.output_bytes = r.u64();
+  if (!r.ok()) return;
   run_job(spec);
 }
 

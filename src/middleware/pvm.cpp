@@ -86,13 +86,10 @@ void PvmMaster::dispatch() {
 }
 
 void PvmMaster::on_message(std::uint64_t key, const Bytes& message) {
-  ByteReader r(message);
-  auto type = r.u8();
-  if (!type) return;
   auto it = workers_.find(key);
   if (it == workers_.end()) return;
-
-  switch (static_cast<PvmMsg>(*type)) {
+  ByteReader r(message);
+  switch (static_cast<PvmMsg>(r.u8())) {
     case PvmMsg::kRegister:
       it->second.registered = true;
       maybe_begin();
@@ -147,13 +144,10 @@ void PvmWorker::start() {
 
 void PvmWorker::on_message(const Bytes& message) {
   ByteReader r(message);
-  auto type = r.u8();
-  if (!type || static_cast<PvmMsg>(*type) != PvmMsg::kTask) return;
-  auto work_us = r.u64();
-  auto result_bytes = r.u64();
-  if (!work_us || !result_bytes) return;
-  double work = static_cast<double>(*work_us) / 1e6;
-  std::uint64_t padding = *result_bytes;
+  if (static_cast<PvmMsg>(r.u8()) != PvmMsg::kTask) return;
+  const double work = static_cast<double>(r.u64()) / 1e6;
+  const std::uint64_t padding = r.u64();
+  if (!r.ok()) return;
   cpu_.execute(work, [this, padding] {
     channel_->send(encode_simple(PvmMsg::kResult, padding));
   });

@@ -2,11 +2,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/interner.h"
 #include "common/time.h"
 #include "net/addr.h"
 
@@ -38,18 +36,17 @@ using UdpHandler = std::function<void(const Endpoint& src,
 ///    contention on shared hosts.
 ///
 /// Memory layout is flyweight (megascale profile, DESIGN §14): the
-/// numeric performance parameters live in a Network-owned pool shared by
-/// every host constructed from an equal Config, the name is an interned
-/// id in the Network's string table, and port bindings sit in one inline
-/// slot (almost every host binds exactly one port) with a heap vector
-/// only for the rare multi-port host.
+/// performance parameters live in a Network-owned pool shared by every
+/// host constructed from an equal Config, and port bindings sit in one
+/// inline slot (almost every host binds exactly one port) with a heap
+/// vector only for the rare multi-port host.
 class Host {
  public:
-  /// Construction-time description of a host.  The Network dedupes the
-  /// numeric fields into a shared Params pool and interns the name; the
-  /// Config itself is not stored per host.
+  /// A host's performance parameters.  The owning Network dedupes them
+  /// into a shared pool: a testbed declares a handful of host classes,
+  /// so a 1M-host fleet shares a handful of entries and each host
+  /// stores one pointer instead of its own copy.
   struct Config {
-    std::string name;
     /// Link rates in bytes/second.
     double uplink_bps = 12.5e6;    // 100 Mbit/s
     double downlink_bps = 12.5e6;  // 100 Mbit/s
@@ -67,46 +64,20 @@ class Host {
     /// buffers).  Without it a saturated router inflates RTT without
     /// bound instead of signalling loss to TCP.
     SimDuration proc_queue_limit = 500 * kMillisecond;
-    /// Relative CPU speed for compute workloads (1.0 = the testbed's
-    /// common 2.4 GHz Xeon; Table I heterogeneity).
-    double cpu_speed = 1.0;
-  };
 
-  /// The numeric parameters of a Config, deduplicated by the owning
-  /// Network: a testbed declares a handful of host classes, so a 1M-host
-  /// fleet shares a handful of Params entries and each host stores one
-  /// pointer instead of its own 64-byte copy.
-  struct Params {
-    double uplink_bps = 12.5e6;
-    double downlink_bps = 12.5e6;
-    SimDuration proc_service = 50 * kMicrosecond;
-    SimDuration proc_extra_mean = 0;
-    double overload_drop = 0.0;
-    SimDuration proc_queue_limit = 500 * kMillisecond;
-    double cpu_speed = 1.0;
-
-    [[nodiscard]] bool operator==(const Params&) const = default;
-
-    [[nodiscard]] static Params of(const Config& c) {
-      return Params{c.uplink_bps, c.downlink_bps,  c.proc_service,
-                    c.proc_extra_mean, c.overload_drop, c.proc_queue_limit,
-                    c.cpu_speed};
-    }
+    [[nodiscard]] bool operator==(const Config&) const = default;
   };
 
   Host(HostId id, Ipv4Addr ip, DomainId domain, SiteId site,
-       const Params* params, NameId name)
-      : id_(id), ip_(ip), domain_(domain), site_(site), params_(params),
-        name_(name) {}
+       const Config* config)
+      : id_(id), ip_(ip), domain_(domain), site_(site), config_(config) {}
 
   [[nodiscard]] HostId id() const { return id_; }
   [[nodiscard]] Ipv4Addr ip() const { return ip_; }
   [[nodiscard]] DomainId domain() const { return domain_; }
   [[nodiscard]] SiteId site() const { return site_; }
-  /// Interned name; resolve with Network::host_name().
-  [[nodiscard]] NameId name_id() const { return name_; }
   /// Shared performance parameters (pool-owned, outlives the host).
-  [[nodiscard]] const Params& params() const { return *params_; }
+  [[nodiscard]] const Config& config() const { return *config_; }
 
   /// Register a handler for datagrams arriving on `port`.  Overwrites any
   /// existing binding (matching the restart-IPOP migration flow).
@@ -168,14 +139,14 @@ class Host {
   /// the send is issued at `now`; advances the uplink queue.
   [[nodiscard]] SimTime uplink_departure(SimTime now, std::size_t bytes) {
     SimTime start = now > uplink_free_ ? now : uplink_free_;
-    uplink_free_ = start + serialization(bytes, params_->uplink_bps);
+    uplink_free_ = start + serialization(bytes, config_->uplink_bps);
     return uplink_free_;
   }
 
   /// Time a datagram arriving at `arrival` is fully received.
   [[nodiscard]] SimTime downlink_done(SimTime arrival, std::size_t bytes) {
     SimTime start = arrival > downlink_free_ ? arrival : downlink_free_;
-    downlink_free_ = start + serialization(bytes, params_->downlink_bps);
+    downlink_free_ = start + serialization(bytes, config_->downlink_bps);
     return downlink_free_;
   }
 
@@ -183,7 +154,7 @@ class Host {
   /// ready at `ready`.
   [[nodiscard]] SimTime processing_done(SimTime ready, SimDuration extra) {
     SimTime start = ready > proc_free_ ? ready : proc_free_;
-    proc_free_ = start + params_->proc_service + extra;
+    proc_free_ = start + config_->proc_service + extra;
     return proc_free_;
   }
 
@@ -192,8 +163,8 @@ class Host {
     return proc_free_ > now ? proc_free_ - now : 0;
   }
 
-  /// Estimated object + heap bytes (bytes/node accounting; Params and
-  /// the name are shared, counted once fleet-wide by the Network).
+  /// Estimated object + heap bytes (bytes/node accounting; the Config
+  /// is shared, counted once fleet-wide by the Network).
   [[nodiscard]] std::size_t memory_bytes() const {
     return sizeof(Host) + extra_.capacity() * sizeof(Binding);
   }
@@ -215,8 +186,7 @@ class Host {
   Ipv4Addr ip_;
   DomainId domain_;
   SiteId site_;
-  const Params* params_;
-  NameId name_;
+  const Config* config_;
   /// Inline fast-path binding (the one port nearly every host binds).
   Binding primary_;
   /// Rare multi-port hosts overflow here; empty vector = no heap.

@@ -68,11 +68,4 @@ std::optional<Endpoint> NatBox::translate_inbound(const Endpoint& public_dst,
   return it->second.internal;
 }
 
-std::optional<std::uint16_t> NatBox::public_port_of(
-    const Endpoint& internal_src, const Endpoint& remote) const {
-  auto it = by_internal_.find(internal_key(internal_src, remote));
-  if (it == by_internal_.end()) return std::nullopt;
-  return it->second;
-}
-
 }  // namespace wow::net

@@ -69,11 +69,6 @@ class NatBox {
   /// broadband node, §V-E).
   void flush_mappings() { by_public_port_.clear(); by_internal_.clear(); }
 
-  /// Public port currently mapped for an internal endpoint (and, for
-  /// symmetric NATs, a specific remote).  Diagnostic / test helper.
-  [[nodiscard]] std::optional<std::uint16_t> public_port_of(
-      const Endpoint& internal_src, const Endpoint& remote) const;
-
  private:
   struct Mapping {
     Endpoint internal;

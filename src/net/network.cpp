@@ -107,41 +107,27 @@ DomainId Network::add_nat_domain(const std::string& name, DomainId parent,
 Host& Network::add_host(Ipv4Addr ip, DomainId domain, SiteId site,
                         const Host::Config& config) {
   auto id = static_cast<HostId>(hosts_.size());
-  // Dedupe the numeric parameters: testbeds declare a handful of host
-  // classes, so the linear scan is over a handful of entries.
-  Host::Params params = Host::Params::of(config);
-  const Host::Params* shared = nullptr;
-  for (const Host::Params& p : params_pool_) {
-    if (p == params) {
-      shared = &p;
+  // Dedupe the config: testbeds declare a handful of host classes, so
+  // the linear scan is over a handful of entries.
+  const Host::Config* shared = nullptr;
+  for (const Host::Config& c : configs_) {
+    if (c == config) {
+      shared = &c;
       break;
     }
   }
   if (shared == nullptr) {
-    params_pool_.push_back(params);
-    shared = &params_pool_.back();
+    configs_.push_back(config);
+    shared = &configs_.back();
   }
-  hosts_.push_back(std::make_unique<Host>(id, ip, domain, site, shared,
-                                          names_.intern(config.name)));
+  hosts_.push_back(std::make_unique<Host>(id, ip, domain, site, shared));
   domains_[static_cast<std::size_t>(domain)].hosts_by_ip[ip.value()] = id;
   if (batched_) host_queues_.resize(hosts_.size());
   return *hosts_.back();
 }
 
-Host* Network::host_by_ip(Ipv4Addr ip) {
-  for (auto& d : domains_) {
-    auto it = d.hosts_by_ip.find(ip.value());
-    if (it != d.hosts_by_ip.end()) return hosts_[static_cast<std::size_t>(it->second)].get();
-  }
-  return nullptr;
-}
-
 NatBox* Network::nat_of_domain(DomainId domain) {
   return domains_[static_cast<std::size_t>(domain)].nat.get();
-}
-
-SiteId Network::site_of_domain(DomainId domain) const {
-  return domains_[static_cast<std::size_t>(domain)].site;
 }
 
 void Network::move_host(Host& h, DomainId new_domain, Ipv4Addr new_ip) {
@@ -152,8 +138,7 @@ void Network::move_host(Host& h, DomainId new_domain, Ipv4Addr new_ip) {
   // Reconstruct the host in place with the new placement.  Port bindings
   // are intentionally dropped: migration suspends the VM, so the IPOP
   // process must restart and re-bind on the new network (paper §V-C).
-  h = Host(h.id(), new_ip, new_domain, target.site, &h.params(),
-           h.name_id());
+  h = Host(h.id(), new_ip, new_domain, target.site, &h.config());
 }
 
 bool Network::wan_faulted(SiteId a, SiteId b, SimTime& t,
@@ -312,18 +297,18 @@ void Network::deliver_one(Host& to, const Endpoint& seen_src,
   arrival += faults_.roll_reorder_delay();
   std::size_t wire_bytes = payload.size() + 28;
   SimTime done = to.downlink_done(arrival, wire_bytes);
-  if (to.proc_backlog(arrival) > to.params().proc_queue_limit) {
+  if (to.proc_backlog(arrival) > to.config().proc_queue_limit) {
     record_drop(DropReason::kOverload, seen_src, Endpoint{to.ip(), dst_port});
     return;
   }
-  if (sim_.rng().bernoulli(to.params().overload_drop)) {
+  if (sim_.rng().bernoulli(to.config().overload_drop)) {
     record_drop(DropReason::kOverload, seen_src, Endpoint{to.ip(), dst_port});
     return;
   }
   SimDuration extra =
-      to.params().proc_extra_mean > 0
+      to.config().proc_extra_mean > 0
           ? static_cast<SimDuration>(sim_.rng().exponential(
-                static_cast<double>(to.params().proc_extra_mean)))
+                static_cast<double>(to.config().proc_extra_mean)))
           : 0;
   done = to.processing_done(done, extra);
 
@@ -423,8 +408,7 @@ void Network::drain_host(HostId to_id) {
 std::size_t Network::memory_bytes() const {
   std::size_t bytes = sizeof(*this);
   for (const auto& h : hosts_) bytes += h->memory_bytes();
-  bytes += params_pool_.size() * sizeof(Host::Params);
-  bytes += names_.memory_bytes();
+  bytes += configs_.size() * sizeof(Host::Config);
   for (const Domain& d : domains_) {
     bytes += sizeof(Domain);
     // Hash node + bucket estimate per host entry.

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/interner.h"
 #include "common/time.h"
 #include "net/addr.h"
 #include "net/faults.h"
@@ -107,8 +106,7 @@ class Network {
                           NatBox::Config nat_config);
 
   /// Create a host.  For public hosts pass domain = kInternet.  The
-  /// config's numeric parameters are deduplicated into a shared pool and
-  /// its name interned (flyweight — see Host).
+  /// config is deduplicated into a shared pool (flyweight — see Host).
   Host& add_host(Ipv4Addr ip, DomainId domain, SiteId site,
                  const Host::Config& config);
 
@@ -127,10 +125,8 @@ class Network {
 
   // --- lookup / admin -----------------------------------------------------
 
-  [[nodiscard]] Host* host_by_ip(Ipv4Addr ip);
   [[nodiscard]] Host& host(HostId id) { return *hosts_[static_cast<std::size_t>(id)]; }
   [[nodiscard]] NatBox* nat_of_domain(DomainId domain);
-  [[nodiscard]] SiteId site_of_domain(DomainId domain) const;
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
   /// The fault fabric riding on this network's data plane.
@@ -139,14 +135,6 @@ class Network {
   /// Move a host to another domain/site, releasing its old address and
   /// assigning `new_ip` (VM migration re-homes the physical interface).
   void move_host(Host& h, DomainId new_domain, Ipv4Addr new_ip);
-
-  /// Resolve a host's interned name.
-  [[nodiscard]] std::string_view host_name(const Host& h) const {
-    return names_.view(h.name_id());
-  }
-  /// The fleet-wide name table (shared with testbeds that label other
-  /// objects).
-  [[nodiscard]] StringInterner& names() { return names_; }
 
   // --- megascale batched delivery (opt-in) -------------------------------
 
@@ -165,7 +153,7 @@ class Network {
   [[nodiscard]] bool batched_delivery() const { return batched_; }
 
   /// Estimated bytes held by the network fabric itself (hosts, domains,
-  /// NAT state, pending delivery queues, name/params pools) — the
+  /// NAT state, pending delivery queues, the host config pool) — the
   /// non-protocol share of the bytes/node report.
   [[nodiscard]] std::size_t memory_bytes() const;
 
@@ -229,10 +217,9 @@ class Network {
   sim::Simulator& sim_;
   std::vector<Domain> domains_;
   std::vector<std::unique_ptr<Host>> hosts_;
-  /// Flyweight pools: distinct host parameter sets (deque = stable
-  /// addresses for the pointers hosts hold) and interned names.
-  std::deque<Host::Params> params_pool_;
-  StringInterner names_;
+  /// Flyweight pool of distinct host configs (deque = stable addresses
+  /// for the pointers hosts hold).
+  std::deque<Host::Config> configs_;
   /// Batched delivery state; host_queues_ is sized lazily on enable.
   bool batched_ = false;
   SimDuration batch_quantum_ = 0;

@@ -49,7 +49,7 @@ void SimEdgeFactory::bind(std::uint16_t port) {
   port_ = port;
   host_->bind(port_, [this](const Endpoint& src, std::uint16_t,
                             SharedBytes payload) {
-    on_datagram(src, std::move(payload));
+    deliver(src, std::move(payload));
   });
   open_ = true;
 }
@@ -63,17 +63,6 @@ void SimEdgeFactory::close() {
 void SimEdgeFactory::send_to(const Endpoint& dst, SharedBytes payload) {
   if (!open_) return;
   network_.send(*host_, port_, dst, std::move(payload));
-}
-
-void SimEdgeFactory::on_datagram(const Endpoint& src, SharedBytes payload) {
-  if (!edges_.empty()) {
-    auto it = edges_.find(src);
-    if (it != edges_.end() && it->second->receiver_) {
-      it->second->receiver_(std::move(payload));
-      return;
-    }
-  }
-  deliver(src, std::move(payload));
 }
 
 p2p::Edge& SimEdgeFactory::edge_to(const Endpoint& remote) {

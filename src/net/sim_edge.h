@@ -30,16 +30,10 @@ class SimEdge final : public p2p::Edge {
   [[nodiscard]] transport::Uri remote_uri() const override {
     return transport::Uri{transport::TransportKind::kUdp, remote_};
   }
-  void set_receiver(Receiver receiver) override {
-    receiver_ = std::move(receiver);
-  }
 
  private:
-  friend class SimEdgeFactory;
-
   SimEdgeFactory& factory_;
   Endpoint remote_;
-  Receiver receiver_;
   bool closed_ = false;
 };
 
@@ -70,7 +64,6 @@ class SimEdgeFactory final : public p2p::EdgeFactory {
  private:
   friend class SimEdge;
 
-  void on_datagram(const Endpoint& src, SharedBytes payload);
   void drop_edge(const Endpoint& remote) { edges_.erase(remote); }
 
   Network& network_;
@@ -79,7 +72,7 @@ class SimEdgeFactory final : public p2p::EdgeFactory {
   bool open_ = false;
   p2p::UriAdvertSet adverts_;
   /// Materialized per-remote edges (created lazily by edge_to; the data
-  /// plane never touches this map unless an edge claimed the remote).
+  /// plane never touches this map).
   std::map<Endpoint, std::unique_ptr<SimEdge>> edges_;
 };
 

@@ -58,7 +58,7 @@ bool BootstrapOverlord::probe_endpoint(bool reprobe) {
     rotation_ = i + 1;
     pending_probe_ = static_cast<std::int32_t>(i);
     ++node_.stats_.bootstrap_probes;
-    node_.flight_.record(now, FlightKind::kBootstrapProbe, Address{}.brief(),
+    node_.flight_.record(now, FlightKind::kBootstrapProbe, {},
                          static_cast<std::int32_t>(i), health_[i].failures);
     if (node_.tracer_.enabled(TraceClass::kLifecycle)) {
       node_.tracer_.event(now, "node", node_.trace_node_,
@@ -140,8 +140,7 @@ void BootstrapOverlord::note_probe_failed() {
   const SimTime now = node_.timers_.now();
   h.retry_after = now + backoff + node_.rng_.jitter(kBackoffBase);
   ++node_.stats_.bootstrap_endpoint_failures;
-  node_.flight_.record(now, FlightKind::kEndpointDown, Address{}.brief(),
-                       pending_probe_,
+  node_.flight_.record(now, FlightKind::kEndpointDown, {}, pending_probe_,
                        static_cast<std::int32_t>(to_seconds(backoff)));
   if (node_.tracer_.enabled(TraceClass::kLifecycle)) {
     node_.tracer_.event(now, "node", node_.trace_node_,

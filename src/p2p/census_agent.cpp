@@ -62,8 +62,7 @@ void CensusAgent::handle(const CensusFrame& frame) {
     // Full loop: the walk came home, hops == live ring size.
     const SimTime now = node_.timers_.now();
     ++node_.stats_.census_completed;
-    node_.flight_.record(now, FlightKind::kCensusDone, Address{}.brief(),
-                         hops);
+    node_.flight_.record(now, FlightKind::kCensusDone, {}, hops);
     if (node_.tracer_.enabled(TraceClass::kProtocol)) {
       node_.tracer_.event(now, "node", node_.trace_node_, "census.done",
                           {{"size", std::to_string(hops)}});

@@ -54,11 +54,6 @@ class CensusAgent {
   /// A connection to `peer` landed; completes a pending merge.
   void note_established(const Address& peer);
 
-  /// Merges discovered but whose bridge link is still in flight.
-  [[nodiscard]] std::size_t pending_merge_count() const {
-    return pending_merges_.size();
-  }
-
   [[nodiscard]] std::size_t state_bytes() const {
     return pending_merges_.capacity() * sizeof(Address);
   }

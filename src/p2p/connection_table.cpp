@@ -176,15 +176,6 @@ std::vector<const Connection*> ConnectionTable::right_neighbors(
   return out;
 }
 
-std::vector<const Connection*> ConnectionTable::left_neighbors(
-    std::size_t n) const {
-  std::vector<const Connection*> out;
-  for (std::size_t i = conns_.size(); i-- > 0 && out.size() < n;) {
-    out.push_back(&conns_[i]);
-  }
-  return out;
-}
-
 // Both near-set queries walk the ring order outward from self: the
 // entries clockwise of self up to some position are a prefix of the
 // vector, and those counter-clockwise of self back to it are a suffix.

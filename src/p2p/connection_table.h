@@ -153,8 +153,6 @@ class ConnectionTable {
   /// `n` nearest connected peers clockwise of self, nearest first.
   [[nodiscard]] std::vector<const Connection*> right_neighbors(
       std::size_t n) const;
-  [[nodiscard]] std::vector<const Connection*> left_neighbors(
-      std::size_t n) const;
 
   /// Structured-near connections strictly between self and `peer` on
   /// peer's side of the ring (clockwise when peer is less than half a

@@ -113,11 +113,6 @@ class CtmOverlord {
     return pending_ctms_.size();
   }
 
-  /// Replayed requests the window has caught (tests).
-  [[nodiscard]] std::size_t replay_window_size() const {
-    return replay_window_.size();
-  }
-
   /// Estimated heap bytes of dynamic state (pending CTMs + the replay
   /// window ring).
   [[nodiscard]] std::size_t state_bytes() const {

@@ -15,18 +15,13 @@ namespace wow::p2p {
 /// One overlay edge: a point-to-point datagram channel to a single
 /// remote endpoint (Brunet's Edge).  Edges are views over their
 /// factory's multiplexed socket — creating one costs a map entry, not a
-/// socket — and frames from the edge's remote are delivered to its
-/// receiver when one is set, falling back to the factory-level receiver
-/// otherwise.
+/// socket — and every inbound frame goes to the factory's receiver.
 ///
 /// Interface-only header: implementations live with their backend
 /// (net::SimEdge over the simulated network, transport::UdpEdgeFactory's
 /// edges over real sockets), so lower layers can include this freely.
 class Edge {
  public:
-  /// Delivery callback for frames arriving from this edge's remote.
-  using Receiver = std::function<void(SharedBytes payload)>;
-
   virtual ~Edge() = default;
 
   /// Send one datagram to the remote.  Dropped silently when closed.
@@ -41,8 +36,6 @@ class Edge {
   [[nodiscard]] virtual transport::Uri local_uri() const = 0;
   /// The remote endpoint this edge points at.
   [[nodiscard]] virtual transport::Uri remote_uri() const = 0;
-
-  virtual void set_receiver(Receiver receiver) = 0;
 };
 
 /// Creates edges and carries the shared datagram plane they multiplex
@@ -113,7 +106,6 @@ class EdgeFactory {
   void deliver(const net::Endpoint& src, SharedBytes payload) {
     if (receiver_) receiver_(src, std::move(payload));
   }
-  [[nodiscard]] bool has_receiver() const { return receiver_ != nullptr; }
 
  private:
   Receiver receiver_;

@@ -38,14 +38,8 @@ namespace wow::p2p {
 /// frame claims: claimed sources are unauthenticated, and scoring them
 /// would let an adversary frame an honest node by forging its address
 /// (see DESIGN §16).
-inline constexpr int kMisbehaviorParseReject = 1;   // truncated / bit rot
-inline constexpr int kMisbehaviorChecksum = 1;      // checksum mismatch
-inline constexpr int kMisbehaviorForgedRelay = 4;   // relay header lies
-inline constexpr int kMisbehaviorForgedReply = 4;   // link reply identity
-                                                    // mismatch
-inline constexpr int kMisbehaviorReplay = 4;        // replayed control
-                                                    // frame, endpoint-
-                                                    // attributable
+inline constexpr int kMisbehaviorParseReject = 1;  // unknown kind byte
+inline constexpr int kMisbehaviorForgedRelay = 4;  // relay header lies
 
 /// Score at which the owner is told to quarantine/drop the peer.
 inline constexpr int kMisbehaviorThreshold = 8;

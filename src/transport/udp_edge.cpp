@@ -81,12 +81,6 @@ class UdpEdgeFactory::UdpEdge final : public p2p::Edge {
   [[nodiscard]] Uri remote_uri() const override {
     return Uri{TransportKind::kUdp, remote_};
   }
-  void set_receiver(Receiver receiver) override {
-    receiver_ = std::move(receiver);
-  }
-
-  Receiver receiver_;
-
  private:
   UdpEdgeFactory& factory_;
   net::Endpoint remote_;
@@ -355,13 +349,7 @@ void UdpEdgeFactory::drain_socket() {
         // Copied out, so Node's in-place header rewrite owns its buffer.
         SharedBytes frame{Bytes(base + off, base + off + size)};
         ++stats_.datagrams_received;
-
-        auto it = edges_.find(src);
-        if (it != edges_.end() && it->second->receiver_) {
-          it->second->receiver_(std::move(frame));
-        } else {
-          deliver(src, std::move(frame));
-        }
+        deliver(src, std::move(frame));
         if (fd_ < 0) return;  // a handler closed us mid-batch
       }
     }

@@ -65,17 +65,15 @@ void write_uri(ByteWriter& w, const Uri& uri) {
   w.u16(uri.endpoint.port);
 }
 
-std::optional<Uri> read_uri(ByteReader& r) {
-  auto kind = r.u8();
-  auto ip = r.u32();
-  auto port = r.u16();
-  if (!kind || !ip || !port) return std::nullopt;
-  if (*kind != static_cast<std::uint8_t>(TransportKind::kUdp) &&
-      *kind != static_cast<std::uint8_t>(TransportKind::kTcp)) {
-    return std::nullopt;
+Uri read_uri(ByteReader& r) {
+  Uri uri;
+  uri.kind = static_cast<TransportKind>(r.u8());
+  uri.endpoint.ip = net::Ipv4Addr{r.u32()};
+  uri.endpoint.port = r.u16();
+  if (uri.kind != TransportKind::kUdp && uri.kind != TransportKind::kTcp) {
+    r.fail();
   }
-  return Uri{static_cast<TransportKind>(*kind),
-             net::Endpoint{net::Ipv4Addr{*ip}, *port}};
+  return uri;
 }
 
 void write_uri_list(ByteWriter& w, const std::vector<Uri>& uris) {
@@ -83,16 +81,11 @@ void write_uri_list(ByteWriter& w, const std::vector<Uri>& uris) {
   for (const Uri& u : uris) write_uri(w, u);
 }
 
-std::optional<std::vector<Uri>> read_uri_list(ByteReader& r) {
-  auto count = r.u8();
-  if (!count) return std::nullopt;
+std::vector<Uri> read_uri_list(ByteReader& r) {
+  const std::uint8_t count = r.u8();
   std::vector<Uri> out;
-  out.reserve(*count);
-  for (int i = 0; i < *count; ++i) {
-    auto uri = read_uri(r);
-    if (!uri) return std::nullopt;
-    out.push_back(*uri);
-  }
+  out.reserve(count);
+  for (int i = 0; i < count && r.ok(); ++i) out.push_back(read_uri(r));
   return out;
 }
 

@@ -118,10 +118,13 @@ class UriList {
   std::uint8_t n_ = 0;
 };
 
+/// Wire form of a URI: kind (1), IPv4 (4), port (2).  read_uri fails
+/// the reader on an unknown transport kind.
 void write_uri(ByteWriter& w, const Uri& uri);
-[[nodiscard]] std::optional<Uri> read_uri(ByteReader& r);
+[[nodiscard]] Uri read_uri(ByteReader& r);
 
+/// A count byte, then that many URIs.
 void write_uri_list(ByteWriter& w, const std::vector<Uri>& uris);
-[[nodiscard]] std::optional<std::vector<Uri>> read_uri_list(ByteReader& r);
+[[nodiscard]] std::vector<Uri> read_uri_list(ByteReader& r);
 
 }  // namespace wow::transport

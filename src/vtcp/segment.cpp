@@ -1,14 +1,10 @@
 #include "vtcp/segment.h"
 
-#include <cstdio>
-
 namespace wow::vtcp {
 
 bool Segment::push_header(FrameBuf& frame) const {
-  std::size_t len = frame.size();
-  if (len > ByteWriter::kMaxLenPrefixed) {
-    std::fprintf(stderr, "wow: Segment rejected %zu-byte payload (max %zu)\n",
-                 len, ByteWriter::kMaxLenPrefixed);
+  const std::size_t len = frame.size();
+  if (!length_fits("Segment payload", len, ByteWriter::kMaxLenPrefixed)) {
     return false;
   }
   HeaderWriter w(frame.push(kHeaderBytes));
@@ -30,25 +26,15 @@ Bytes Segment::serialize() const {
 
 std::optional<Segment> Segment::parse(BytesView data) {
   ByteReader r(data);
-  auto src_port = r.u16();
-  auto dst_port = r.u16();
-  auto seq = r.u32();
-  auto ack = r.u32();
-  auto flags = r.u8();
-  auto window = r.u32();
-  auto len = r.u16();
-  if (!src_port || !dst_port || !seq || !ack || !flags || !window || !len) {
-    return std::nullopt;
-  }
-  if (r.remaining() < *len) return std::nullopt;
   Segment s;
-  s.src_port = *src_port;
-  s.dst_port = *dst_port;
-  s.seq = *seq;
-  s.ack = *ack;
-  s.flags = *flags;
-  s.window = *window;
-  s.payload = r.rest().first(*len);
+  s.src_port = r.u16();
+  s.dst_port = r.u16();
+  s.seq = r.u32();
+  s.ack = r.u32();
+  s.flags = r.u8();
+  s.window = r.u32();
+  s.payload = r.bytes(r.u16());
+  if (!r.ok()) return std::nullopt;
   return s;
 }
 

@@ -396,6 +396,9 @@ void TcpSocket::on_segment(const Segment& seg) {
         data_handler_(Bytes(seg.payload.begin(), seg.payload.end()));
       }
       deliver_in_order();
+      // A handler that reset the socket detached it: nothing more to
+      // deliver or acknowledge.
+      if (state_ == State::kClosed) return;
       // Delayed ACK: every second in-order segment, else on a timer.
       if (++unacked_segments_ >= 2) {
         send_pending_ack();
@@ -440,7 +443,8 @@ void TcpSocket::on_segment(const Segment& seg) {
 
 void TcpSocket::deliver_in_order() {
   auto it = reorder_.begin();
-  while (it != reorder_.end()) {
+  // A data handler may reset the socket; a closed one delivers nothing.
+  while (it != reorder_.end() && state_ != State::kClosed) {
     if (it->first > rcv_nxt_) break;
     std::uint64_t seq = it->first;
     Bytes data = std::move(it->second);

@@ -198,7 +198,6 @@ class TcpStack {
 
   /// Accept connections on `port`.
   void listen(std::uint16_t port, AcceptHandler handler);
-  void stop_listening(std::uint16_t port) { listeners_.erase(port); }
 
   /// Open a connection; the socket reports readiness through its
   /// established handler.

@@ -23,8 +23,8 @@ Fleet::Fleet(const FleetConfig& config)
       static_cast<std::size_t>(std::max(config.wellknown, 0));
   hosts.reserve(n);
   nodes.reserve(n);
-  // One shared host class and one shared (empty) name: the whole fleet
-  // costs a single Params pool entry and a single interner slot.
+  // One shared host class: the whole fleet costs a single entry in the
+  // network's host config pool.
   const net::Host::Config host_config;
   for (std::size_t i = 0; i < n; ++i) {
     // Flat mapping from the index bytes: unique and public to 2^24, and

@@ -69,7 +69,6 @@ Testbed::Testbed(sim::Simulator& simulator, TestbedConfig config)
   std::vector<net::Host*> pl_hosts;
   for (int h = 0; h < config_.planetlab_hosts; ++h) {
     net::Host::Config hc;
-    hc.name = "pl-host" + std::to_string(h);
     hc.proc_service = kPlProcService;
     hc.proc_extra_mean = kPlProcExtra;
     hc.overload_drop = kPlOverloadDrop;
@@ -238,9 +237,7 @@ Testbed::ComputeNode Testbed::build_compute(
     net::DomainId domain, net::SiteId site, net::Ipv4Addr phys_ip,
     net::Ipv4Addr vip) {
   net::Host::Config hc;
-  hc.name = name;
   hc.proc_service = kVmProcService;
-  hc.cpu_speed = cpu_speed;
   net::Host& host = network_->add_host(phys_ip, domain, site, hc);
 
   ComputeNode node;

@@ -132,11 +132,9 @@ TEST(BootstrapTest, RotatesPastDeadEndpointsWithBackoff) {
   // Two dead well-known endpoints (hosts exist, no node listens) ahead
   // of the live one: the joiner must rotate through them, back each
   // off, and still land on the ring via the third.
-  net::Host::Config hc;
-  hc.name = "deadA";
+  const net::Host::Config hc;
   auto& dead_a = net.network.add_host(
       net::Ipv4Addr(128, 9, 0, 1), net::Network::kInternet, net.sites[0], hc);
-  hc.name = "deadB";
   auto& dead_b = net.network.add_host(
       net::Ipv4Addr(128, 9, 0, 2), net::Network::kInternet, net.sites[0], hc);
   Node& joiner = *net.nodes[7];
@@ -153,6 +151,50 @@ TEST(BootstrapTest, RotatesPastDeadEndpointsWithBackoff) {
   EXPECT_GE(joiner.stats().bootstrap_probes, 3u);
   EXPECT_GT(joiner.bootstrap_retry_after(0), 0);
   EXPECT_GT(joiner.bootstrap_retry_after(1), 0);
+}
+
+/// Bootstrap probes, endpoint failures and finished censuses concern no
+/// peer, so a flight dump prints them with `peer=-`, as it does the
+/// node's own start and stop, and never the zero address's brief.
+TEST(BootstrapTest, PeerlessFlightEntriesPrintNoPeer) {
+  NodeConfig base;
+  base.census_interval = 30 * kSecond;
+  testing::PublicOverlay net(4, /*seed=*/21, base);
+  auto& dead = net.network.add_host(net::Ipv4Addr(128, 9, 0, 1),
+                                    net::Network::kInternet, net.sites[0],
+                                    net::Host::Config{});
+  Node& joiner = *net.nodes[3];
+  joiner.mutable_config().bootstrap = {uri_of(dead.ip(), 17000),
+                                       uri_of(net.hosts[0]->ip(), 17000)};
+  net.start_all();
+
+  // The joiner's early entries, before later ones can overwrite them.
+  while (joiner.stats().bootstrap_endpoint_failures == 0 &&
+         net.sim.now() < kMinute) {
+    net.sim.run_for(kSecond);
+  }
+  std::string dumps = joiner.flight().dump("joiner");
+  net.sim.run_for(2 * kMinute);
+  for (const auto& n : net.nodes) {
+    dumps += n->flight().dump(n->address().brief());
+  }
+
+  const char* const kPeerless[] = {"bootstrap.probe ",
+                                   "bootstrap.endpoint_down ", "census.done "};
+  for (const char* kind : kPeerless) {
+    EXPECT_NE(dumps.find(kind), std::string::npos) << kind << "never recorded";
+  }
+  std::size_t from = 0;
+  for (std::size_t to; (to = dumps.find('\n', from)) != std::string::npos;
+       from = to + 1) {
+    const std::string line = dumps.substr(from, to - from);
+    EXPECT_EQ(line.find("peer=00000000"), std::string::npos) << line;
+    for (const char* kind : kPeerless) {
+      if (line.find(kind) != std::string::npos) {
+        EXPECT_NE(line.find(" peer=- "), std::string::npos) << line;
+      }
+    }
+  }
 }
 
 // --- cached-peer rejoin --------------------------------------------------

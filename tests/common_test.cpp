@@ -180,6 +180,7 @@ TEST(Bytes, ScalarRoundTrip) {
   EXPECT_EQ(r.u64(), 0xdeadbeefcafebabeull);
   EXPECT_EQ(r.i64(), -42);
   EXPECT_TRUE(r.exhausted());
+  EXPECT_TRUE(r.ok());
 }
 
 TEST(Bytes, BigEndianOnWire) {
@@ -207,30 +208,63 @@ TEST(Bytes, StringRoundTrip) {
   EXPECT_TRUE(r.exhausted());
 }
 
-TEST(Bytes, UnderflowReturnsNullopt) {
+TEST(Bytes, ShortReadReturnsZeroConsumesNothingAndFails) {
   Bytes data{0x01};
   ByteReader r(data);
-  EXPECT_FALSE(r.u32().has_value());
-  // And a partially-consumed reader also fails cleanly.
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.u32(), 0u);
+  EXPECT_EQ(r.remaining(), 1u);
+  EXPECT_FALSE(r.ok());
+  // Failed for good: a read that would fit now returns 0 too.
+  EXPECT_EQ(r.u8(), 0u);
+  EXPECT_EQ(r.remaining(), 1u);
+  EXPECT_FALSE(r.ok());
+
+  // A partially-consumed reader fails at the first short read.
   ByteReader r2(data);
-  EXPECT_TRUE(r2.u8().has_value());
-  EXPECT_FALSE(r2.u8().has_value());
+  EXPECT_EQ(r2.u8(), 0x01);
+  EXPECT_TRUE(r2.ok());
+  EXPECT_EQ(r2.u8(), 0u);
+  EXPECT_FALSE(r2.ok());
+
+  Bytes id_bytes(19, 0xff);
+  ByteReader r3(id_bytes);
+  EXPECT_EQ(r3.ring_id(), RingId{});
+  EXPECT_EQ(r3.remaining(), 19u);
+  EXPECT_FALSE(r3.ok());
 }
 
-TEST(Bytes, TruncatedStringFails) {
+TEST(Bytes, ShortStringConsumesNothingAndFails) {
   ByteWriter w;
-  w.u16(100);  // claims 100 bytes follow; none do
+  w.u16(100);  // claims 100 bytes follow; one does
+  w.u8('x');
   ByteReader r(w.bytes());
-  EXPECT_FALSE(r.str().has_value());
+  EXPECT_EQ(r.str(), "");
+  EXPECT_EQ(r.remaining(), 3u);  // not even the prefix
+  EXPECT_FALSE(r.ok());
+}
+
+TEST(Bytes, FailRejectsAnInRangeRead) {
+  Bytes data{7, 8};
+  ByteReader r(data);
+  EXPECT_EQ(r.u8(), 7);
+  r.fail();  // a nested decoder found the 7 out of its range
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.u8(), 0u);
+  EXPECT_EQ(r.remaining(), 1u);
 }
 
 TEST(Bytes, OversizeStrIsRejectedNotTruncated) {
   std::string big(ByteWriter::kMaxLenPrefixed + 1, 'x');
   ByteWriter w;
   w.str(big);
+  w.u16(0xbeef);  // a later field must not shift
   EXPECT_TRUE(w.overflowed());
   ByteReader r(w.bytes());
   EXPECT_EQ(r.str(), "");
+  EXPECT_EQ(r.u16(), 0xbeef);
+  EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r.exhausted());
 }
 
 TEST(Bytes, SharedBytesCopyOnWrite) {

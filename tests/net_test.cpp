@@ -38,10 +38,8 @@ class NetTest : public ::testing::Test {
   }
 
   Host& public_host(std::uint8_t n, SiteId site) {
-    Host::Config c;
-    c.name = "pub" + std::to_string(n);
     return network.add_host(Ipv4Addr(128, 0, 0, n), Network::kInternet, site,
-                            c);
+                            Host::Config{});
   }
 
   DomainId nat_domain(std::uint8_t n, SiteId site, NatBox::Config cfg) {
@@ -51,10 +49,8 @@ class NetTest : public ::testing::Test {
   }
 
   Host& private_host(DomainId domain, std::uint8_t n, SiteId site) {
-    Host::Config c;
-    c.name = "priv" + std::to_string(n);
     return network.add_host(Ipv4Addr(192, 168, static_cast<std::uint8_t>(domain), n),
-                            domain, site, c);
+                            domain, site, Host::Config{});
   }
 
   sim::Simulator sim;
@@ -397,7 +393,7 @@ TEST_F(NetTest, NestedNatsTraverseBothLevels) {
   DomainId inner = network.add_nat_domain(
       "inner", outer, site_b, Ipv4Addr(192, 168, 1, 99), inner_cfg);
   Host& deep = network.add_host(Ipv4Addr(10, 0, 0, 5), inner, site_b,
-                                Host::Config{"deep"});
+                                Host::Config{});
 
   std::optional<Received> at_pub, at_deep;
   expect_on(pub, 50, at_pub);
@@ -438,7 +434,6 @@ TEST_F(NetTest, UplinkSerializationQueues) {
   // 1 MB/s uplink: a 100 kB datagram takes 100 ms to serialize; two
   // sent back-to-back arrive ~100 ms apart.
   Host::Config slow;
-  slow.name = "slow";
   slow.uplink_bps = 1e6;
   Host& a = network.add_host(Ipv4Addr(128, 9, 0, 1), Network::kInternet,
                              site_a, slow);
@@ -458,7 +453,6 @@ TEST_F(NetTest, UplinkSerializationQueues) {
 
 TEST_F(NetTest, ProcessingDelayAddsLatency) {
   Host::Config loaded;
-  loaded.name = "loaded";
   loaded.proc_service = 10 * kMillisecond;
   Host& a = public_host(1, site_a);
   Host& b = network.add_host(Ipv4Addr(128, 9, 0, 2), Network::kInternet,

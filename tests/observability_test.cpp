@@ -69,26 +69,6 @@ TEST(MetricsRegistry, JsonCarriesLabels) {
   EXPECT_NE(json.find("\"value\":42"), std::string::npos);
 }
 
-TEST(Logger, ComponentLevelFiltering) {
-  Logger logger(LogLevel::kWarn);
-  EXPECT_FALSE(logger.enabled(LogLevel::kDebug, "linking"));
-  logger.set_component_level("linking", LogLevel::kDebug);
-  EXPECT_TRUE(logger.enabled(LogLevel::kDebug, "linking"));
-  EXPECT_FALSE(logger.enabled(LogLevel::kDebug, "node"));  // untouched
-  EXPECT_TRUE(logger.enabled(LogLevel::kWarn, "node"));
-
-  // Subtree fallback: "node/<brief>" inherits the "node" override; an
-  // exact entry beats the subtree.
-  logger.set_component_level("node", LogLevel::kDebug);
-  EXPECT_TRUE(logger.enabled(LogLevel::kDebug, "node/ab12"));
-  logger.set_component_level("node/ab12", LogLevel::kError);
-  EXPECT_FALSE(logger.enabled(LogLevel::kDebug, "node/ab12"));
-  EXPECT_TRUE(logger.enabled(LogLevel::kDebug, "node/cd34"));
-
-  logger.clear_component_levels();
-  EXPECT_FALSE(logger.enabled(LogLevel::kDebug, "node/cd34"));
-}
-
 TEST(Logger, WowLogBuildsMessageLazily) {
   Logger logger(LogLevel::kWarn);
   int built = 0;
@@ -98,12 +78,10 @@ TEST(Logger, WowLogBuildsMessageLazily) {
   };
   WOW_LOG(logger, LogLevel::kDebug, 0, "linking", expensive());
   EXPECT_EQ(built, 0);  // disabled: never constructed
-  logger.set_component_level("linking", LogLevel::kTrace);
   // Route the enabled call to /dev/null rather than polluting stderr.
   std::FILE* sink = std::fopen("/dev/null", "w");
   ASSERT_NE(sink, nullptr);
-  Logger quiet(LogLevel::kWarn, sink);
-  quiet.set_component_level("linking", LogLevel::kTrace);
+  Logger quiet(LogLevel::kTrace, sink);
   WOW_LOG(quiet, LogLevel::kDebug, 0, "linking", expensive());
   EXPECT_EQ(built, 1);
   std::fclose(sink);

@@ -44,9 +44,9 @@ TEST(UriWire, ListRoundTrip) {
   ByteWriter w;
   transport::write_uri_list(w, uris);
   ByteReader r(w.bytes());
-  auto parsed = transport::read_uri_list(r);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, uris);
+  EXPECT_EQ(transport::read_uri_list(r), uris);
+  EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r.exhausted());
 }
 
 TEST(RoutedPacketWire, RoundTrip) {

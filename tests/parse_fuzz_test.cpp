@@ -110,6 +110,16 @@ namespace {
   return p.serialize();
 }
 
+[[nodiscard]] Bytes sample_icmp_echo() {
+  ipop::IcmpEcho e;
+  e.type = ipop::IcmpEcho::kEchoRequest;
+  e.ident = 3;
+  e.seq = 9;
+  e.timestamp = 123456789;
+  e.padding = 6;  // the bytes after the header, which a prefix can cut
+  return e.serialize();
+}
+
 [[nodiscard]] Bytes sample_segment() {
   vtcp::Segment s;
   s.src_port = 40000;
@@ -138,6 +148,8 @@ const std::pair<const char*, ParseFn> kParsers[] = {
      [](BytesView b) { return p2p::CtmReply::parse(b).has_value(); }},
     {"relay",
      [](BytesView b) { return p2p::RelayFrame::parse(b).has_value(); }},
+    {"census",
+     [](BytesView b) { return p2p::CensusFrame::parse(b).has_value(); }},
     {"ip_packet",
      [](BytesView b) { return ipop::IpPacket::parse(b).has_value(); }},
     {"icmp_echo",
@@ -146,10 +158,11 @@ const std::pair<const char*, ParseFn> kParsers[] = {
      [](BytesView b) { return vtcp::Segment::parse(b).has_value(); }},
 };
 
+/// One sample frame per parser, in kParsers order.
 [[nodiscard]] std::vector<Bytes> sample_frames() {
   return {sample_routed(),    sample_link(),      sample_ctm_request(),
-          sample_ctm_reply(), sample_relay(),     sample_ip_packet(),
-          sample_segment()};
+          sample_ctm_reply(), sample_relay(),     sample_census(),
+          sample_ip_packet(), sample_icmp_echo(), sample_segment()};
 }
 
 /// Every prefix of every valid frame, through every parser.  A strict
@@ -157,12 +170,17 @@ const std::pair<const char*, ParseFn> kParsers[] = {
 /// formats are length-checked to the end of the fixed header and
 /// explicit about variable-length sections).
 TEST(ParseFuzz, TruncationSweepIsCleanlyRejected) {
-  for (const Bytes& frame : sample_frames()) {
+  const std::vector<Bytes> frames = sample_frames();
+  ASSERT_EQ(frames.size(), std::size(kParsers));
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    const Bytes& frame = frames[f];
     for (std::size_t len = 0; len < frame.size(); ++len) {
       BytesView prefix(frame.data(), len);
       for (const auto& [name, parse] : kParsers) {
-        (void)parse(prefix);  // must not crash; acceptance not asserted
+        (void)parse(prefix);  // must not crash
       }
+      EXPECT_FALSE(kParsers[f].second(prefix))
+          << kParsers[f].first << " accepted a " << len << "-byte prefix";
     }
   }
   // Full frames parse through at least one parser each.

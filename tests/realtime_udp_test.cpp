@@ -123,28 +123,6 @@ TEST(UdpEdgeFactory, SendBatchLeavesInOneSyscall) {
   EXPECT_LE(b.stats().recv_batches, b.stats().datagrams_received);
 }
 
-TEST(UdpEdgeFactory, EdgeReceiverGetsItsRemotesFrames) {
-  transport::RealtimeEventLoop loop;
-  transport::UdpEdgeFactory a(loop, kLocalhost);
-  transport::UdpEdgeFactory b(loop, kLocalhost);
-  a.bind(0);
-  b.bind(0);
-  net::Endpoint to_b{kLocalhost, b.local_uri().endpoint.port};
-  net::Endpoint to_a{kLocalhost, a.local_uri().endpoint.port};
-
-  std::size_t via_edge = 0;
-  std::size_t via_factory = 0;
-  b.set_receiver([&](const net::Endpoint&, SharedBytes) { ++via_factory; });
-  p2p::Edge& edge = b.edge_to(to_a);
-  edge.set_receiver([&](SharedBytes) { ++via_edge; });
-  EXPECT_EQ(edge.remote_uri().endpoint, to_a);
-
-  a.send_to(to_b, Bytes{1});
-  ASSERT_TRUE(drive_until(loop, [&] { return via_edge + via_factory > 0; }));
-  EXPECT_EQ(via_edge, 1u);
-  EXPECT_EQ(via_factory, 0u);
-}
-
 TEST(UdpEdgeFactory, IcmpRefusalReportsAndClosesEdge) {
   transport::RealtimeEventLoop loop;
   transport::UdpEdgeFactory a(loop, kLocalhost);

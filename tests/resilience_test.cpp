@@ -93,7 +93,7 @@ TEST(NatRenumbering, HomeNodeSurvivesTranslationChange) {
   for (int i = 0; i < 6; ++i) {
     auto& host = network.add_host(
         net::Ipv4Addr(128, 1, 0, static_cast<std::uint8_t>(i + 1)),
-        net::Network::kInternet, site, net::Host::Config{"r"});
+        net::Network::kInternet, site, net::Host::Config{});
     p2p::NodeConfig cfg;
     cfg.port = 17000;
     if (i > 0) cfg.bootstrap = bootstrap;
@@ -110,7 +110,7 @@ TEST(NatRenumbering, HomeNodeSurvivesTranslationChange) {
       "home-nat", net::Network::kInternet, site, net::Ipv4Addr(66, 1, 1, 1),
       net::NatBox::Config{});
   auto& home_host = network.add_host(net::Ipv4Addr(192, 168, 1, 5), home,
-                                     site, net::Host::Config{"home"});
+                                     site, net::Host::Config{});
   ipop::IpopNode::Config cfg;
   cfg.vip = net::Ipv4Addr(172, 16, 1, 34);
   cfg.p2p.bootstrap = bootstrap;
@@ -202,7 +202,7 @@ TEST_P(NatTraversalMatrix, TwoNatedPeersEventuallyLink) {
   for (int i = 0; i < 6; ++i) {
     auto& host = network.add_host(
         net::Ipv4Addr(128, 1, 0, static_cast<std::uint8_t>(i + 1)),
-        net::Network::kInternet, site, net::Host::Config{"r"});
+        net::Network::kInternet, site, net::Host::Config{});
     p2p::NodeConfig cfg;
     cfg.port = 17000;
     if (i > 0) cfg.bootstrap = bootstrap;
@@ -221,7 +221,7 @@ TEST_P(NatTraversalMatrix, TwoNatedPeersEventuallyLink) {
         "nat" + std::to_string(n), net::Network::kInternet, site,
         net::Ipv4Addr(200, 0, 0, n), nat);
     auto& host = network.add_host(net::Ipv4Addr(192, 168, n, 5), domain,
-                                  site, net::Host::Config{"vm"});
+                                  site, net::Host::Config{});
     ipop::IpopNode::Config cfg;
     cfg.vip = vip;
     cfg.p2p.bootstrap = bootstrap;

@@ -62,10 +62,9 @@ struct IpopOverlay {
       : sim(seed), network(sim) {
     site = network.add_site("site0");
 
-    net::Host::Config rc;
-    rc.name = "router";
-    auto& router_host = network.add_host(net::Ipv4Addr(128, 1, 0, 1),
-                                         net::Network::kInternet, site, rc);
+    auto& router_host =
+        network.add_host(net::Ipv4Addr(128, 1, 0, 1), net::Network::kInternet,
+                         site, net::Host::Config{});
     p2p::NodeConfig router_cfg = base;
     router_cfg.port = 17000;
     router = std::make_unique<p2p::Node>(
@@ -77,9 +76,8 @@ struct IpopOverlay {
     for (int i = 0; i < n; ++i) {
       auto ip = net::Ipv4Addr(128, 2, static_cast<std::uint8_t>(i / 250),
                               static_cast<std::uint8_t>(1 + i % 250));
-      net::Host::Config hc;
-      hc.name = "vmhost" + std::to_string(i);
-      auto& host = network.add_host(ip, net::Network::kInternet, site, hc);
+      auto& host = network.add_host(ip, net::Network::kInternet, site,
+                                    net::Host::Config{});
       ipop::IpopNode::Config cfg;
       cfg.vip = net::Ipv4Addr(172, 16, 1, static_cast<std::uint8_t>(i + 2));
       cfg.p2p = base;

@@ -159,9 +159,7 @@ struct SoakNet : Fleet {
           auto& host = network.add_host(
               net::Ipv4Addr(192, 168, static_cast<std::uint8_t>(d),
                             static_cast<std::uint8_t>(10 + i)),
-              dom, sites[static_cast<std::size_t>(d)],
-              net::Host::Config{"nat" + std::to_string(d) + "-host" +
-                                std::to_string(i)});
+              dom, sites[static_cast<std::size_t>(d)], net::Host::Config{});
           hosts.push_back(&host);
           p2p::NodeConfig cfg;
           cfg.port = kPort;
