@@ -18,12 +18,14 @@
 
 #include "common/time.h"
 #include "tools/tool_flags.h"
-#include "wow/megascale.h"
+#include "wow/fleet.h"
 
 namespace wow {
 namespace {
 
 constexpr double kProtocolBudgetBytes = 1024.0;
+/// The megascale testbed spans four WAN sites (DESIGN §14).
+constexpr int kSites = 4;
 
 /// Resident set size from /proc/self/statm (0 where unsupported).
 std::size_t rss_bytes() {
@@ -46,23 +48,22 @@ struct RunResult {
   double node_bytes_per_node = 0.0;
   double protocol_bytes_per_node = 0.0;
   std::size_t network_bytes = 0;
-  MegascaleNet::HopStats hops;
+  Fleet::HopStats hops;
   bool oracle_ok = false;
 };
 
 RunResult run_arm(int nodes, bool flyweight, std::uint64_t seed,
                   SimDuration stagger, SimDuration settle) {
-  MegascaleConfig cfg;
-  cfg.nodes = nodes;
-  cfg.seed = seed;
-  cfg.flyweight = flyweight;
-  cfg.batched_delivery = flyweight;
-  cfg.join_stagger = stagger;
-  cfg.check_period = 30 * kSecond;
-
   auto t0 = std::chrono::steady_clock::now();
-  MegascaleNet net(cfg);
-  std::optional<SimTime> converged_at = net.run_until_converged();
+  Fleet net(FleetConfig{.seed = seed,
+                        .nodes = nodes,
+                        .sites = kSites,
+                        .node = flyweight ? p2p::NodeConfig::flyweight()
+                                          : p2p::NodeConfig{},
+                        .wellknown = 0,
+                        .batched = flyweight});
+  std::optional<SimTime> converged_at =
+      net.run_until_converged(stagger, 30 * kSecond);
   // The memory budget is a steady-state claim: let the retention sweep
   // drain join transients before measuring.
   net.sim.run_for(settle);
@@ -75,7 +76,7 @@ RunResult run_arm(int nodes, bool flyweight, std::uint64_t seed,
   r.events = net.sim.executed_events();
   r.events_per_wall_s =
       r.wall_s > 0 ? static_cast<double>(r.events) / r.wall_s : 0.0;
-  MegascaleNet::MemoryReport mem = net.memory_report();
+  Fleet::MemoryReport mem = net.memory_report();
   r.node_bytes_per_node = mem.node_bytes_per_node();
   r.protocol_bytes_per_node = mem.protocol_bytes_per_node();
   r.network_bytes = mem.network_bytes;
@@ -99,7 +100,7 @@ void print_run(std::FILE* out, const char* key, const RunResult& r,
                "          \"protocol_bytes_per_node\": %.1f,\n"
                "          \"network_fabric_bytes\": %zu,\n"
                "          \"hops\": {\"mean\": %.2f, \"p50\": %.0f, "
-               "\"p95\": %.0f, \"p99\": %.0f, \"max\": %d, "
+               "\"p95\": %.0f, \"p99\": %.0f, \"max\": %.0f, "
                "\"unreached\": %zu},\n"
                "          \"oracle_ok\": %s\n"
                "        }%s\n",
@@ -228,8 +229,10 @@ int main(int argc, char** argv) {
       "(NodeConfig::flyweight + batched per-host delivery) run back to "
       "back on the same seed; rounds interleave arms so machine drift "
       "cancels. Each run ramps joins at one node per %lld ms, runs to "
-      "ring convergence (every successor pointer closing the sorted "
-      "ring), then settles %lld sim-minutes so the retention sweep "
+      "ring convergence (every node running, and the Oracle's ring "
+      "invariants holding: routable where achievable, one ring "
+      "component, both near pointers at the true live neighbours; "
+      "checked every 30 s), then settles %lld sim-minutes so the retention sweep "
       "drains join transients before bytes/node accounting. events/s = "
       "simulator events executed / wall seconds for the whole run; "
       "protocol_bytes_per_node is live dynamic state (connection table, "

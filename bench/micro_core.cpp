@@ -163,7 +163,7 @@ void BM_ConnectionTableFind(benchmark::State& state) {
 BENCHMARK(BM_ConnectionTableFind)->Arg(8)->Arg(2000);
 
 void BM_NatTranslateOutbound(benchmark::State& state) {
-  net::NatBox nat("bench", net::Ipv4Addr(1, 2, 3, 4), {});
+  net::NatBox nat(net::Ipv4Addr(1, 2, 3, 4), {});
   net::Endpoint inside{net::Ipv4Addr(10, 0, 0, 1), 1000};
   net::Endpoint remote{net::Ipv4Addr(8, 8, 8, 8), 53};
   for (auto _ : state) {

@@ -21,13 +21,13 @@
 //
 // Exit status: 0 within budget, 1 over budget, 2 bad flags.
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/stats.h"
 #include "common/trace.h"
 #include "net/network.h"
 #include "p2p/node.h"
@@ -141,12 +141,6 @@ ScenarioStats run_scenario(int node_count, Profile profile, double rate) {
   return out;
 }
 
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  std::size_t n = v.size();
-  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -194,9 +188,9 @@ int main(int argc, char** argv) {
                  full_last.wall_seconds);
   }
 
-  const double off_med = median(off_s);
-  const double bounded_med = median(bounded_s);
-  const double full_med = median(full_s);
+  const double off_med = percentile(off_s, 50);
+  const double bounded_med = percentile(bounded_s, 50);
+  const double full_med = percentile(full_s, 50);
   const double bounded_pct = 100.0 * (bounded_med / off_med - 1.0);
   const double full_pct = 100.0 * (full_med / off_med - 1.0);
   const bool within = bounded_pct <= budget_pct;

@@ -19,12 +19,12 @@
 //
 // Exit status: 0 within budget, 1 over budget, 2 bad flags.
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "common/stats.h"
 #include "net/network.h"
 #include "p2p/node.h"
 #include "sim/simulator.h"
@@ -101,12 +101,6 @@ ScenarioStats run_scenario(int node_count, bool defenses, int bursts) {
   return out;
 }
 
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  std::size_t n = v.size();
-  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -161,8 +155,8 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(on_last.hops));
   }
 
-  const double off_med = median(off_ns);
-  const double on_med = median(on_ns);
+  const double off_med = percentile(off_ns, 50);
+  const double on_med = percentile(on_ns, 50);
   const double pct = 100.0 * (on_med / off_med - 1.0);
   const bool within = pct <= budget_pct;
   // Honest traffic must never shed: a shed here means the rate limiter

@@ -55,11 +55,10 @@ int main() {
 
   // Two virtual workstations, each behind its own NAT.  Neither can be
   // reached from outside until the overlay hole-punches for them.
-  auto make_vm = [&](const char* name, net::SiteId site,
-                     std::uint8_t wan_octet, net::Ipv4Addr vip) {
+  auto make_vm = [&](net::SiteId site, std::uint8_t wan_octet,
+                     net::Ipv4Addr vip) {
     net::NatBox::Config nat;  // port-restricted, the common case
-    auto domain = network.add_nat_domain(std::string(name) + "-nat",
-                                         net::Network::kInternet, site,
+    auto domain = network.add_nat_domain(net::Network::kInternet, site,
                                          net::Ipv4Addr(200, 0, 0, wan_octet),
                                          nat);
     auto& host = network.add_host(net::Ipv4Addr(192, 168, wan_octet, 10),
@@ -74,8 +73,8 @@ int main() {
     return std::make_unique<ipop::IpopNode>(
           p2p::NodeDeps::sim(sim, network, host), cfg);
   };
-  auto alice = make_vm("alice", site_a, 1, net::Ipv4Addr(172, 16, 1, 2));
-  auto bob = make_vm("bob", site_b, 2, net::Ipv4Addr(172, 16, 1, 3));
+  auto alice = make_vm(site_a, 1, net::Ipv4Addr(172, 16, 1, 2));
+  auto bob = make_vm(site_b, 2, net::Ipv4Addr(172, 16, 1, 3));
 
   // Boot the overlay (staggered, as real deployments grow), then the
   // workstations.

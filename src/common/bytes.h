@@ -119,10 +119,9 @@ class ByteWriter {
   }
 
   /// Length-prefixed (u16) UTF-8 string.  Oversize input is refused:
-  /// an empty string is written and the overflow flag is set.
+  /// an empty string is written, so a caller refuses such input first.
   void str(std::string_view s) {
     if (!length_fits("ByteWriter::str", s.size(), kMaxLenPrefixed)) {
-      overflowed_ = true;
       u16(0);
       return;
     }
@@ -130,17 +129,12 @@ class ByteWriter {
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
 
-  /// True if any str() input exceeded kMaxLenPrefixed.  Callers
-  /// that can fail loudly should check this before shipping the frame.
-  [[nodiscard]] bool overflowed() const { return overflowed_; }
-
   [[nodiscard]] const Bytes& bytes() const& { return buf_; }
   [[nodiscard]] Bytes take() && { return std::move(buf_); }
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
 
  private:
   Bytes buf_;
-  bool overflowed_ = false;
 };
 
 /// Big-endian writer over a region the caller has already sized: a

@@ -155,22 +155,26 @@ void NfsClient::ensure_connected() {
 }
 
 void NfsClient::read_file(const std::string& name, Done done) {
-  Transfer t;
-  t.is_read = true;
-  t.name = name;
-  t.done = std::move(done);
-  queue_.push_back(std::move(t));
-  if (queue_.size() == 1) pump();
+  enqueue(Transfer{.is_read = true, .name = name, .done = std::move(done)});
 }
 
 void NfsClient::write_file(const std::string& name, std::uint64_t size,
                            Done done) {
-  Transfer t;
-  t.is_read = false;
-  t.name = name;
-  t.size = size;
-  t.size_known = true;
-  t.done = std::move(done);
+  enqueue(Transfer{.is_read = false,
+                   .name = name,
+                   .size = size,
+                   .size_known = true,
+                   .done = std::move(done)});
+}
+
+void NfsClient::enqueue(Transfer t) {
+  // Refused here, before any request could frame it as "".
+  if (!length_fits("NfsClient file name", t.name.size(),
+                   ByteWriter::kMaxLenPrefixed)) {
+    ++stats_.failures;
+    if (t.done) t.done(false);
+    return;
+  }
   queue_.push_back(std::move(t));
   if (queue_.size() == 1) pump();
 }

@@ -68,8 +68,10 @@ class NfsClient {
             net::Ipv4Addr server, std::uint16_t port = NfsServer::kDefaultPort);
 
   /// Fetch `name` (the full registered size); done(ok) on completion.
+  /// A name longer than a u16 length can frame fails at once.
   void read_file(const std::string& name, Done done);
-  /// Store `size` bytes as `name`; done(ok) on completion.
+  /// Store `size` bytes as `name`; done(ok) on completion.  A name
+  /// longer than a u16 length can frame fails at once.
   void write_file(const std::string& name, std::uint64_t size, Done done);
 
   struct Stats {
@@ -93,6 +95,7 @@ class NfsClient {
     Done done;
   };
 
+  void enqueue(Transfer t);
   void ensure_connected();
   void on_reply(const Bytes& message);
   void pump();

@@ -36,10 +36,10 @@ enum class PbsMsg : std::uint8_t {
 }
 
 [[nodiscard]] std::string input_file(std::uint64_t id) {
-  return "job" + std::to_string(id) + ".in";
+  return std::string("job").append(std::to_string(id)).append(".in");
 }
 [[nodiscard]] std::string output_file(std::uint64_t id) {
-  return "job" + std::to_string(id) + ".out";
+  return std::string("job").append(std::to_string(id)).append(".out");
 }
 
 }  // namespace
@@ -142,6 +142,9 @@ PbsWorker::PbsWorker(sim::Simulator& simulator, vtcp::TcpStack& stack,
       name_(std::move(name)) {}
 
 void PbsWorker::start() {
+  // A name no u16 length can frame never registers (nor connects).
+  if (!length_fits("PbsWorker name", name_.size(),
+                   ByteWriter::kMaxLenPrefixed)) return;
   nfs_ = std::make_unique<NfsClient>(sim_, stack_, head_);
   channel_ = MessageChannel::wrap(stack_.connect(head_, PbsServer::kPort));
   channel_->set_message_handler(

@@ -4,7 +4,6 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <string>
 
 #include "net/addr.h"
 
@@ -43,10 +42,9 @@ class NatBox {
     std::uint16_t port_base = 20000;
   };
 
-  NatBox(std::string name, Ipv4Addr public_ip, Config config)
-      : name_(std::move(name)), public_ip_(public_ip), config_(config) {}
+  NatBox(Ipv4Addr public_ip, Config config)
+      : public_ip_(public_ip), config_(config) {}
 
-  [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] Ipv4Addr public_ip() const { return public_ip_; }
   [[nodiscard]] const Config& config() const { return config_; }
 
@@ -92,7 +90,6 @@ class NatBox {
   [[nodiscard]] bool filter_admits(const Mapping& m,
                                    const Endpoint& remote) const;
 
-  std::string name_;
   Ipv4Addr public_ip_;
   Config config_;
   std::uint16_t next_port_ = 0;

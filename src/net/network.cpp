@@ -8,7 +8,6 @@ namespace wow::net {
 Network::Network(sim::Simulator& simulator)
     : sim_(simulator), faults_(simulator, *this) {
   Domain internet;
-  internet.name = "internet";
   internet.parent = kInternet;
   domains_.push_back(std::move(internet));
 
@@ -65,10 +64,7 @@ void Network::record_drop(DropReason reason, const Endpoint& src,
   }
 }
 
-SiteId Network::add_site(const std::string& name) {
-  site_names_.push_back(name);
-  return static_cast<SiteId>(site_names_.size() - 1);
-}
+SiteId Network::add_site(std::string_view /*name*/) { return sites_++; }
 
 void Network::set_site_link(SiteId a, SiteId b, LinkModel model) {
   if (a > b) std::swap(a, b);
@@ -90,14 +86,12 @@ SimDuration Network::sample_latency(const LinkModel& m) {
   return static_cast<SimDuration>(v);
 }
 
-DomainId Network::add_nat_domain(const std::string& name, DomainId parent,
-                                 SiteId site, Ipv4Addr wan_ip,
-                                 NatBox::Config nat_config) {
+DomainId Network::add_nat_domain(DomainId parent, SiteId site,
+                                 Ipv4Addr wan_ip, NatBox::Config nat_config) {
   Domain d;
-  d.name = name;
   d.parent = parent;
   d.site = site;
-  d.nat = std::make_unique<NatBox>(name, wan_ip, nat_config);
+  d.nat = std::make_unique<NatBox>(wan_ip, nat_config);
   domains_.push_back(std::move(d));
   auto id = static_cast<DomainId>(domains_.size() - 1);
   domains_[static_cast<std::size_t>(parent)].child_nats_by_wan_ip[wan_ip.value()] = id;

@@ -7,7 +7,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -88,8 +87,9 @@ class Network {
 
   // --- topology construction --------------------------------------------
 
-  /// Add a site (a geographic location).  Returns its id.
-  SiteId add_site(const std::string& name);
+  /// Add a site (a geographic location).  Returns its id.  The name is
+  /// for the caller's reading only; nothing stores it.
+  SiteId add_site(std::string_view name);
 
   /// One-way latency/loss between two sites (symmetric).
   void set_site_link(SiteId a, SiteId b, LinkModel model);
@@ -101,8 +101,7 @@ class Network {
   /// Create a private domain behind a new NAT box.  The NAT's WAN
   /// interface gets address `wan_ip` inside `parent` (usually the
   /// Internet) at `site`.  Returns the new domain's id.
-  DomainId add_nat_domain(const std::string& name, DomainId parent,
-                          SiteId site, Ipv4Addr wan_ip,
+  DomainId add_nat_domain(DomainId parent, SiteId site, Ipv4Addr wan_ip,
                           NatBox::Config nat_config);
 
   /// Create a host.  For public hosts pass domain = kInternet.  The
@@ -159,7 +158,6 @@ class Network {
 
  private:
   struct Domain {
-    std::string name;
     DomainId parent = kInternet;
     SiteId site = 0;
     std::unique_ptr<NatBox> nat;  // null only for the Internet root
@@ -224,7 +222,7 @@ class Network {
   bool batched_ = false;
   SimDuration batch_quantum_ = 0;
   std::vector<HostQueue> host_queues_;
-  std::vector<std::string> site_names_;
+  SiteId sites_ = 0;
   std::map<std::pair<SiteId, SiteId>, LinkModel> site_links_;
   LinkModel default_wan_{30 * kMillisecond, 2 * kMillisecond, 0.001};
   LinkModel lan_{200 * kMicrosecond, 30 * kMicrosecond, 0.0};

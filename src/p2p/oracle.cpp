@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <sstream>
 
 #include "p2p/keepalive.h"
+#include "p2p/ring_math.h"
 
 namespace wow::p2p {
 
@@ -18,25 +20,13 @@ namespace {
   return node.node_config().ping_interval * (2 + kPingRetries);
 }
 
-/// 2^159, the boundary routable() uses between a node's clockwise and
-/// counter-clockwise sides.
-[[nodiscard]] RingId ring_half() {
-  std::array<std::uint32_t, RingId::kLimbs> limbs{};
-  limbs[RingId::kLimbs - 1] = 0x80000000u;
-  return RingId{limbs};
-}
-
-/// Component label per live node (union-find over the near-pointer
+/// Component root per ring position (union-find over the near-pointer
 /// graph restricted to live addresses) — shared by ring_census() and
 /// the "ring_census" invariant, which also wants representatives.
 [[nodiscard]] std::vector<std::size_t> ring_components(
-    const std::vector<Node*>& live) {
-  std::map<Address, std::size_t> index;
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    index[live[i]->address()] = i;
-  }
-  std::vector<std::size_t> parent(live.size());
-  for (std::size_t i = 0; i < parent.size(); ++i) parent[i] = i;
+    const Oracle::Ring& ring) {
+  std::vector<std::size_t> parent(ring.size());
+  std::iota(parent.begin(), parent.end(), std::size_t{0});
   auto find = [&](std::size_t x) {
     while (parent[x] != x) {
       parent[x] = parent[parent[x]];
@@ -44,25 +34,20 @@ namespace {
     }
     return x;
   };
-  auto unite = [&](std::size_t a, std::size_t b) {
+  auto unite = [&](std::size_t a, const Connection* near) {
+    if (near == nullptr) return;
+    std::size_t b = ring.position(near->addr);
+    if (b == ring.size()) return;  // points at a dead or absent peer
     a = find(a);
     b = find(b);
     if (a != b) parent[a] = b;
   };
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    const Connection* succ = live[i]->connections().right_neighbor();
-    if (succ != nullptr) {
-      auto it = index.find(succ->addr);
-      if (it != index.end()) unite(i, it->second);
-    }
-    const Connection* pred = live[i]->connections().left_neighbor();
-    if (pred != nullptr) {
-      auto it = index.find(pred->addr);
-      if (it != index.end()) unite(i, it->second);
-    }
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    unite(i, ring.at(i)->connections().right_neighbor());
+    unite(i, ring.at(i)->connections().left_neighbor());
   }
-  std::vector<std::size_t> roots(live.size());
-  for (std::size_t i = 0; i < live.size(); ++i) roots[i] = find(i);
+  std::vector<std::size_t> roots(ring.size());
+  for (std::size_t i = 0; i < ring.size(); ++i) roots[i] = find(i);
   return roots;
 }
 
@@ -70,14 +55,8 @@ namespace {
                                      std::string detail, SimTime now,
                                      std::uint64_t seed,
                                      std::vector<std::string> implicated) {
-  OracleReport r;
-  r.ok = false;
-  r.invariant = std::move(invariant);
-  r.detail = std::move(detail);
-  r.at = now;
-  r.seed = seed;
-  r.implicated = std::move(implicated);
-  return r;
+  return OracleReport{false, std::move(invariant), std::move(detail), now,
+                      seed, std::move(implicated)};
 }
 
 }  // namespace
@@ -93,23 +72,39 @@ std::string OracleReport::to_string() const {
   return out.str();
 }
 
+Oracle::Ring::Ring(const std::vector<Node*>& live) {
+  order_.reserve(live.size());
+  for (Node* n : live) order_.emplace_back(n->address(), n);
+  std::sort(order_.begin(), order_.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+}
+
+std::size_t Oracle::Ring::position(const Address& addr) const {
+  auto it = std::lower_bound(
+      order_.begin(), order_.end(), addr,
+      [](const auto& entry, const Address& a) { return entry.first < a; });
+  if (it == order_.end() || it->first != addr) return order_.size();
+  return static_cast<std::size_t>(it - order_.begin());
+}
+
+Oracle::Walk Oracle::greedy_walk(const Ring& ring, const Node& src,
+                                 const Address& dst, std::size_t max_hops) {
+  Walk w{0, &src};
+  while (w.last->address() != dst && w.hops < max_hops) {
+    const Connection* next = w.last->connections().closest_to(dst);
+    const Node* step = next == nullptr ? nullptr : ring.find(next->addr);
+    if (step == nullptr) break;
+    w.last = step;
+    ++w.hops;
+  }
+  return w;
+}
+
 OracleReport Oracle::check(const std::vector<Node*>& live, SimTime now,
                            const Config& config) {
-  OracleReport ok_report;
-  ok_report.at = now;
-  ok_report.seed = config.seed;
+  const OracleReport ok_report{true, {}, {}, now, config.seed, {}};
   if (live.empty()) return ok_report;
-
-  // God's-eye ring: live addresses in ring order, with a lookup map.
-  std::map<Address, Node*> by_addr;
-  for (Node* n : live) by_addr[n->address()] = n;
-  std::vector<Address> ring;
-  ring.reserve(by_addr.size());
-  for (const auto& [addr, node] : by_addr) ring.push_back(addr);
-  auto ring_index = [&](const Address& a) {
-    return static_cast<std::size_t>(
-        std::lower_bound(ring.begin(), ring.end(), a) - ring.begin());
-  };
+  const Ring ring(live);
 
   // 0. Containment: no phantom identities (DESIGN §16).  With the full
   // identity roster known, any table entry pointing OUTSIDE it is an
@@ -146,87 +141,9 @@ OracleReport Oracle::check(const std::vector<Node*>& live, SimTime now,
     }
   }
 
-  // 1. Every live node is routable — where routability is achievable.
-  // routable() wants a structured-near link in each ring half, which no
-  // repair can provide when every other live address sits in one half
-  // (small or address-clustered rings); invariant 2 still pins those
-  // nodes to their true successor/predecessor.
-  RingId half = ring_half();
-  for (Node* n : live) {
-    std::size_t i = ring_index(n->address());
-    const Address& succ = ring[(i + 1) % ring.size()];
-    const Address& pred = ring[(i + ring.size() - 1) % ring.size()];
-    bool achievable =
-        ring.size() >= 3 &&
-        n->address().clockwise_distance(succ) < half &&
-        !(n->address().clockwise_distance(pred) < half);
-    if (achievable && !n->routable()) {
-      return violation("routable",
-                       "node " + n->address().brief() +
-                           " is not routable (missing structured-near "
-                           "links on at least one side)",
-                       now, config.seed,
-                       {n->address().brief(), succ.brief(), pred.brief()});
-    }
-  }
-
-  // 1b. One ring, not several.  Invariant 2 also catches a split (some
-  // node's in-fragment successor cannot be the true global successor),
-  // but diagnosing "two independently-formed rings" from one bad
-  // pointer is miserable — count the components explicitly and report
-  // the split as what it is, with a representative per fragment.
-  if (ring.size() >= 2) {
-    std::vector<std::size_t> roots = ring_components(live);
-    std::map<std::size_t, std::size_t> sizes;
-    for (std::size_t r : roots) ++sizes[r];
-    if (sizes.size() > 1) {
-      std::vector<std::string> reps;
-      std::string detail = std::to_string(sizes.size()) +
-                           " ring components (sizes";
-      for (const auto& [root, count] : sizes) {
-        detail.append(" ").append(std::to_string(count));
-        if (reps.size() < 4) reps.push_back(live[root]->address().brief());
-      }
-      detail += ") — the overlay has not merged into a single ring";
-      return violation("ring_census", std::move(detail), now, config.seed,
-                       std::move(reps));
-    }
-  }
-
-  // 2. Near pointers agree with the true live ring.
-  if (ring.size() >= 2) {
-    for (Node* n : live) {
-      std::size_t i = ring_index(n->address());
-      const Address& true_succ = ring[(i + 1) % ring.size()];
-      const Address& true_pred = ring[(i + ring.size() - 1) % ring.size()];
-
-      const Connection* succ = n->connections().right_neighbor();
-      if (succ == nullptr || !(succ->addr == true_succ)) {
-        std::vector<std::string> who{n->address().brief(),
-                                     true_succ.brief()};
-        if (succ != nullptr) who.push_back(succ->addr.brief());
-        return violation(
-            "near_is_live_successor",
-            "node " + n->address().brief() + " successor is " +
-                (succ == nullptr ? std::string("absent") :
-                                   succ->addr.brief()) +
-                ", true live successor is " + true_succ.brief(),
-            now, config.seed, std::move(who));
-      }
-      const Connection* pred = n->connections().left_neighbor();
-      if (pred == nullptr || !(pred->addr == true_pred)) {
-        std::vector<std::string> who{n->address().brief(),
-                                     true_pred.brief()};
-        if (pred != nullptr) who.push_back(pred->addr.brief());
-        return violation(
-            "near_is_live_predecessor",
-            "node " + n->address().brief() + " predecessor is " +
-                (pred == nullptr ? std::string("absent") :
-                                   pred->addr.brief()),
-            now, config.seed, std::move(who));
-      }
-    }
-  }
+  // 1 to 2: the ring itself.
+  OracleReport ring_report = check_ring(ring, now, config.seed);
+  if (!ring_report.ok) return ring_report;
 
   // 3. No stale entries past the keepalive grace.
   for (Node* n : live) {
@@ -234,7 +151,7 @@ OracleReport Oracle::check(const std::vector<Node*>& live, SimTime now,
     OracleReport result = ok_report;
     n->connections().for_each([&](const Connection& c) {
       if (!result.ok) return;
-      if (by_addr.count(c.addr) != 0) return;  // live peer: fine
+      if (ring.find(c.addr) != nullptr) return;  // live peer: fine
       if (now - c.last_heard <= grace) return;  // detector still in grace
       result = violation(
           "stale_connection",
@@ -259,15 +176,10 @@ OracleReport Oracle::check(const std::vector<Node*>& live, SimTime now,
     n->connections().for_each([&](const Connection& c) {
       if (!result.ok || !c.is_relay()) return;
       if (now - c.last_heard <= grace) return;  // detector still in grace
-      auto agent_it = by_addr.find(c.relay);
-      bool agent_ok =
-          agent_it != by_addr.end() &&
-          [&] {
-            const Connection* to_peer =
-                agent_it->second->connections().find(c.addr);
-            return to_peer != nullptr && !to_peer->is_relay();
-          }();
-      if (agent_ok) return;
+      const Node* agent = ring.find(c.relay);
+      const Connection* to_peer =
+          agent == nullptr ? nullptr : agent->connections().find(c.addr);
+      if (to_peer != nullptr && !to_peer->is_relay()) return;
       result = violation(
           "relay_without_agent",
           "node " + n->address().brief() + " holds relay connection to " +
@@ -281,59 +193,133 @@ OracleReport Oracle::check(const std::vector<Node*>& live, SimTime now,
   }
 
   // 4. Greedy routing from every node terminates at the owner.
-  std::size_t pairs = ring.size() * ring.size();
+  const std::size_t count = ring.size();
+  std::size_t pairs = count * count;
   std::size_t stride = 1;
   if (config.max_route_pairs != 0 && pairs > config.max_route_pairs) {
     stride = (pairs + config.max_route_pairs - 1) / config.max_route_pairs;
   }
   for (std::size_t p = 0; p < pairs; p += stride) {
-    Node* src = live[p / ring.size() % live.size()];
-    const Address& dst = ring[p % ring.size()];
-    Node* cur = src;
-    std::size_t hops = 0;
-    while (true) {
-      if (cur->address() == dst) break;  // owner reached
-      const Connection* next = cur->connections().closest_to(dst);
-      if (next == nullptr) {
-        // cur believes it is the owner, but dst names a different live
-        // node — greedy routing would misdeliver.
-        return violation("greedy_termination",
-                         "route " + src->address().brief() + " -> " +
-                             dst.brief() + " terminated early at " +
-                             cur->address().brief(),
-                         now, config.seed,
-                         {cur->address().brief(), dst.brief(),
-                          src->address().brief()});
-      }
-      auto it = by_addr.find(next->addr);
-      if (it == by_addr.end()) {
-        return violation("route_into_dead",
-                         "route " + src->address().brief() + " -> " +
-                             dst.brief() + " steps from " +
-                             cur->address().brief() + " to dead node " +
-                             next->addr.brief(),
-                         now, config.seed,
-                         {cur->address().brief(), next->addr.brief()});
-      }
-      cur = it->second;
-      if (++hops > ring.size()) {
-        return violation("route_loop",
-                         "route " + src->address().brief() + " -> " +
-                             dst.brief() + " exceeded " +
-                             std::to_string(ring.size()) + " hops",
-                         now, config.seed,
-                         {src->address().brief(), dst.brief(),
-                          cur->address().brief()});
-      }
+    const Node* src = live[p / count % live.size()];
+    const Address& dst = ring.at(p)->address();
+    const Walk w = greedy_walk(ring, *src, dst, count);
+    if (w.last->address() == dst) continue;
+    const std::string route =
+        "route " + src->address().brief() + " -> " + dst.brief();
+    if (w.hops == count) {
+      return violation("route_loop",
+                       route + " took " + std::to_string(count) +
+                           " hops without arriving",
+                       now, config.seed,
+                       {src->address().brief(), dst.brief(),
+                        w.last->address().brief()});
     }
+    const Connection* next = w.last->connections().closest_to(dst);
+    if (next == nullptr) {
+      // The walk believes it reached the owner, but dst names a
+      // different live node — greedy routing would misdeliver.
+      return violation("greedy_termination",
+                       route + " terminated early at " +
+                           w.last->address().brief(),
+                       now, config.seed,
+                       {w.last->address().brief(), dst.brief(),
+                        src->address().brief()});
+    }
+    return violation("route_into_dead",
+                     route + " steps from " + w.last->address().brief() +
+                         " to dead node " + next->addr.brief(),
+                     now, config.seed,
+                     {w.last->address().brief(), next->addr.brief()});
   }
 
   return ok_report;
 }
 
+OracleReport Oracle::check_ring(const Ring& ring, SimTime now,
+                                std::uint64_t seed) {
+  const OracleReport ok_report{true, {}, {}, now, seed, {}};
+  const std::size_t n = ring.size();
+  if (n < 2) return ok_report;
+
+  // 1. Every live node is routable — where routability is achievable.
+  // routable() wants a structured-near link in each ring half, which no
+  // repair can provide when every other live address sits in one half
+  // (small or address-clustered rings); invariant 2 still pins those
+  // nodes to their true successor/predecessor.
+  const RingId half = ring_half();
+  for (std::size_t i = 0; i < n; ++i) {
+    const Node* node = ring.at(i);
+    const Address& succ = ring.at(i + 1)->address();
+    const Address& pred = ring.at(i + n - 1)->address();
+    bool achievable = n >= 3 &&
+                      node->address().clockwise_distance(succ) < half &&
+                      !(node->address().clockwise_distance(pred) < half);
+    if (achievable && !node->routable()) {
+      return violation("routable",
+                       "node " + node->address().brief() +
+                           " is not routable (missing structured-near "
+                           "links on at least one side)",
+                       now, seed,
+                       {node->address().brief(), succ.brief(), pred.brief()});
+    }
+  }
+
+  // 1b. One ring, not several.  Invariant 2 also catches a split (some
+  // node's in-fragment successor cannot be the true global successor),
+  // but diagnosing "two independently-formed rings" from one bad
+  // pointer is miserable — count the components explicitly and report
+  // the split as what it is, with a representative per fragment.
+  std::map<std::size_t, std::size_t> sizes;
+  for (std::size_t root : ring_components(ring)) ++sizes[root];
+  if (sizes.size() > 1) {
+    std::vector<std::string> reps;
+    std::string detail = std::to_string(sizes.size()) +
+                         " ring components (sizes";
+    for (const auto& [root, count] : sizes) {
+      detail.append(" ").append(std::to_string(count));
+      if (reps.size() < 4) reps.push_back(ring.at(root)->address().brief());
+    }
+    detail += ") — the overlay has not merged into a single ring";
+    return violation("ring_census", std::move(detail), now, seed,
+                     std::move(reps));
+  }
+
+  // 2. Near pointers agree with the true live ring.
+  for (std::size_t i = 0; i < n; ++i) {
+    const Node* node = ring.at(i);
+    const Address& true_succ = ring.at(i + 1)->address();
+    const Address& true_pred = ring.at(i + n - 1)->address();
+
+    const Connection* succ = node->connections().right_neighbor();
+    if (succ == nullptr || !(succ->addr == true_succ)) {
+      std::vector<std::string> who{node->address().brief(),
+                                   true_succ.brief()};
+      if (succ != nullptr) who.push_back(succ->addr.brief());
+      return violation(
+          "near_is_live_successor",
+          "node " + node->address().brief() + " successor is " +
+              (succ == nullptr ? std::string("absent") : succ->addr.brief()) +
+              ", true live successor is " + true_succ.brief(),
+          now, seed, std::move(who));
+    }
+    const Connection* pred = node->connections().left_neighbor();
+    if (pred == nullptr || !(pred->addr == true_pred)) {
+      std::vector<std::string> who{node->address().brief(),
+                                   true_pred.brief()};
+      if (pred != nullptr) who.push_back(pred->addr.brief());
+      return violation(
+          "near_is_live_predecessor",
+          "node " + node->address().brief() + " predecessor is " +
+              (pred == nullptr ? std::string("absent") : pred->addr.brief()),
+          now, seed, std::move(who));
+    }
+  }
+  return ok_report;
+}
+
 std::size_t Oracle::ring_census(const std::vector<Node*>& live) {
   if (live.empty()) return 0;
-  std::vector<std::size_t> roots = ring_components(live);
+  std::vector<std::size_t> roots = ring_components(Ring(live));
   std::sort(roots.begin(), roots.end());
   return static_cast<std::size_t>(
       std::unique(roots.begin(), roots.end()) - roots.begin());

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/time.h"
@@ -66,9 +67,46 @@ struct OracleReport {
 /// The oracle is a pure observer: it reads connection tables and draws
 /// nothing from the RNG, so calling it cannot perturb a deterministic
 /// run.  Cost is O(n^2) table lookups for the routing sweep — fine for
-/// the soak harness's double-digit overlays.
+/// the soak harness's double-digit overlays.  Invariants 1 to 2 alone
+/// (check_ring) cost O(n log n), cheap enough to poll.
 class Oracle {
  public:
+  /// The god's-eye ring: the live nodes in address order.  Each entry
+  /// keeps its node's address beside it, so sorting and lookups compare
+  /// contiguous keys instead of chasing node pointers.
+  class Ring {
+   public:
+    explicit Ring(const std::vector<Node*>& live);
+    [[nodiscard]] std::size_t size() const { return order_.size(); }
+    /// The i-th live node in ring order, wrapping around.
+    [[nodiscard]] Node* at(std::size_t i) const {
+      return order_[i % order_.size()].second;
+    }
+    /// Ring position of the live node at `addr`, or size() if none.
+    [[nodiscard]] std::size_t position(const Address& addr) const;
+    /// The live node at `addr`, or nullptr.
+    [[nodiscard]] Node* find(const Address& addr) const {
+      std::size_t i = position(addr);
+      return i < order_.size() ? order_[i].second : nullptr;
+    }
+
+   private:
+    std::vector<std::pair<Address, Node*>> order_;
+  };
+
+  /// A greedy routing walk: the hops taken and the node it stopped at.
+  struct Walk {
+    std::size_t hops = 0;
+    const Node* last = nullptr;
+  };
+  /// Route from `src` towards `dst` by stepping closest_to over the real
+  /// tables — the walk invariant 4 checks and the fleet's hop probe
+  /// measures.  It stops at `dst`, at a node holding nothing closer, at
+  /// a step to a node not in `ring`, or after `max_hops` hops.
+  [[nodiscard]] static Walk greedy_walk(const Ring& ring, const Node& src,
+                                        const Address& dst,
+                                        std::size_t max_hops);
+
   struct Config {
     /// Echoed into reports so a failing check prints the reproducer.
     std::uint64_t seed = 0;
@@ -92,6 +130,13 @@ class Oracle {
   /// `live` — they are exactly what the stale checks test against.
   [[nodiscard]] static OracleReport check(const std::vector<Node*>& live,
                                           SimTime now, const Config& config);
+
+  /// Invariants 1, 1b and 2 over `ring`: every node routable where
+  /// achievable, one ring component, and both near pointers at the true
+  /// live neighbours.  This is the legitimate ring state that check()
+  /// starts from and a fleet's convergence loop waits for.
+  [[nodiscard]] static OracleReport check_ring(const Ring& ring, SimTime now,
+                                               std::uint64_t seed);
 
   /// Number of connected ring components over `live`: weak connectivity
   /// of the successor/predecessor pointer graph restricted to live

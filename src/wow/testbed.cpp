@@ -64,7 +64,7 @@ Testbed::Testbed(sim::Simulator& simulator, TestbedConfig config)
   // --- PlanetLab routers: public, shared, loaded hosts -------------------
   std::vector<net::SiteId> pl_sites;
   for (int s = 0; s < 10; ++s) {
-    pl_sites.push_back(net.add_site("planetlab" + std::to_string(s)));
+    pl_sites.push_back(net.add_site("planetlab"));
   }
   std::vector<net::Host*> pl_hosts;
   for (int h = 0; h < config_.planetlab_hosts; ++h) {
@@ -105,19 +105,19 @@ Testbed::Testbed(sim::Simulator& simulator, TestbedConfig config)
   net::NatBox::Config ufl_nat;
   ufl_nat.type = net::NatType::kPortRestricted;
   ufl_nat.hairpin = false;
-  dom_ufl = net.add_nat_domain("ufl-nat", net::Network::kInternet, site_ufl,
+  dom_ufl = net.add_nat_domain(net::Network::kInternet, site_ufl,
                                net::Ipv4Addr(128, 227, 1, 1), ufl_nat);
 
   // NWU: VMware-NAT-style behaviour with hairpin support.
   net::NatBox::Config nwu_nat;
   nwu_nat.type = net::NatType::kPortRestricted;
   nwu_nat.hairpin = true;
-  dom_nwu = net.add_nat_domain("nwu-nat", net::Network::kInternet, site_nwu,
+  dom_nwu = net.add_nat_domain(net::Network::kInternet, site_nwu,
                                net::Ipv4Addr(129, 105, 1, 1), nwu_nat);
 
   net::NatBox::Config lsu_nat;
   lsu_nat.hairpin = true;
-  dom_lsu = net.add_nat_domain("lsu-nat", net::Network::kInternet, site_lsu,
+  dom_lsu = net.add_nat_domain(net::Network::kInternet, site_lsu,
                                net::Ipv4Addr(130, 39, 1, 1), lsu_nat);
 
   // ncgrid: firewall with a single open UDP port range for IPOP.
@@ -125,25 +125,23 @@ Testbed::Testbed(sim::Simulator& simulator, TestbedConfig config)
   nc_nat.type = net::NatType::kFullCone;
   nc_nat.port_base = 30000;
   nc_nat.open_external_ports = {30000, 30001, 30002, 30003};
-  dom_ncgrid = net.add_nat_domain("ncgrid-fw", net::Network::kInternet,
-                                  site_ncgrid, net::Ipv4Addr(152, 2, 1, 1),
-                                  nc_nat);
+  dom_ncgrid = net.add_nat_domain(net::Network::kInternet, site_ncgrid,
+                                  net::Ipv4Addr(152, 2, 1, 1), nc_nat);
 
   net::NatBox::Config vims_nat;
-  dom_vims = net.add_nat_domain("vims-nat", net::Network::kInternet,
-                                site_vims, net::Ipv4Addr(139, 70, 1, 1),
-                                vims_nat);
+  dom_vims = net.add_nat_domain(net::Network::kInternet, site_vims,
+                                net::Ipv4Addr(139, 70, 1, 1), vims_nat);
 
   // gru.net home node: ISP NAT > wireless router NAT > VMware NAT.
-  net::DomainId dom_isp = net.add_nat_domain(
-      "gru-isp", net::Network::kInternet, site_gru,
-      net::Ipv4Addr(66, 20, 1, 1), net::NatBox::Config{});
-  net::DomainId dom_router = net.add_nat_domain(
-      "gru-wifi", dom_isp, site_gru, net::Ipv4Addr(192, 168, 0, 1),
-      net::NatBox::Config{});
+  net::DomainId dom_isp =
+      net.add_nat_domain(net::Network::kInternet, site_gru,
+                         net::Ipv4Addr(66, 20, 1, 1), net::NatBox::Config{});
+  net::DomainId dom_router =
+      net.add_nat_domain(dom_isp, site_gru, net::Ipv4Addr(192, 168, 0, 1),
+                         net::NatBox::Config{});
   net::NatBox::Config vmware_nat;
   vmware_nat.hairpin = true;
-  dom_gru_vm = net.add_nat_domain("gru-vmnat", dom_router, site_gru,
+  dom_gru_vm = net.add_nat_domain(dom_router, site_gru,
                                   net::Ipv4Addr(192, 168, 1, 2), vmware_nat);
 
   // --- compute nodes per Table I ------------------------------------------
@@ -302,8 +300,10 @@ Testbed::ComputeNode Testbed::make_extra_node(bool at_ufl,
   ++extra_ip_counter_;
   auto phys = net::Ipv4Addr(10, 9, 1, static_cast<std::uint8_t>(
                                           1 + extra_ip_counter_ % 250));
-  return build_compute("extra" + std::to_string(extra_ip_counter_), 99,
-                       at_ufl ? 1.0 : 0.83, at_ufl ? dom_ufl : dom_nwu,
+  std::string name = "extra";
+  name += std::to_string(extra_ip_counter_);
+  return build_compute(name, 99, at_ufl ? 1.0 : 0.83,
+                       at_ufl ? dom_ufl : dom_nwu,
                        at_ufl ? site_ufl : site_nwu, phys, vip);
 }
 

@@ -18,7 +18,6 @@
 #include "p2p/peer_cache.h"
 #include "test_util.h"
 #include "transport/uri.h"
-#include "wow/megascale.h"
 
 namespace wow::p2p {
 namespace {
@@ -307,18 +306,9 @@ TEST(BootstrapTest, TwoIndependentlyFormedRingsMergeIntoOne) {
 /// burst against a 3-endpoint well-known bootstrap service; one
 /// endpoint crashes mid-crowd and restarts later.  The crowd must
 /// still converge to a single ring.
-void run_flash_crowd(int n, std::uint64_t seed, bool flyweight) {
-  MegascaleConfig cfg;
-  cfg.seed = seed;
-  cfg.nodes = n;
-  cfg.flyweight = flyweight;
-  cfg.wellknown_endpoints = 3;
-  cfg.join_stagger = 0;  // the burst
-  cfg.check_period = 15 * kSecond;
-  MegascaleNet net(cfg);
-
-  net.start_burst(static_cast<std::size_t>(n));
-  ASSERT_EQ(net.started(), static_cast<std::size_t>(n));
+void run_flash_crowd(int n, std::uint64_t seed, NodeConfig node) {
+  Fleet net(testing::megascale(seed, n, /*wellknown=*/3, std::move(node)));
+  net.start_all();  // the burst
 
   // Mid-crowd fault: well-known endpoint #1 dies while the crowd is
   // still joining, and comes back two minutes later.
@@ -327,7 +317,8 @@ void run_flash_crowd(int n, std::uint64_t seed, bool flyweight) {
   net.sim.run_for(2 * kMinute);
   net.nodes[1]->restart();
 
-  auto converged_at = net.run_until_converged();
+  auto converged_at =
+      net.run_until_converged(/*join_stagger=*/0, 15 * kSecond);
   ASSERT_TRUE(converged_at.has_value())
       << "flash crowd did not converge to a closed ring (seed=" << seed
       << ", nodes=" << n << ")";
@@ -336,24 +327,24 @@ void run_flash_crowd(int n, std::uint64_t seed, bool flyweight) {
   p2p::OracleReport oracle = net.oracle(/*route_pairs=*/2000);
   EXPECT_TRUE(oracle.ok) << oracle.to_string();
 
-  MegascaleNet::JoinStats js = net.join_latency_stats();
+  Fleet::JoinStats js = net.join_latency_stats();
   EXPECT_EQ(js.joined, static_cast<std::size_t>(n));
   EXPECT_EQ(js.unjoined, 0u);
-  EXPECT_GT(js.p50_s, 0.0);
-  EXPECT_GE(js.p99_s, js.p50_s);
-  EXPECT_LE(js.max_s, to_seconds(net.sim.now()));
+  EXPECT_GT(js.p50, 0.0);
+  EXPECT_GE(js.p99, js.p50);
+  EXPECT_LE(js.max, to_seconds(net.sim.now()));
   std::printf(
       "flash crowd n=%d seed=%llu: single ring at t=%.0fs; join latency "
       "p50=%.1fs p95=%.1fs p99=%.1fs max=%.1fs\n",
       n, static_cast<unsigned long long>(seed), to_seconds(*converged_at),
-      js.p50_s, js.p95_s, js.p99_s, js.max_s);
+      js.p50, js.p95, js.p99, js.max);
 }
 
 TEST(FlashCrowdTest, BurstWithEndpointCrashConverges) {
   // Default (full-service) profile: gossip peer-sampling and the peer
   // cache are active, spreading the CTM join load off the three
   // well-known endpoints.
-  run_flash_crowd(/*n=*/256, /*seed=*/13, /*flyweight=*/false);
+  run_flash_crowd(/*n=*/256, /*seed=*/13, NodeConfig{});
 }
 
 // The acceptance-scale run: a 10k-node simultaneous burst with a
@@ -362,7 +353,7 @@ TEST(FlashCrowdTest, TenThousandNodeBurstConverges) {
 #ifndef NDEBUG
   GTEST_SKIP() << "10k-node flash crowd needs an optimized build";
 #else
-  run_flash_crowd(/*n=*/10000, /*seed=*/1, /*flyweight=*/true);
+  run_flash_crowd(/*n=*/10000, /*seed=*/1, NodeConfig::flyweight());
 #endif
 }
 

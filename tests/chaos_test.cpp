@@ -198,9 +198,11 @@ TEST(Chaos, SeededSoakConvergesAfterHeal) {
   for (std::uint64_t seed : {101ull, 202ull, 303ull}) {
     testing::ThreeSiteOverlay net(seed);
     auto plan = net::FaultPlan::random(seed, soak_params(net));
-    const std::string reproducer =
-        "reproduce: chaos_runner --seed=" + std::to_string(seed) +
-        " --schedule=\"" + plan.describe() + "\"";
+    std::string reproducer = "reproduce: chaos_runner --seed=";
+    reproducer.append(std::to_string(seed))
+        .append(" --schedule=\"")
+        .append(plan.describe())
+        .append("\"");
 
     net.start_all();
     net.sim.run_until(3 * kMinute);

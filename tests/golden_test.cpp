@@ -1,4 +1,4 @@
-// Golden digests (DESIGN §7): six seeded scenarios hash their state at
+// Golden digests (DESIGN §7): seven seeded scenarios hash their state at
 // every simulated minute and at the end, and the lines must equal the
 // committed tests/golden/<scenario>.digest.  The determinism suite only
 // compares two runs of one binary; these files pin behaviour across
@@ -28,7 +28,6 @@
 #include "net/faults.h"
 #include "p2p/adversary.h"
 #include "test_util.h"
-#include "wow/megascale.h"
 #include "wow/testbed.h"
 
 namespace wow {
@@ -203,14 +202,9 @@ TEST(Golden, ChaosSoakSeed101) {
 }
 
 TEST(Golden, FlyweightFlashCrowd) {
-  MegascaleConfig cfg;
-  cfg.seed = 1;
-  cfg.nodes = 256;
-  cfg.wellknown_endpoints = 3;
-  cfg.join_stagger = 0;
-  MegascaleNet net(cfg);
+  Fleet net(testing::megascale(/*seed=*/1, /*nodes=*/256, /*wellknown=*/3));
   Recorder rec(net.sim, net.network, nodes_of(net.nodes));
-  net.start_burst(static_cast<std::size_t>(cfg.nodes));
+  net.start_all();
   rec.run_until(5 * kMinute);
   check_golden("crowd256",
                "256 flyweight nodes boot in one burst against 3 "
@@ -218,16 +212,32 @@ TEST(Golden, FlyweightFlashCrowd) {
                rec.finish());
 }
 
-TEST(Golden, FlyweightRampRandomPool) {
-  MegascaleConfig cfg;
-  cfg.seed = 2;
-  cfg.nodes = 256;
-  MegascaleNet net(cfg);
+/// bootstrap_test's flash crowd at 1,000 flyweight nodes: one burst
+/// against three well-known endpoints, and endpoint 1 down from 10 s
+/// to 2 min 10 s while the crowd is still joining.
+TEST(Golden, FlyweightCrowdWithEndpointCrash) {
+  Fleet net(testing::megascale(/*seed=*/4, /*nodes=*/1000, /*wellknown=*/3));
   Recorder rec(net.sim, net.network, nodes_of(net.nodes));
-  // MegascaleNet's join ramp, one start per stagger step.
-  for (int i = 0; i < cfg.nodes; ++i) {
-    rec.run_until(i * cfg.join_stagger);
-    net.start_burst(1);
+  net.start_all();
+  rec.run_until(10 * kSecond);
+  net.nodes[1]->stop();
+  rec.run_for(2 * kMinute);
+  net.nodes[1]->restart();
+  rec.run_until(5 * kMinute);
+  check_golden("crowd1k",
+               "1000 flyweight nodes on 4 sites boot in one burst against "
+               "3 well-known endpoints, endpoint 1 down from 10 s to "
+               "2 min 10 s, seed 4",
+               rec.finish());
+}
+
+TEST(Golden, FlyweightRampRandomPool) {
+  Fleet net(testing::megascale(/*seed=*/2, /*nodes=*/256, /*wellknown=*/0));
+  Recorder rec(net.sim, net.network, nodes_of(net.nodes));
+  // One start per 20 ms step.
+  for (std::size_t i = 0; i < net.nodes.size(); ++i) {
+    rec.run_until(static_cast<SimTime>(i) * 20 * kMillisecond);
+    net.nodes[i]->start();
   }
   rec.run_until(5 * kMinute);
   check_golden("ramp256",

@@ -261,6 +261,24 @@ TEST_F(NfsTest, ZeroByteFile) {
   EXPECT_TRUE(ok);
 }
 
+// A name no u16 length prefix can frame fails before anything is sent;
+// framed as "", it would store the bytes as file "".
+TEST_F(NfsTest, OversizeNameFailsAtOnce) {
+  NfsServer server(net.sim, *stack1);
+  NfsClient client(net.sim, *stack0, net.vip(1));
+  bool ok = true, done = false;
+  client.write_file(std::string(ByteWriter::kMaxLenPrefixed + 1, 'n'), 1000,
+                    [&](bool result) {
+                      ok = result;
+                      done = true;
+                    });
+  EXPECT_TRUE(done);
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(client.stats().failures, 1u);
+  net.sim.run_for(kMinute);
+  EXPECT_EQ(server.stats().writes, 0u);
+}
+
 // ----------------------------------------------------------------------- PBS
 
 TEST(Pbs, JobsRunAndComplete) {
@@ -333,6 +351,25 @@ TEST(Pbs, QueueDrainsFifoWhenSingleWorker) {
   // Queue times must be increasing: later jobs waited behind earlier.
   EXPECT_GT(pbs.completed()[3].queue_seconds(),
             pbs.completed()[0].queue_seconds());
+}
+
+// A worker whose name no u16 length prefix can frame never registers;
+// framed as "", it would sit on the head node as a nameless worker.
+TEST(Pbs, OversizeWorkerNameNeverRegisters) {
+  IpopOverlay net(3);
+  net.start_all();
+  net.sim.run_until(kMinute);
+  vtcp::TcpStack head_stack(net.sim, *net.nodes[0]);
+  NfsServer nfs(net.sim, head_stack);
+  PbsServer pbs(net.sim, head_stack, nfs);
+
+  vtcp::TcpStack wstack(net.sim, *net.nodes[1]);
+  CpuExecutor cpu(net.sim, 1.0);
+  PbsWorker worker(net.sim, wstack, cpu, net.vip(0),
+                   std::string(ByteWriter::kMaxLenPrefixed + 1, 'w'));
+  worker.start();
+  net.sim.run_for(30 * kSecond);
+  EXPECT_EQ(pbs.registered_workers(), 0u);
 }
 
 // ----------------------------------------------------------------------- PVM

@@ -43,8 +43,7 @@ class NetTest : public ::testing::Test {
   }
 
   DomainId nat_domain(std::uint8_t n, SiteId site, NatBox::Config cfg) {
-    return network.add_nat_domain("nat" + std::to_string(n),
-                                  Network::kInternet, site,
+    return network.add_nat_domain(Network::kInternet, site,
                                   Ipv4Addr(150, 0, 0, n), cfg);
   }
 
@@ -391,7 +390,7 @@ TEST_F(NetTest, NestedNatsTraverseBothLevels) {
   DomainId outer = nat_domain(1, site_b, {});
   NatBox::Config inner_cfg;
   DomainId inner = network.add_nat_domain(
-      "inner", outer, site_b, Ipv4Addr(192, 168, 1, 99), inner_cfg);
+      outer, site_b, Ipv4Addr(192, 168, 1, 99), inner_cfg);
   Host& deep = network.add_host(Ipv4Addr(10, 0, 0, 5), inner, site_b,
                                 Host::Config{});
 

@@ -118,7 +118,8 @@ TEST(Tracer, SpansCorrelate) {
   tracer.end_span(2000000, "linking", "n", "link.established", s1,
                   {{"elapsed_s", 2.0}});
   ASSERT_EQ(sink.lines().size(), 3u);
-  std::string want = "\"span\":" + std::to_string(s1);
+  std::string want = "\"span\":";
+  want += std::to_string(s1);
   EXPECT_NE(sink.lines()[0].find(want), std::string::npos);
   EXPECT_NE(sink.lines()[2].find(want), std::string::npos);
   tracer.detach();

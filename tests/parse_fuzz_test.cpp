@@ -233,7 +233,8 @@ struct ChecksumCase {
   // Payloads of 0..40 bytes put the end of the covered bytes at every
   // offset within XXH64's 32-byte stripe; 1400 bytes is a full datagram.
   for (std::size_t payload = 0; payload <= 40; ++payload) {
-    cases.push_back({"routed/" + std::to_string(payload),
+    std::string name = "routed/";
+    cases.push_back({name.append(std::to_string(payload)),
                      routed_with_payload(payload), routed, 55,
                      p2p::RoutedPacket::kHeaderBytes});
   }

@@ -106,9 +106,9 @@ TEST(NatRenumbering, HomeNodeSurvivesTranslationChange) {
   }
   sim.run_for(kMinute);
 
-  net::DomainId home = network.add_nat_domain(
-      "home-nat", net::Network::kInternet, site, net::Ipv4Addr(66, 1, 1, 1),
-      net::NatBox::Config{});
+  net::DomainId home =
+      network.add_nat_domain(net::Network::kInternet, site,
+                             net::Ipv4Addr(66, 1, 1, 1), net::NatBox::Config{});
   auto& home_host = network.add_host(net::Ipv4Addr(192, 168, 1, 5), home,
                                      site, net::Host::Config{});
   ipop::IpopNode::Config cfg;
@@ -217,9 +217,8 @@ TEST_P(NatTraversalMatrix, TwoNatedPeersEventuallyLink) {
     net::NatBox::Config nat;
     nat.type = param.type;
     nat.hairpin = param.hairpin;
-    auto domain = network.add_nat_domain(
-        "nat" + std::to_string(n), net::Network::kInternet, site,
-        net::Ipv4Addr(200, 0, 0, n), nat);
+    auto domain = network.add_nat_domain(net::Network::kInternet, site,
+                                         net::Ipv4Addr(200, 0, 0, n), nat);
     auto& host = network.add_host(net::Ipv4Addr(192, 168, n, 5), domain,
                                   site, net::Host::Config{});
     ipop::IpopNode::Config cfg;

@@ -37,6 +37,19 @@ struct PublicOverlay : Fleet {
                           .wellknown = 1}) {}
 };
 
+/// The megascale testbed shape (DESIGN §14): `n` nodes on four WAN
+/// sites with batched delivery, flyweight unless `node` says otherwise.
+inline FleetConfig megascale(
+    std::uint64_t seed, int n, int wellknown,
+    p2p::NodeConfig node = p2p::NodeConfig::flyweight()) {
+  return FleetConfig{.seed = seed,
+                     .nodes = n,
+                     .sites = 4,
+                     .node = std::move(node),
+                     .wellknown = wellknown,
+                     .batched = true};
+}
+
 /// Twelve public hosts over three WAN sites (30 ms, 0.2% loss): the
 /// smallest topology where partitions and link flaps have teeth, and
 /// where a mutual neighbor at the third site can relay for two sites

@@ -151,8 +151,7 @@ struct SoakNet : Fleet {
         nat.type = net::NatType::kPortRestricted;
         nat.hairpin = (d == 1);
         net::DomainId dom = network.add_nat_domain(
-            "nat" + std::to_string(d), net::Network::kInternet,
-            sites[static_cast<std::size_t>(d)],
+            net::Network::kInternet, sites[static_cast<std::size_t>(d)],
             net::Ipv4Addr(60, static_cast<std::uint8_t>(1 + d), 0, 1), nat);
         nat_domains.push_back(dom);
         for (int i = 0; i < 2; ++i) {
@@ -312,13 +311,14 @@ int run(const Options& opt) {
   }
   // --profile must ride along in the reproducer: it shapes the topology
   // (NAT domains) that the schedule's domain ids refer to.
-  std::string reproducer =
-      "chaos_runner --seed=" + std::to_string(opt.seed) +
-      " --nodes=" + std::to_string(opt.nodes) +
-      (opt.composite ? std::string(" --profile=composite")
-       : opt.flashcrowd ? std::string(" --profile=flashcrowd")
-       : opt.byzantine ? std::string(" --profile=byzantine")
-                       : std::string());
+  std::string reproducer = "chaos_runner --seed=";
+  reproducer.append(std::to_string(opt.seed))
+      .append(" --nodes=")
+      .append(std::to_string(opt.nodes))
+      .append(opt.composite    ? " --profile=composite"
+              : opt.flashcrowd ? " --profile=flashcrowd"
+              : opt.byzantine  ? " --profile=byzantine"
+                               : "");
   if (opt.byzantine) {
     char frac[32];
     std::snprintf(frac, sizeof frac, " --adversary-fraction=%.3f",
