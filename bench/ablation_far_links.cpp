@@ -20,8 +20,8 @@ void run_k(int k, std::uint64_t seed, int probes) {
   config.far_target = k;
   config.shortcuts_enabled = false;
 
-  sim::Simulator sim(config.seed);
-  Testbed bed(sim, config);
+  Testbed bed(config);
+  sim::Simulator& sim = bed.simulator();
   bed.start_all();
   sim.run_for(8 * kMinute);
 

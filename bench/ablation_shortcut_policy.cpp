@@ -31,8 +31,8 @@ Outcome run(double threshold, double rate, std::uint64_t seed, int pairs) {
   config.shortcut_threshold = threshold;
   config.shortcut_service_rate = rate;
 
-  sim::Simulator sim(config.seed);
-  Testbed bed(sim, config);
+  Testbed bed(config);
+  sim::Simulator& sim = bed.simulator();
   bed.start_all();
   sim.run_for(8 * kMinute);
 

@@ -31,8 +31,8 @@ int main(int argc, char** argv) {
   SimDuration migrate_at = migrate_at_s * kSecond;
   SimDuration suspend = suspend_s * kSecond;
 
-  sim::Simulator sim(config.seed);
-  Testbed bed(sim, config);
+  Testbed bed(config);
+  sim::Simulator& sim = bed.simulator();
   bed.start_all();
   sim.run_for(8 * kMinute);
 

@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
   flags.value("seed", config.seed, "testbed seed");
   if (!flags.parse(argc, argv)) return flags.help_shown() ? 0 : 2;
 
-  sim::Simulator sim(config.seed);
-  Testbed bed(sim, config);
+  Testbed bed(config);
+  sim::Simulator& sim = bed.simulator();
   bed.start_all();
   sim.run_for(8 * kMinute);
 

@@ -28,8 +28,8 @@ void run_config(bool shortcuts, std::uint64_t seed, int jobs) {
   config.seed = seed;
   config.shortcuts_enabled = shortcuts;
 
-  sim::Simulator sim(config.seed);
-  Testbed bed(sim, config);
+  Testbed bed(config);
+  sim::Simulator& sim = bed.simulator();
   bed.start_all();
   sim.run_for(8 * kMinute);
 

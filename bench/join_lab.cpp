@@ -13,23 +13,22 @@ const char* to_string(Scenario scenario) {
   return "?";
 }
 
-JoinLab::JoinLab(TestbedConfig config, SimDuration warmup) {
-  sim_ = std::make_unique<sim::Simulator>(config.seed);
-  bed_ = std::make_unique<Testbed>(*sim_, config);
-  bed_->start_routers();
-  sim_->run_for(warmup / 2);
-  bed_->start_compute();
-  sim_->run_for(warmup / 2);
+JoinLab::JoinLab(TestbedConfig config, SimDuration warmup)
+    : bed_(config), sim_(bed_.simulator()) {
+  bed_.start_routers();
+  sim_.run_for(warmup / 2);
+  bed_.start_compute();
+  sim_.run_for(warmup / 2);
 }
 
 TrialResult JoinLab::run_trial(Scenario scenario, int icmp_count,
                                net::Ipv4Addr vip) {
   // A: node002 for UFL-targeted scenarios, node017 for NWU-NWU.
   Testbed::ComputeNode& a =
-      scenario == Scenario::kNwuNwu ? bed_->node(17) : bed_->node(2);
+      scenario == Scenario::kNwuNwu ? bed_.node(17) : bed_.node(2);
   bool b_at_ufl = scenario == Scenario::kUflUfl;
 
-  Testbed::ComputeNode b = bed_->make_extra_node(b_at_ufl, vip);
+  Testbed::ComputeNode b = bed_.make_extra_node(b_at_ufl, vip);
 
   TrialResult result;
   result.replied.assign(static_cast<std::size_t>(icmp_count), false);
@@ -42,21 +41,21 @@ TrialResult JoinLab::run_trial(Scenario scenario, int icmp_count,
     result.rtt_ms[seq - 1] = to_millis(rtt);
   });
 
-  SimTime t0 = sim_->now();
+  SimTime t0 = sim_.now();
   b.ipop->start();
 
   p2p::Address a_addr = a.ipop->p2p().address();
   std::optional<SimTime> shortcut_at;
   for (int seq = 1; seq <= icmp_count; ++seq) {
     b.icmp->ping(a.vip(), 1, static_cast<std::uint16_t>(seq));
-    sim_->run_for(kSecond);
+    sim_.run_for(kSecond);
     if (!shortcut_at && b.ipop->p2p().has_direct(a_addr)) {
-      shortcut_at = sim_->now();
+      shortcut_at = sim_.now();
     }
   }
-  sim_->run_for(5 * kSecond);
+  sim_.run_for(5 * kSecond);
   if (!shortcut_at && b.ipop->p2p().has_direct(a_addr)) {
-    shortcut_at = sim_->now();
+    shortcut_at = sim_.now();
   }
 
   if (auto routable = b.ipop->p2p().routable_since()) {
@@ -66,7 +65,7 @@ TrialResult JoinLab::run_trial(Scenario scenario, int icmp_count,
 
   b.ipop->stop();
   // Let A's stale shortcut state to B die off before the next trial.
-  sim_->run_for(90 * kSecond);
+  sim_.run_for(90 * kSecond);
   return result;
 }
 

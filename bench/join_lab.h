@@ -44,15 +44,15 @@ class JoinLab {
   /// IP (a fresh ring position, as the paper rotated 10 IPs).
   JoinProfile run(Scenario scenario, int trials, int icmp_count = 400);
 
-  [[nodiscard]] Testbed& testbed() { return *bed_; }
-  [[nodiscard]] sim::Simulator& simulator() { return *sim_; }
+  [[nodiscard]] Testbed& testbed() { return bed_; }
+  [[nodiscard]] sim::Simulator& simulator() { return sim_; }
 
  private:
   TrialResult run_trial(Scenario scenario, int icmp_count,
                         net::Ipv4Addr vip);
 
-  std::unique_ptr<sim::Simulator> sim_;
-  std::unique_ptr<Testbed> bed_;
+  Testbed bed_;
+  sim::Simulator& sim_;
   int trial_counter_ = 0;
 };
 

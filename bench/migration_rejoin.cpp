@@ -22,8 +22,8 @@ void run_size(int routers, std::uint64_t seed, int trials,
   config.planetlab_routers = routers;
   config.planetlab_hosts = std::max(4, routers / 6);
 
-  sim::Simulator sim(config.seed);
-  Testbed bed(sim, config);
+  Testbed bed(config);
+  sim::Simulator& sim = bed.simulator();
   bed.start_all(kMinute + routers * 2 * kSecond + 5 * kMinute);
   sim.run_for(4 * kMinute);
 

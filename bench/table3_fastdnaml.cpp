@@ -41,8 +41,8 @@ double run_parallel(bool shortcuts, std::uint64_t seed, int first_worker,
   config.seed = seed;
   config.shortcuts_enabled = shortcuts;
 
-  sim::Simulator sim(config.seed);
-  Testbed bed(sim, config);
+  Testbed bed(config);
+  sim::Simulator& sim = bed.simulator();
   bed.start_all();
   sim.run_for(8 * kMinute);
 

@@ -16,10 +16,10 @@
 using namespace wow;
 
 int main() {
-  sim::Simulator sim(/*seed=*/7);
   TestbedConfig config;
   config.seed = 7;
-  Testbed bed(sim, config);
+  Testbed bed(config);
+  sim::Simulator& sim = bed.simulator();
 
   std::printf("booting testbed...\n");
   bed.start_all();

@@ -17,10 +17,10 @@
 using namespace wow;
 
 int main() {
-  sim::Simulator sim(/*seed=*/123);
   TestbedConfig config;
   config.seed = 123;
-  Testbed bed(sim, config);
+  Testbed bed(config);
+  sim::Simulator& sim = bed.simulator();
 
   std::printf("booting testbed...\n");
   bed.start_all();

@@ -20,10 +20,10 @@
 using namespace wow;
 
 int main() {
-  sim::Simulator sim(/*seed=*/99);
   TestbedConfig config;
   config.seed = 99;
-  Testbed bed(sim, config);
+  Testbed bed(config);
+  sim::Simulator& sim = bed.simulator();
 
   std::printf("booting the Figure-1 testbed (118 routers, 33 VMs)...\n");
   bed.start_all();

@@ -1,7 +1,6 @@
 #include "common/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/trace.h"
 
@@ -11,17 +10,6 @@ namespace {
 
 [[nodiscard]] const char* kind_name(MetricKind kind) {
   return kind == MetricKind::kCounter ? "counter" : "gauge";
-}
-
-/// %.17g prints doubles round-trip exactly; integers come out unpadded.
-void append_number(std::string& out, double v) {
-  char buf[40];
-  if (v == static_cast<double>(static_cast<long long>(v))) {
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-  }
-  out += buf;
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "common/trace.h"
 
 #include <cinttypes>
+#include <cmath>
 
 namespace wow {
 
@@ -25,6 +26,17 @@ void append_escaped(std::string& out, std::string_view s) {
     }
   }
   out += '"';
+}
+
+void append_number(std::string& out, double v) {
+  char buf[40];
+  // The range test keeps the cast defined (and sends NaN to %.17g).
+  if (std::abs(v) < 9.2e18 && v == std::trunc(v)) {
+    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
+  } else {
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+  }
+  out += buf;
 }
 
 namespace {

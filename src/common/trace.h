@@ -16,6 +16,11 @@ namespace wow {
 /// as \u00XX.  The one JSON string escaper (traces, metrics, wowd).
 void append_escaped(std::string& out, std::string_view s);
 
+/// Append `v` as a JSON number: integral values exactly, any other with
+/// %.17g so it round-trips.  The one number writer for exports (metrics
+/// reports and series, fleet snapshots).
+void append_number(std::string& out, double v);
+
 /// Receives one JSON record per trace event (no trailing newline).
 /// Implementations must not call back into the simulation: the tracer is
 /// a pure observer and attaching a sink may not perturb event order.

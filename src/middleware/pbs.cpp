@@ -1,5 +1,7 @@
 #include "middleware/pbs.h"
 
+#include <algorithm>
+
 namespace wow::mw {
 
 namespace {
@@ -123,6 +125,12 @@ void PbsServer::on_message(std::uint64_t key, const Bytes& message) {
     case PbsMsg::kRun:
       return;  // head never receives RUN
   }
+}
+
+std::size_t PbsServer::registered_workers() const {
+  return static_cast<std::size_t>(
+      std::count_if(workers_.begin(), workers_.end(),
+                    [](const auto& kv) { return !kv.second.name.empty(); }));
 }
 
 double PbsServer::throughput_jobs_per_minute() const {

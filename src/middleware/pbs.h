@@ -55,9 +55,9 @@ class PbsServer {
   /// Submit a job (qsub).  Input file is registered with the NFS server.
   void qsub(JobSpec spec);
 
-  [[nodiscard]] std::size_t registered_workers() const {
-    return workers_.size();
-  }
+  /// Workers that sent their registration (a connection alone does not
+  /// count).
+  [[nodiscard]] std::size_t registered_workers() const;
   [[nodiscard]] const std::vector<JobRecord>& completed() const {
     return completed_;
   }

@@ -1,5 +1,7 @@
 #include "middleware/pvm.h"
 
+#include <algorithm>
+
 namespace wow::mw {
 
 namespace {
@@ -46,6 +48,12 @@ PvmMaster::PvmMaster(sim::Simulator& simulator, vtcp::TcpStack& stack,
   });
 }
 
+int PvmMaster::registered_workers() const {
+  return static_cast<int>(
+      std::count_if(workers_.begin(), workers_.end(),
+                    [](const auto& kv) { return kv.second.registered; }));
+}
+
 void PvmMaster::run(int expected_workers, std::function<void(double)> done) {
   expected_workers_ = expected_workers;
   done_ = std::move(done);
@@ -54,11 +62,7 @@ void PvmMaster::run(int expected_workers, std::function<void(double)> done) {
 
 void PvmMaster::maybe_begin() {
   if (running_ || done_ == nullptr) return;
-  int registered = 0;
-  for (const auto& [key, w] : workers_) {
-    if (w.registered) ++registered;
-  }
-  if (registered < expected_workers_) return;
+  if (registered_workers() < expected_workers_) return;
   running_ = true;
   start_time_ = sim_.now();
   completed_rounds_ = 0;

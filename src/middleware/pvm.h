@@ -49,9 +49,9 @@ class PvmMaster {
   /// receives the makespan in seconds.
   void run(int expected_workers, std::function<void(double)> done);
 
-  [[nodiscard]] int registered_workers() const {
-    return static_cast<int>(workers_.size());
-  }
+  /// Workers that sent their registration (a connection alone does not
+  /// count).
+  [[nodiscard]] int registered_workers() const;
   [[nodiscard]] int completed_rounds() const { return completed_rounds_; }
   [[nodiscard]] std::uint64_t tasks_dispatched() const {
     return tasks_dispatched_;

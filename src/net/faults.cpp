@@ -48,11 +48,27 @@ void append_ms(std::string& out, SimDuration d) {
   out += std::to_string(d / kMillisecond);
 }
 
-[[nodiscard]] std::optional<std::int64_t> parse_i64(std::string_view s) {
-  std::int64_t v = 0;
+/// A whole decimal string as a T; nullopt when it is not one or T cannot
+/// hold it, so an id past int's range is refused, never wrapped onto a
+/// real one.
+template <typename T>
+[[nodiscard]] std::optional<T> parse_int(std::string_view s) {
+  T v = 0;
   auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
   if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
   return v;
+}
+
+/// The longest time a schedule may name: a simulated century.  Every
+/// parsed time and duration is bounded by it, so neither the conversion
+/// to SimTime nor a start-plus-duration sum can overflow.
+constexpr std::int64_t kMaxScheduleMs = 100LL * 365 * 24 * 60 * 60 * 1000;
+
+/// A millisecond count in [0, kMaxScheduleMs], as a SimDuration.
+[[nodiscard]] std::optional<SimDuration> parse_ms(std::string_view s) {
+  auto ms = parse_int<std::int64_t>(s);
+  if (!ms || *ms < 0 || *ms > kMaxScheduleMs) return std::nullopt;
+  return *ms * kMillisecond;
 }
 
 [[nodiscard]] std::optional<double> parse_rate(std::string_view s) {
@@ -186,20 +202,20 @@ std::optional<FaultPlan> FaultPlan::parse(std::string_view spec) {
     if (std::size_t plus = times.find('+');
         plus != std::string_view::npos) {
       at_ms = times.substr(0, plus);
-      auto dur = parse_i64(times.substr(plus + 1));
-      if (!dur || *dur < 0) return std::nullopt;
-      e.duration = *dur * kMillisecond;
+      auto dur = parse_ms(times.substr(plus + 1));
+      if (!dur) return std::nullopt;
+      e.duration = *dur;
     }
-    auto at = parse_i64(at_ms);
-    if (!at || *at < 0) return std::nullopt;
-    e.at = *at * kMillisecond;
+    auto at = parse_ms(at_ms);
+    if (!at) return std::nullopt;
+    e.at = *at;
 
     switch (e.kind) {
       case FaultKind::kPartition: {
         for (std::string_view s : split(args, ',')) {
-          auto site = parse_i64(s);
+          auto site = parse_int<SiteId>(s);
           if (!site) return std::nullopt;
-          e.sites.push_back(static_cast<SiteId>(*site));
+          e.sites.push_back(*site);
         }
         if (e.sites.empty()) return std::nullopt;
         break;
@@ -207,19 +223,19 @@ std::optional<FaultPlan> FaultPlan::parse(std::string_view spec) {
       case FaultKind::kLinkFlap: {
         auto ends = split(args, '-');
         if (ends.size() != 2) return std::nullopt;
-        auto a = parse_i64(ends[0]);
-        auto b = parse_i64(ends[1]);
+        auto a = parse_int<SiteId>(ends[0]);
+        auto b = parse_int<SiteId>(ends[1]);
         if (!a || !b) return std::nullopt;
-        e.sites = {static_cast<SiteId>(*a), static_cast<SiteId>(*b)};
+        e.sites = {*a, *b};
         break;
       }
       case FaultKind::kStorm: {
         auto parts = split(args, ',');
         if (parts.size() != 2) return std::nullopt;
-        auto lat = parse_i64(parts[0]);
+        auto lat = parse_ms(parts[0]);
         auto loss = parse_rate(parts[1]);
         if (!lat || !loss) return std::nullopt;
-        e.magnitude = *lat * kMillisecond;
+        e.magnitude = *lat;
         e.rate = *loss;
         break;
       }
@@ -234,24 +250,24 @@ std::optional<FaultPlan> FaultPlan::parse(std::string_view spec) {
         auto parts = split(args, ',');
         if (parts.size() != 2) return std::nullopt;
         auto rate = parse_rate(parts[0]);
-        auto max = parse_i64(parts[1]);
+        auto max = parse_ms(parts[1]);
         if (!rate || !max) return std::nullopt;
         e.rate = *rate;
-        e.magnitude = *max * kMillisecond;
+        e.magnitude = *max;
         break;
       }
       case FaultKind::kNatReboot:
       case FaultKind::kIsolateDomain: {
-        auto domain = parse_i64(args);
+        auto domain = parse_int<DomainId>(args);
         if (!domain) return std::nullopt;
-        e.domain = static_cast<DomainId>(*domain);
+        e.domain = *domain;
         break;
       }
       case FaultKind::kFreezeHost:
       case FaultKind::kCrashHost: {
-        auto host = parse_i64(args);
+        auto host = parse_int<HostId>(args);
         if (!host) return std::nullopt;
-        e.host = static_cast<HostId>(*host);
+        e.host = *host;
         break;
       }
     }

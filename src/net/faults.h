@@ -99,7 +99,9 @@ struct FaultPlan {
   /// times in integer milliseconds (exact round-trip with parse()).
   [[nodiscard]] std::string describe() const;
 
-  /// Inverse of describe().  Returns nullopt on any malformed event.
+  /// Inverse of describe().  Returns nullopt on any malformed event,
+  /// including a time, duration, latency or delay outside [0, a
+  /// simulated century] and an id outside int's range.
   [[nodiscard]] static std::optional<FaultPlan> parse(std::string_view spec);
 };
 

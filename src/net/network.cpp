@@ -121,6 +121,9 @@ Host& Network::add_host(Ipv4Addr ip, DomainId domain, SiteId site,
 }
 
 NatBox* Network::nat_of_domain(DomainId domain) {
+  if (domain < 0 || static_cast<std::size_t>(domain) >= domains_.size()) {
+    return nullptr;
+  }
   return domains_[static_cast<std::size_t>(domain)].nat.get();
 }
 

@@ -125,6 +125,8 @@ class Network {
   // --- lookup / admin -----------------------------------------------------
 
   [[nodiscard]] Host& host(HostId id) { return *hosts_[static_cast<std::size_t>(id)]; }
+  /// The domain's NAT box; nullptr for the Internet and for an id
+  /// outside the domain table.
   [[nodiscard]] NatBox* nat_of_domain(DomainId domain);
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
@@ -149,7 +151,6 @@ class Network {
   /// because every queueing station advances via max(arrival, free).
   /// Must be enabled before traffic flows; cannot be turned off again.
   void enable_batched_delivery(SimDuration quantum = 0);
-  [[nodiscard]] bool batched_delivery() const { return batched_; }
 
   /// Estimated bytes held by the network fabric itself (hosts, domains,
   /// NAT state, pending delivery queues, the host config pool) — the

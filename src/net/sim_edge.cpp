@@ -27,25 +27,12 @@ NodeDeps NodeDeps::sim(sim::Simulator& simulator, net::Network& network,
 
 namespace wow::net {
 
-void SimEdge::send(SharedBytes payload) {
-  if (closed_) return;
-  factory_.send_to(remote_, std::move(payload));
-}
-
-void SimEdge::close() {
-  if (closed_) return;
-  closed_ = true;
-  factory_.drop_edge(remote_);  // deletes *this
-}
-
-transport::Uri SimEdge::local_uri() const { return factory_.local_uri(); }
-
 SimEdgeFactory::SimEdgeFactory(Network& network, Host& host)
     : network_(network), host_(&host) {}
 
 void SimEdgeFactory::bind(std::uint16_t port) {
   if (open_) close();
-  adverts_.forget();
+  forget_public_uris();
   port_ = port;
   host_->bind(port_, [this](const Endpoint& src, std::uint16_t,
                             SharedBytes payload) {
@@ -65,26 +52,9 @@ void SimEdgeFactory::send_to(const Endpoint& dst, SharedBytes payload) {
   network_.send(*host_, port_, dst, std::move(payload));
 }
 
-p2p::Edge& SimEdgeFactory::edge_to(const Endpoint& remote) {
-  auto it = edges_.find(remote);
-  if (it == edges_.end()) {
-    it = edges_.emplace(remote, std::make_unique<SimEdge>(*this, remote))
-             .first;
-  }
-  return *it->second;
-}
-
 transport::Uri SimEdgeFactory::local_uri() const {
   return transport::Uri{transport::TransportKind::kUdp,
                         Endpoint{host_->ip(), port_}};
-}
-
-std::vector<transport::Uri> SimEdgeFactory::local_uris() const {
-  return adverts_.all(local_uri());
-}
-
-bool SimEdgeFactory::learn_public_uri(const transport::Uri& uri) {
-  return adverts_.learn(uri, local_uri());
 }
 
 }  // namespace wow::net

@@ -1,8 +1,10 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -12,44 +14,35 @@
 
 namespace wow::p2p {
 
-/// One overlay edge: a point-to-point datagram channel to a single
-/// remote endpoint (Brunet's Edge).  Edges are views over their
-/// factory's multiplexed socket — creating one costs a map entry, not a
-/// socket — and every inbound frame goes to the factory's receiver.
-///
-/// Interface-only header: implementations live with their backend
-/// (net::SimEdge over the simulated network, transport::UdpEdgeFactory's
-/// edges over real sockets), so lower layers can include this freely.
+/// The handle to one remote endpoint (Brunet's Edge).  It carries no
+/// traffic: frames go through the factory's `send_to`, and every inbound
+/// frame reaches the factory's receiver.  A handle only knows whether it
+/// is closed; its factory owns it and keeps it until the factory dies.
 class Edge {
  public:
-  virtual ~Edge() = default;
+  /// Mark the edge closed; `EdgeFactory::edge_to` reopens it.
+  void close() { closed_ = true; }
+  [[nodiscard]] bool closed() const { return closed_; }
 
-  /// Send one datagram to the remote.  Dropped silently when closed.
-  virtual void send(SharedBytes payload) = 0;
-  void send(Bytes payload) { send(SharedBytes(std::move(payload))); }
+ private:
+  friend class EdgeFactory;
 
-  /// Stop delivering and sending; the factory forgets the edge.
-  virtual void close() = 0;
-  [[nodiscard]] virtual bool closed() const = 0;
-
-  /// Local advertised URI (the factory's primary URI).
-  [[nodiscard]] virtual transport::Uri local_uri() const = 0;
-  /// The remote endpoint this edge points at.
-  [[nodiscard]] virtual transport::Uri remote_uri() const = 0;
+  bool closed_ = false;
 };
 
-/// Creates edges and carries the shared datagram plane they multiplex
-/// over (Brunet's EdgeListener).  One bound port serves every peer —
-/// which is what makes UDP hole punching work: the NAT mapping created
-/// by any outbound packet serves every peer that learns it.
+/// The transport seam (Brunet's EdgeListener): one bound port that
+/// carries the datagrams of every peer — which is what makes UDP hole
+/// punching work: the NAT mapping created by any outbound packet serves
+/// every peer that learns it.
 ///
-/// The hot path is endpoint-addressed (`send_to`) so forwarding a frame
-/// costs no per-edge lookup; `edge_to()` materializes a per-remote Edge
-/// handle when a component wants the object-per-peer view.
+/// A backend supplies the socket: `bind`, `close`, `is_open`, `send_to`
+/// and `local_uri`, and calls `deliver` for each inbound datagram.  This
+/// base keeps what does not depend on the backend: the edge handles and
+/// the advertised-URI set, the private/primary URI plus the NAT-assigned
+/// public endpoints peers observed for us (link replies echo the
+/// observed source address, §IV-C).
 ///
-/// Also owns the advertised-URI set: the private/primary URI plus every
-/// NAT-assigned public endpoint learnt from peers (link replies echo
-/// the observed source address, §IV-C).
+/// Header-only: the simulated backend's library links below wow_p2p.
 class EdgeFactory {
  public:
   /// Factory-level delivery callback.  Receives the datagram's shared
@@ -57,6 +50,9 @@ class EdgeFactory {
   /// delivery, enabling in-place frame rewrites.
   using Receiver =
       std::function<void(const net::Endpoint& src, SharedBytes payload)>;
+
+  /// Learnt public URIs kept; the oldest ages out past this.
+  static constexpr std::size_t kMaxLearntUris = 3;
 
   virtual ~EdgeFactory() = default;
 
@@ -84,9 +80,13 @@ class EdgeFactory {
 
   // --- edge handles ------------------------------------------------------
 
-  /// The edge to `remote`, created on first use.  The reference stays
-  /// valid until the edge is closed or the factory dies.
-  [[nodiscard]] virtual Edge& edge_to(const net::Endpoint& remote) = 0;
+  /// The handle to `remote`, created on first use and reopened if it
+  /// was closed.  The reference stays valid as long as the factory.
+  [[nodiscard]] virtual Edge& edge_to(const net::Endpoint& remote) {
+    Edge& edge = edges_[remote];
+    edge.closed_ = false;
+    return edge;
+  }
 
   // --- advertised URIs ---------------------------------------------------
 
@@ -96,54 +96,54 @@ class EdgeFactory {
   /// All URIs to advertise in CTM / link messages; primary URI first,
   /// then learnt public URIs freshest-first.  Ordering for the *linking
   /// attempt* is chosen by the caller (§V-B).
-  [[nodiscard]] virtual std::vector<transport::Uri> local_uris() const = 0;
+  [[nodiscard]] virtual std::vector<transport::Uri> local_uris() const {
+    std::vector<transport::Uri> uris;
+    uris.reserve(1 + learnt_.size());
+    uris.push_back(local_uri());
+    uris.insert(uris.end(), learnt_.begin(), learnt_.end());
+    return uris;
+  }
 
   /// Record a NAT-assigned public endpoint a peer observed for us.
-  /// Returns true if it was new (the advertised set changed).
-  virtual bool learn_public_uri(const transport::Uri& uri) = 0;
+  /// Returns true if it was new (the advertised set changed); a
+  /// re-observed URI moves to the front so peers try the freshest
+  /// mapping first.  The primary's own endpoint is never learnt.
+  virtual bool learn_public_uri(const transport::Uri& uri) {
+    if (uri.endpoint == local_uri().endpoint) return false;
+    auto it = std::find(learnt_.begin(), learnt_.end(), uri);
+    if (it != learnt_.end()) {
+      std::rotate(learnt_.begin(), it, it + 1);
+      return false;
+    }
+    learnt_.insert(learnt_.begin(), uri);
+    if (learnt_.size() > kMaxLearntUris) learnt_.pop_back();
+    return true;
+  }
 
  protected:
   void deliver(const net::Endpoint& src, SharedBytes payload) {
     if (receiver_) receiver_(src, std::move(payload));
   }
 
+  /// A backend's socket reported `remote` gone: its handle reads closed.
+  void close_edge(const net::Endpoint& remote) {
+    auto it = edges_.find(remote);
+    if (it != edges_.end()) it->second.close();
+  }
+
+  /// Called by each backend's `bind`.
+  void forget_public_uris() { learnt_.clear(); }
+
  private:
   Receiver receiver_;
+  /// Node-based, so handed-out references survive later inserts.
+  std::map<net::Endpoint, Edge> edges_;
+  std::vector<transport::Uri> learnt_;
 };
 
-/// Advertised-URI bookkeeping shared by EdgeFactory backends: learnt
-/// public URIs freshest-first, capped at 3 (stale NAT mappings age out
-/// as fresh observations arrive).
-class UriAdvertSet {
- public:
-  /// The full advertised list: `primary` first, then the learnt set.
-  [[nodiscard]] std::vector<transport::Uri> all(
-      const transport::Uri& primary) const {
-    std::vector<transport::Uri> uris;
-    uris.reserve(1 + public_uris_.size());
-    uris.push_back(primary);
-    uris.insert(uris.end(), public_uris_.begin(), public_uris_.end());
-    return uris;
-  }
-
-  /// Returns true if `uri` was new; re-observations rotate it to the
-  /// front so peers try the freshest mapping first.
-  bool learn(const transport::Uri& uri, const transport::Uri& primary) {
-    if (uri.endpoint == primary.endpoint) return false;
-    auto it = std::find(public_uris_.begin(), public_uris_.end(), uri);
-    if (it != public_uris_.end()) {
-      std::rotate(public_uris_.begin(), it, it + 1);
-      return false;
-    }
-    public_uris_.insert(public_uris_.begin(), uri);
-    if (public_uris_.size() > 3) public_uris_.pop_back();
-    return true;
-  }
-
-  void forget() { public_uris_.clear(); }
-
- private:
-  std::vector<transport::Uri> public_uris_;
-};
+// A peer advertises its primary URI plus the learnt ones, and peers
+// store that list inline.
+static_assert(transport::UriList::kCapacity ==
+              1 + EdgeFactory::kMaxLearntUris);
 
 }  // namespace wow::p2p

@@ -133,11 +133,6 @@ class Node {
   /// Ring-census / merge agent introspection (tests).
   [[nodiscard]] const CensusAgent& census() const { return *census_; }
 
-  /// Self-defense bookkeeping introspection (tests): the per-endpoint
-  /// misbehavior ledger + control-frame rate limiter (DESIGN §16).
-  [[nodiscard]] const MisbehaviorLedger& misbehavior() const {
-    return ledger_;
-  }
   /// Endpoint-backoff introspection (tests): when bootstrap endpoint
   /// `i` may be probed again (0 = immediately).
   [[nodiscard]] SimTime bootstrap_retry_after(std::size_t i) const;

@@ -39,11 +39,6 @@ struct NodeDeps {
   Tracer* tracer = nullptr;
   std::unique_ptr<EdgeFactory> edges;
 
-  [[nodiscard]] bool complete() const {
-    return timers != nullptr && rng != nullptr && logger != nullptr &&
-           metrics != nullptr && tracer != nullptr && edges != nullptr;
-  }
-
   /// The canonical bundle: clock/rng/logger/metrics/tracer from the
   /// simulator, edges over the simulated network (net::SimEdgeFactory)
   /// homed at `host`.

@@ -1,9 +1,9 @@
 #include "p2p/node_inspector.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/stats.h"
+#include "common/trace.h"
 #include "p2p/keepalive.h"
 #include "p2p/node.h"
 #include "p2p/shortcut_overlord.h"
@@ -11,14 +11,6 @@
 namespace wow::p2p {
 
 namespace {
-
-/// %g trims trailing zeros, so counters stay integral in the output and
-/// the lines stay scannable with targeted key searches.
-void append_number(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%g", v);
-  out += buf;
-}
 
 void append_field(std::string& out, const char* key, double v) {
   out += ",\"";

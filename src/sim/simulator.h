@@ -44,6 +44,7 @@ class Simulator final : public TimerService {
   /// pure observers: attaching a sink or snapshotting metrics never
   /// touches the RNG or the event queue.
   [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
+  [[nodiscard]] const MetricsRegistry& metrics() const { return metrics_; }
   [[nodiscard]] Tracer& trace() { return trace_; }
 
   /// Monotonic id for packet-level tracing (delegates to the tracer,

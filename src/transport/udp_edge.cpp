@@ -59,34 +59,6 @@ union SegmentControl {
 
 }  // namespace
 
-/// Per-remote view over the shared socket; a map entry, not a socket.
-class UdpEdgeFactory::UdpEdge final : public p2p::Edge {
- public:
-  UdpEdge(UdpEdgeFactory& factory, net::Endpoint remote)
-      : factory_(factory), remote_(remote) {}
-
-  void send(SharedBytes payload) override {
-    if (closed_) return;
-    factory_.send_to(remote_, std::move(payload));
-  }
-  void close() override {
-    if (closed_) return;
-    closed_ = true;
-    factory_.edges_.erase(remote_);  // deletes *this
-  }
-  [[nodiscard]] bool closed() const override { return closed_; }
-  [[nodiscard]] Uri local_uri() const override {
-    return factory_.local_uri();
-  }
-  [[nodiscard]] Uri remote_uri() const override {
-    return Uri{TransportKind::kUdp, remote_};
-  }
- private:
-  UdpEdgeFactory& factory_;
-  net::Endpoint remote_;
-  bool closed_ = false;
-};
-
 UdpEdgeFactory::UdpEdgeFactory(RealtimeEventLoop& loop,
                                net::Ipv4Addr advertise_ip)
     : loop_(loop), advertise_ip_(advertise_ip) {}
@@ -95,7 +67,7 @@ UdpEdgeFactory::~UdpEdgeFactory() { close(); }
 
 void UdpEdgeFactory::bind(std::uint16_t port) {
   if (is_open()) close();
-  adverts_.forget();
+  forget_public_uris();
 
   fd_ = socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd_ < 0) {
@@ -392,14 +364,8 @@ void UdpEdgeFactory::drain_error_queue() {
 
 void UdpEdgeFactory::handle_socket_error(const net::Endpoint& remote,
                                          int err) {
-  p2p::DisconnectCause cause = classify_socket_error(err);
-  auto it = edges_.find(remote);
-  if (it != edges_.end()) {
-    // The kernel told us this remote is gone; the edge handle dies with
-    // it (matching the Edge contract: references valid until close).
-    edges_.erase(it);
-  }
-  if (error_handler_) error_handler_(remote, cause, err);
+  close_edge(remote);
+  if (error_handler_) error_handler_(remote, classify_socket_error(err), err);
 }
 
 p2p::DisconnectCause UdpEdgeFactory::classify_socket_error(int err) {
@@ -417,15 +383,6 @@ p2p::DisconnectCause UdpEdgeFactory::classify_socket_error(int err) {
     default:
       return p2p::DisconnectCause::kLinkError;
   }
-}
-
-p2p::Edge& UdpEdgeFactory::edge_to(const net::Endpoint& remote) {
-  auto it = edges_.find(remote);
-  if (it == edges_.end()) {
-    it = edges_.emplace(remote, std::make_unique<UdpEdge>(*this, remote))
-             .first;
-  }
-  return *it->second;
 }
 
 }  // namespace wow::transport

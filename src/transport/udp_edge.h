@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -37,8 +36,8 @@ namespace wow::transport {
 /// Socket errors surface asynchronously through the IP_RECVERR error
 /// queue (ICMP unreachables come back as EPOLLERR wakeups); each is
 /// mapped onto the overlay's DisconnectCause taxonomy, the edge handle
-/// to the offending remote (if any) is closed, and the error handler is
-/// told which remote died and why.
+/// to the offending remote (if any) is marked closed, and the error
+/// handler is told which remote died and why.
 class UdpEdgeFactory final : public p2p::EdgeFactory {
  public:
   /// `remote` is the destination the failed datagram was sent to.
@@ -64,16 +63,8 @@ class UdpEdgeFactory final : public p2p::EdgeFactory {
   void send_to(const net::Endpoint& dst, SharedBytes payload) override;
   using p2p::EdgeFactory::send_to;  // the Bytes/Uri convenience overloads
 
-  [[nodiscard]] p2p::Edge& edge_to(const net::Endpoint& remote) override;
-
   [[nodiscard]] Uri local_uri() const override {
     return Uri{TransportKind::kUdp, net::Endpoint{advertise_ip_, port_}};
-  }
-  [[nodiscard]] std::vector<Uri> local_uris() const override {
-    return adverts_.all(local_uri());
-  }
-  bool learn_public_uri(const Uri& uri) override {
-    return adverts_.learn(uri, local_uri());
   }
 
   // --- realtime extras -----------------------------------------------------
@@ -127,9 +118,6 @@ class UdpEdgeFactory final : public p2p::EdgeFactory {
   static constexpr std::size_t kMaxDatagram = 2048;
 
  private:
-  class UdpEdge;
-  friend class UdpEdge;
-
   static constexpr std::size_t kSendBatch = 64;  // datagrams per sendmmsg
   /// Buffers per recvmmsg.  Traffic the kernel does not coalesce
   /// arrives one datagram per buffer, so this also bounds its datagrams
@@ -154,7 +142,6 @@ class UdpEdgeFactory final : public p2p::EdgeFactory {
   int fd_ = -1;
   std::uint16_t port_ = 0;
   std::uint64_t flusher_token_ = 0;
-  p2p::UriAdvertSet adverts_;
   ErrorHandler error_handler_;
   Stats stats_;
 
@@ -170,8 +157,6 @@ class UdpEdgeFactory final : public p2p::EdgeFactory {
   /// handler that closes and rebinds mid-split never frees the buffer
   /// being split.
   std::unique_ptr<std::uint8_t[]> recv_ring_;
-
-  std::map<net::Endpoint, std::unique_ptr<UdpEdge>> edges_;
 };
 
 }  // namespace wow::transport

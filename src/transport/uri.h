@@ -34,17 +34,18 @@ struct Uri {
 /// Fixed-capacity inline URI set — the flyweight storage form of "the
 /// URIs a peer advertised" (megascale profile, DESIGN §14).
 ///
-/// A peer advertises at most its primary endpoint plus the ≤3 learnt
-/// public endpoints Edge retains, so four inline slots hold every
-/// honest advertisement with zero heap — versus 24 bytes of
-/// std::vector header plus an allocation per connection.  The slots
-/// are stored structure-of-arrays (ips / ports / kinds) so the four
-/// entries pack into 29 bytes instead of 4 × 12-byte padded Uris;
-/// elements are materialized by value on read.  Oversized
-/// (hostile/fuzzed) lists are truncated to the first kCapacity
-/// entries; the linking protocol orders candidates best-first, so the
-/// retained prefix is the useful one.  Wire serialization keeps using
-/// std::vector — only long-lived per-connection storage compacts.
+/// A peer advertises at most its primary endpoint plus the
+/// p2p::EdgeFactory::kMaxLearntUris learnt public endpoints (asserted
+/// in p2p/edge.h), so four inline slots hold every honest advertisement
+/// with zero heap — versus 24 bytes of std::vector header plus an
+/// allocation per connection.  The slots are stored structure-of-arrays
+/// (ips / ports / kinds) so the four entries pack into 29 bytes instead
+/// of 4 × 12-byte padded Uris; elements are materialized by value on
+/// read.  Oversized (hostile/fuzzed) lists are truncated to the first
+/// kCapacity entries; the linking protocol orders candidates
+/// best-first, so the retained prefix is the useful one.  Wire
+/// serialization keeps using std::vector — only long-lived
+/// per-connection storage compacts.
 class UriList {
  public:
   static constexpr std::size_t kCapacity = 4;

@@ -39,8 +39,8 @@ constexpr int kMaxShortcuts = 40;
 
 }  // namespace
 
-Testbed::Testbed(sim::Simulator& simulator, TestbedConfig config)
-    : sim_(simulator), config_(config) {
+Testbed::Testbed(TestbedConfig config)
+    : sim_(config.seed), config_(config) {
   network_ = std::make_unique<net::Network>(sim_);
   net::Network& net = *network_;
 

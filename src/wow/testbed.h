@@ -64,7 +64,8 @@ class Testbed {
     [[nodiscard]] net::Ipv4Addr vip() const { return ipop->vip(); }
   };
 
-  Testbed(sim::Simulator& simulator, TestbedConfig config);
+  /// Builds the run's simulator from `config.seed`.
+  explicit Testbed(TestbedConfig config);
   ~Testbed();
   Testbed(const Testbed&) = delete;
   Testbed& operator=(const Testbed&) = delete;
@@ -126,7 +127,8 @@ class Testbed {
                             net::SiteId site, net::Ipv4Addr phys_ip,
                             net::Ipv4Addr vip);
 
-  sim::Simulator& sim_;
+  /// First, so it is destroyed last: everything below schedules on it.
+  sim::Simulator sim_;
   TestbedConfig config_;
   std::unique_ptr<net::Network> network_;
   std::vector<std::unique_ptr<p2p::Node>> routers_;

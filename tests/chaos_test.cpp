@@ -64,6 +64,23 @@ TEST(FaultPlan, ParseRejectsMalformedSchedules) {
   EXPECT_FALSE(net::FaultPlan::parse("storm@100+20:50").has_value());
   EXPECT_FALSE(net::FaultPlan::parse("dup@100+20:nan").has_value());
   EXPECT_FALSE(net::FaultPlan::parse(";;").has_value());
+  // Times are bounded by a simulated century (3,153,600,000,000 ms), so
+  // no conversion or start-plus-duration sum overflows.
+  EXPECT_FALSE(net::FaultPlan::parse("part@10000000000000000+1:0").has_value());
+  EXPECT_FALSE(net::FaultPlan::parse("part@1+10000000000000000:0").has_value());
+  EXPECT_FALSE(net::FaultPlan::parse("part@3153600000001:0").has_value());
+  EXPECT_FALSE(
+      net::FaultPlan::parse("storm@1+1:10000000000000000,0.1").has_value());
+  EXPECT_FALSE(net::FaultPlan::parse("storm@1+1:-5,0.1").has_value());
+  EXPECT_FALSE(
+      net::FaultPlan::parse("reorder@1+1:0.1,10000000000000000").has_value());
+  EXPECT_TRUE(net::FaultPlan::parse("part@3153600000000+3153600000000:0")
+                  .has_value());
+  // An id past int's range is refused, not wrapped onto a real id.
+  EXPECT_FALSE(net::FaultPlan::parse("natreboot@1000:4294967297").has_value());
+  EXPECT_FALSE(net::FaultPlan::parse("crash@1+5:4294967296").has_value());
+  EXPECT_FALSE(net::FaultPlan::parse("part@1+5:4294967298").has_value());
+  EXPECT_FALSE(net::FaultPlan::parse("flap@1+5:0-4294967297").has_value());
   // And the empty plan is valid (vacuously healthy).
   auto empty = net::FaultPlan::parse("");
   ASSERT_TRUE(empty.has_value());

@@ -203,12 +203,12 @@ TEST(Determinism, ChaosScheduleRunsAreByteIdentical) {
 
 TEST(Determinism, TestbedCountersReproduce) {
   auto run = [](std::uint64_t seed) {
-    sim::Simulator sim(seed);
     TestbedConfig cfg;
     cfg.seed = seed;
     cfg.planetlab_routers = 24;
     cfg.planetlab_hosts = 8;
-    Testbed bed(sim, cfg);
+    Testbed bed(cfg);
+    sim::Simulator& sim = bed.simulator();
     bed.start_all(3 * kMinute);
     sim.run_for(3 * kMinute);
     std::ostringstream out;

@@ -257,8 +257,8 @@ TEST(Golden, TestbedUflBulkTransfer) {
   cfg.seed = 777;
   cfg.planetlab_routers = 24;
   cfg.planetlab_hosts = 8;
-  sim::Simulator sim(cfg.seed);
-  Testbed bed(sim, cfg);
+  Testbed bed(cfg);
+  sim::Simulator& sim = bed.simulator();
   std::vector<const p2p::Node*> nodes = nodes_of(bed.routers());
   for (const auto& c : bed.nodes()) nodes.push_back(&c.ipop->p2p());
   Recorder rec(sim, bed.network(), std::move(nodes));

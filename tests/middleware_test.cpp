@@ -372,6 +372,27 @@ TEST(Pbs, OversizeWorkerNameNeverRegisters) {
   EXPECT_EQ(pbs.registered_workers(), 0u);
 }
 
+/// A connection that never sends its registration is not a worker, to
+/// either head node.
+TEST(HeadNode, SilentConnectionIsNotAWorker) {
+  IpopOverlay net(3);
+  net.start_all();
+  net.sim.run_until(kMinute);
+  vtcp::TcpStack head_stack(net.sim, *net.nodes[0]);
+  NfsServer nfs(net.sim, head_stack);
+  PbsServer pbs(net.sim, head_stack, nfs);
+  PvmMaster pvm(net.sim, head_stack, PvmWorkload{});
+
+  vtcp::TcpStack stack(net.sim, *net.nodes[1]);
+  auto to_pbs = stack.connect(net.vip(0), PbsServer::kPort);
+  auto to_pvm = stack.connect(net.vip(0), PvmMaster::kPort);
+  net.sim.run_for(30 * kSecond);
+  ASSERT_EQ(to_pbs->state(), vtcp::TcpSocket::State::kEstablished);
+  ASSERT_EQ(to_pvm->state(), vtcp::TcpSocket::State::kEstablished);
+  EXPECT_EQ(pbs.registered_workers(), 0u);
+  EXPECT_EQ(pvm.registered_workers(), 0);
+}
+
 // ----------------------------------------------------------------------- PVM
 
 TEST(Pvm, RoundSynchronizedMakespan) {

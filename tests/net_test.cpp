@@ -4,8 +4,11 @@
 #include <set>
 #include <string>
 
+#include "net/faults.h"
 #include "net/network.h"
+#include "net/sim_edge.h"
 #include "sim/simulator.h"
+#include "test_util.h"
 
 namespace wow::net {
 namespace {
@@ -481,6 +484,31 @@ TEST_F(NetTest, EveryDropReasonHasUniqueLabelAndGauge) {
     EXPECT_EQ(gauges.count("net_dropped_" + label), 1u)
         << "no gauge registered for net_dropped_" << label;
   }
+}
+
+TEST_F(NetTest, SimEdgeHandleOutlivesClose) {
+  SimEdgeFactory edges(network, public_host(1, site_a));
+  wow::testing::expect_edge_handle_contract(edges);
+}
+
+TEST_F(NetTest, SimEdgeAdvertisedUriRules) {
+  SimEdgeFactory edges(network, public_host(1, site_a));
+  edges.bind(1700);
+  wow::testing::expect_advertised_uri_rules(edges);
+}
+
+TEST_F(NetTest, NatRebootOfUnknownDomainDoesNothing) {
+  DomainId nat = nat_domain(1, site_a, NatBox::Config{});
+  EXPECT_NE(network.nat_of_domain(nat), nullptr);
+  EXPECT_EQ(network.nat_of_domain(nat + 1), nullptr);
+  EXPECT_EQ(network.nat_of_domain(-1), nullptr);
+
+  auto plan = FaultPlan::parse("natreboot@10:99;natreboot@20:-1");
+  ASSERT_TRUE(plan.has_value());
+  network.faults().schedule(*plan);
+  sim.run_for(kSecond);
+  EXPECT_EQ(network.faults().stats().faults_begun, 2u);
+  EXPECT_EQ(network.faults().active_faults(), 0u);
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "p2p/node.h"
 #include "transport/realtime.h"
 #include "transport/udp_edge.h"
+#include "test_util.h"
 
 namespace wow {
 namespace {
@@ -144,7 +145,6 @@ TEST(UdpEdgeFactory, IcmpRefusalReportsAndClosesEdge) {
     reports.emplace_back(remote, cause);
   });
   p2p::Edge& edge = a.edge_to(dead);
-  (void)edge;
 
   // Loopback refusals can take one extra round trip to surface; prod
   // a few times.
@@ -158,9 +158,26 @@ TEST(UdpEdgeFactory, IcmpRefusalReportsAndClosesEdge) {
   EXPECT_EQ(reports[0].first, dead);
   EXPECT_EQ(reports[0].second, p2p::DisconnectCause::kCloseFrame);
   EXPECT_GE(a.stats().icmp_errors + a.stats().send_errors, 1u);
-  // The edge handle to the dead remote was reaped: a fresh edge_to()
-  // materializes a new, open edge.
-  EXPECT_FALSE(a.edge_to(dead).closed());
+  // The held handle to the dead remote reads closed; edge_to() reopens
+  // that same handle.
+  EXPECT_TRUE(edge.closed());
+  EXPECT_EQ(&a.edge_to(dead), &edge);
+  EXPECT_FALSE(edge.closed());
+}
+
+TEST(UdpEdgeFactory, EdgeHandleOutlivesClose) {
+  transport::RealtimeEventLoop loop;
+  transport::UdpEdgeFactory edges(loop, kLocalhost);
+  wow::testing::expect_edge_handle_contract(edges);
+}
+
+TEST(UdpEdgeFactory, AdvertisedUriRules) {
+  transport::RealtimeEventLoop loop;
+  transport::UdpEdgeFactory edges(loop, kLocalhost);
+  edges.bind(0);
+  ASSERT_TRUE(edges.is_open());
+  wow::testing::expect_advertised_uri_rules(edges);
+  EXPECT_TRUE(edges.is_open());
 }
 
 /// A frame of `size` >= 2 bytes that names itself: a 16-bit index, then

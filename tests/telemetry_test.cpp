@@ -354,6 +354,15 @@ TEST(FleetSnapshotTest, PerNodeLinesCanBeDisabled) {
   EXPECT_NE(snaps.jsonl().find("\"kind\":\"fleet\""), std::string::npos);
 }
 
+/// Counters past six digits stay exact: fleet_report subtracts them.
+TEST(FleetSnapshotTest, CountersAreWrittenExactly) {
+  p2p::FleetSnapshotter snaps(/*per_node_lines=*/false);
+  snaps.sample(kMinute, {}, /*executed_events=*/1234567,
+               /*pending_events=*/0);
+  EXPECT_NE(snaps.jsonl().find("\"executed\":1234567,"), std::string::npos)
+      << snaps.jsonl();
+}
+
 TEST(FleetSnapshotTest, FlightCapacityZeroDisablesRecording) {
   p2p::NodeConfig cfg;
   cfg.flight_capacity = 0;

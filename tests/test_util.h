@@ -1,5 +1,8 @@
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -8,6 +11,7 @@
 
 #include "ipop/ipop_node.h"
 #include "net/network.h"
+#include "p2p/edge.h"
 #include "p2p/node.h"
 #include "sim/simulator.h"
 #include "transport/uri.h"
@@ -115,5 +119,54 @@ struct IpopOverlay {
   std::unique_ptr<p2p::Node> router;
   std::vector<std::unique_ptr<ipop::IpopNode>> nodes;
 };
+
+/// The edge-handle half of p2p::EdgeFactory, run against each backend:
+/// a held handle outlives close(), reads closed, and edge_to() reopens
+/// that same handle.
+inline void expect_edge_handle_contract(p2p::EdgeFactory& f) {
+  const net::Endpoint remote{net::Ipv4Addr(150, 0, 0, 9), 4000};
+  p2p::Edge& edge = f.edge_to(remote);
+  EXPECT_FALSE(edge.closed());
+  edge.close();
+  EXPECT_TRUE(edge.closed());
+  EXPECT_EQ(&f.edge_to(remote), &edge);
+  EXPECT_FALSE(edge.closed());
+}
+
+/// The advertised-URI half of p2p::EdgeFactory, run against each
+/// backend: primary first; learnt public URIs freshest-first; a
+/// re-observed one moves to the front; at most kMaxLearntUris learnt;
+/// the primary's endpoint is never learnt; a rebind forgets them.  `f`
+/// must be bound and have learnt nothing yet.
+inline void expect_advertised_uri_rules(p2p::EdgeFactory& f) {
+  using transport::TransportKind;
+  using transport::Uri;
+  const Uri primary = f.local_uri();
+  auto observed = [](std::uint8_t n) {
+    return Uri{TransportKind::kUdp,
+               net::Endpoint{net::Ipv4Addr(150, 0, 0, n), 4000}};
+  };
+  EXPECT_EQ(f.local_uris(), std::vector<Uri>{primary});
+
+  EXPECT_FALSE(f.learn_public_uri(primary));
+  EXPECT_FALSE(f.learn_public_uri(Uri{TransportKind::kTcp, primary.endpoint}));
+  EXPECT_TRUE(f.learn_public_uri(observed(1)));
+  EXPECT_TRUE(f.learn_public_uri(observed(2)));
+  EXPECT_TRUE(f.learn_public_uri(observed(3)));
+  EXPECT_EQ(f.local_uris(), (std::vector<Uri>{primary, observed(3),
+                                              observed(2), observed(1)}));
+
+  EXPECT_FALSE(f.learn_public_uri(observed(1)));
+  EXPECT_EQ(f.local_uris(), (std::vector<Uri>{primary, observed(1),
+                                              observed(3), observed(2)}));
+
+  static_assert(p2p::EdgeFactory::kMaxLearntUris == 3);
+  EXPECT_TRUE(f.learn_public_uri(observed(4)));
+  EXPECT_EQ(f.local_uris(), (std::vector<Uri>{primary, observed(4),
+                                              observed(1), observed(3)}));
+
+  f.bind(primary.endpoint.port);
+  EXPECT_EQ(f.local_uris(), std::vector<Uri>{f.local_uri()});
+}
 
 }  // namespace wow::testing

@@ -16,12 +16,12 @@ class TestbedTest : public ::testing::Test {
     // (118 routers / 20 hosts) is exercised by the benches.
     cfg.planetlab_routers = 30;
     cfg.planetlab_hosts = 10;
-    sim = std::make_unique<sim::Simulator>(cfg.seed);
-    bed = std::make_unique<Testbed>(*sim, cfg);
+    bed = std::make_unique<Testbed>(cfg);
+    sim = &bed->simulator();
   }
 
-  std::unique_ptr<sim::Simulator> sim;
   std::unique_ptr<Testbed> bed;
+  sim::Simulator* sim = nullptr;
 };
 
 TEST_F(TestbedTest, AllComputeNodesBecomeRoutable) {
@@ -126,8 +126,8 @@ TEST_F(TestbedTest, ShortcutsDisabledKeepsMultiHopLatency) {
   cfg.planetlab_routers = 30;
   cfg.planetlab_hosts = 10;
   cfg.shortcuts_enabled = false;
-  sim::Simulator sim2(cfg.seed);
-  Testbed bed2(sim2, cfg);
+  Testbed bed2(cfg);
+  sim::Simulator& sim2 = bed2.simulator();
   bed2.start_all();
   sim2.run_for(5 * kMinute);
 
